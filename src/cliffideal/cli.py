@@ -18,6 +18,7 @@ from .exprio import ParseError, SchemaError, from_json, parse, print_canonical, 
 from .ideals import (
     GeneratorError,
     IdempotentSpec,
+    _blade_order,
     build_idempotent,
     classify,
     coset_basis,
@@ -196,8 +197,7 @@ def _cmd_idempotent(args) -> int:
     if args.mode == "ideal":
         ideal = left_ideal_basis(f)
         print(f"dimension: {ideal.dimension}")
-        order = sorted(range(1 << sig.n), key=lambda m: (bin(m).count("1"), mask_indices(m)))
-        reps = coset_basis(f, (mask_indices(m) for m in order))
+        reps = coset_basis(f, (mask_indices(m) for m in _blade_order(sig.n)))
         print("coset basis: " + ", ".join(_blade_text(r) for r in reps))
         return EXIT_OK
 

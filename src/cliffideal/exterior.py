@@ -35,6 +35,7 @@ from .algebra import (
     blade_mask,
     grade_of,
     mask_indices,
+    reorder_sign,
     volume_element,
 )
 
@@ -185,19 +186,6 @@ def volume_form(n: int) -> ExteriorForm:
     return ExteriorForm(n, {(1 << n) - 1: Fraction(1)})
 
 
-def _merge_sign(a: int, b: int) -> int:
-    # parity of interleaving a-indices before b-indices into sorted order
-    swaps = 0
-    pos = 0
-    bb = b
-    while bb:
-        if bb & 1:
-            swaps += bin(a >> (pos + 1)).count("1")
-        bb >>= 1
-        pos += 1
-    return -1 if swaps & 1 else 1
-
-
 def wedge(a: ExteriorForm, b: ExteriorForm) -> ExteriorForm:
     """Exterior product; blades sharing an index annihilate."""
     a._check_dim(b)
@@ -207,7 +195,7 @@ def wedge(a: ExteriorForm, b: ExteriorForm) -> ExteriorForm:
             if am & bm:
                 continue
             mask = am | bm
-            c = out.get(mask, Fraction(0)) + _merge_sign(am, bm) * ac * bc
+            c = out.get(mask, Fraction(0)) + reorder_sign(am, bm) * ac * bc
             if c:
                 out[mask] = c
             elif mask in out:
@@ -248,9 +236,9 @@ def hodge_star(a: ExteriorForm, c: HodgeConvention = HodgeConvention.EXT_DUAL_FI
     for mask, coef in a._terms.items():
         comp = full ^ mask
         if c is HodgeConvention.EXT_DUAL_FIRST:
-            sign = _merge_sign(comp, mask)
+            sign = reorder_sign(comp, mask)
         else:
-            sign = _merge_sign(mask, comp)
+            sign = reorder_sign(mask, comp)
         out[comp] = out.get(comp, Fraction(0)) + sign * coef
     return ExteriorForm(a.n, out)
 

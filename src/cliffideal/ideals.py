@@ -4,16 +4,19 @@ An idempotent is built from k commuting basis blades that square to +1
 and whose index sets are independent over F_2, as the expanded product
 prod (1 + s_i e_{t_i}) / 2.  With k = q - r_{q-p} (r the Radon-Hurwitz
 numbers) the result is primitive and its left ideal has dimension
-2^{p+q-k}; ideal dimensions are computed by exact rational elimination,
-never assumed.
+2^{p+q-k}.  Ideal dimensions are computed by exact elimination, never
+assumed: for a blade b the product b*f is a signed permutation of f's
+terms, so the rows b*f, scaled to integers once, go through fraction-free
+integer elimination with no geometric product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache, lru_cache
 from itertools import product as _iterproduct
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .algebra import (
     Multivector,
@@ -21,9 +24,10 @@ from .algebra import (
     blade_mask,
     blade_product_masks,
     blade_square_sign,
+    grade_of,
     mask_indices,
 )
-from .linalg import RowBasis
+from .linalg import RowBasis, clear_denominators
 
 _RH_BASE = (0, 1, 2, 2, 3, 3, 3, 3)
 
@@ -175,27 +179,47 @@ class IdealBasis:
         return self._rows.contains(x.term_map())
 
 
-def _blade_order(n: int) -> list[int]:
-    return sorted(range(1 << n), key=lambda m: (bin(m).count("1"), mask_indices(m)))
+@cache
+def _blade_order(n: int) -> tuple[int, ...]:
+    """All blade masks of dimension n by grade, then lexicographically."""
+    return tuple(sorted(range(1 << n), key=lambda m: (grade_of(m), mask_indices(m))))
 
 
+def _blade_rows(f: Multivector, masks: Iterable[int]) -> tuple[int, Iterator[dict[int, int]]]:
+    """D, the lcm of f's denominators, and the integer rows D * (e_b * f), b in masks.
+
+    e_b * f maps each term c e_m of f to sign(b, m) c e_{b xor m}, so every
+    row is a signed permutation of the integer terms of D * f.
+    """
+    sig = f.sig
+    den, scaled = clear_denominators(f.term_map())
+    rows = ({b ^ m: c if blade_product_masks(b, m, sig)[0] > 0 else -c
+             for m, c in scaled.items()} for b in masks)
+    return den, rows
+
+
+# A fixed size, not a setting: verify-paper, the widest caller, asks for four distinct ideals.
+_IDEAL_MEMO = 8
+
+
+@lru_cache(maxsize=_IDEAL_MEMO)
 def left_ideal_basis(f: Multivector) -> IdealBasis:
     """Exact rank and basis of the left ideal generated by f.
 
     Runs every basis blade b through b*f and keeps those that enlarge the
     row span; for a primitive idempotent the resulting dimension matches
-    the classification minimum.
+    the classification minimum.  Results are memoised on f, so asking
+    again for the same ideal reuses one elimination.
     """
     if f.is_zero():
         raise ValueError("left ideal of the zero element is trivial")
     sig = f.sig
-    rows = RowBasis()
-    basis: list[Multivector] = []
-    for mask in _blade_order(sig.n):
-        candidate = Multivector(sig, {mask: Fraction(1)}) * f
-        if rows.add(candidate.term_map()):
-            basis.append(candidate)
-    return IdealBasis(idempotent=f, dimension=rows.rank, basis=tuple(basis), _rows=rows)
+    den, rows = _blade_rows(f, _blade_order(sig.n))
+    echelon = RowBasis()
+    accepted = [row for row in rows if echelon.add(row)]
+    basis = tuple(Multivector(sig, {m: Fraction(c, den) for m, c in row.items()})
+                  for row in accepted)
+    return IdealBasis(idempotent=f, dimension=echelon.rank, basis=basis, _rows=echelon)
 
 
 def coset_basis(f: Multivector, candidates: Iterable[Iterable[int]]) -> list[tuple[int, ...]]:
@@ -206,17 +230,14 @@ def coset_basis(f: Multivector, candidates: Iterable[Iterable[int]]) -> list[tup
     span the whole ideal.
     """
     target = left_ideal_basis(f).dimension
-    sig = f.sig
-    rows = RowBasis()
-    accepted: list[tuple[int, ...]] = []
-    for cand in candidates:
-        indices = tuple(cand)
-        candidate = Multivector.blade(sig, indices) * f
-        if rows.add(candidate.term_map()):
-            accepted.append(indices)
-    if rows.rank != target:
+    n = f.sig.n
+    indices = [tuple(cand) for cand in candidates]
+    _, rows = _blade_rows(f, (blade_mask(t, n) for t in indices))
+    echelon = RowBasis()
+    accepted = [t for t, row in zip(indices, rows) if echelon.add(row)]
+    if echelon.rank != target:
         raise ValueError(
-            f"candidates insufficient to span the ideal (got rank {rows.rank} of {target})"
+            f"candidates insufficient to span the ideal (got rank {echelon.rank} of {target})"
         )
     return accepted
 

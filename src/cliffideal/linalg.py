@@ -1,6 +1,6 @@
-"""Small exact linear algebra helpers over Fraction.
+"""Small exact linear algebra helpers.
 
-Rows are sparse dicts {column key: nonzero Fraction}; column keys are
+Rows are sparse dicts {column key: nonzero rational}; column keys are
 ints ordered naturally.  Nothing here knows about blades — callers map
 blade masks to columns.
 """
@@ -8,45 +8,72 @@ blade masks to columns.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+
+
+def clear_denominators(row: dict[int, int | Fraction]) -> tuple[int, dict[int, int]]:
+    """(D, D * row) for D the lcm of the row's denominators; zero entries dropped."""
+    den = lcm(*(v.denominator for v in row.values()))
+    return den, {k: v.numerator * (den // v.denominator) for k, v in row.items() if v}
 
 
 class RowBasis:
-    """Incremental row-echelon basis for sparse rational vectors."""
+    """Incremental row-echelon basis for sparse rational vectors.
+
+    Elimination is fraction-free, as in Bareiss, Math. Comp. 22 (1968),
+    but keeps entries small by primitive parts instead of exact division:
+    rows are cleared of denominators on entry, each pivot row is kept
+    primitive (content 1, positive leading entry), and a row is reduced
+    against a pivot by integer cross-multiplication scaled down by the
+    gcd of the two leading entries.
+    """
 
     def __init__(self) -> None:
-        self._pivots: dict[int, dict[int, Fraction]] = {}
+        self._pivots: dict[int, dict[int, int]] = {}
 
     @property
     def rank(self) -> int:
         return len(self._pivots)
 
-    def _reduce(self, row: dict[int, Fraction]) -> dict[int, Fraction]:
-        row = {k: v for k, v in row.items() if v}
+    def _reduce(self, row: dict[int, int | Fraction]) -> dict[int, int]:
+        _, row = clear_denominators(row)
         while row:
             lead = min(row)
             pivot = self._pivots.get(lead)
             if pivot is None:
                 return row
-            factor = row[lead]  # pivots are normalized to leading 1
+            a, p = row[lead], pivot[lead]
+            g = gcd(a, p)
+            a //= g
+            p //= g
+            if p != 1:
+                row = {k: v * p for k, v in row.items()}
             for col, val in pivot.items():
-                new = row.get(col, Fraction(0)) - factor * val
+                new = row.get(col, 0) - a * val
                 if new:
                     row[col] = new
                 else:
                     row.pop(col, None)
+            if p != 1 and row:
+                # the scaling may have left a common factor behind
+                content = gcd(*row.values())
+                if content != 1:
+                    row = {k: v // content for k, v in row.items()}
         return row
 
-    def add(self, row: dict[int, Fraction]) -> bool:
+    def add(self, row: dict[int, int | Fraction]) -> bool:
         """Insert a vector; True iff it enlarged the span."""
         residue = self._reduce(row)
         if not residue:
             return False
         lead = min(residue)
-        inv = 1 / residue[lead]
-        self._pivots[lead] = {k: v * inv for k, v in residue.items()}
+        content = gcd(*residue.values())
+        if residue[lead] < 0:
+            content = -content
+        self._pivots[lead] = {k: v // content for k, v in residue.items()}
         return True
 
-    def contains(self, row: dict[int, Fraction]) -> bool:
+    def contains(self, row: dict[int, int | Fraction]) -> bool:
         return not self._reduce(row)
 
 

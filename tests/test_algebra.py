@@ -16,7 +16,7 @@ from cliffideal import (
     reverse,
     volume_element,
 )
-from cliffideal.algebra import blade_mask, grade_of, mask_indices
+from cliffideal.algebra import blade_mask, blade_product_masks, grade_of, mask_indices
 
 from conftest import multivectors, signatures
 from oracles import clifford_blade_product
@@ -69,6 +69,27 @@ def test_blade_product_random_large_dims():
         got = blade_product(_indices(ma), _indices(mb), sig)
         want = clifford_blade_product(_indices(ma), _indices(mb), p)
         assert got == want
+
+
+def test_blade_product_masks_all_pairs_against_oracle():
+    for n in range(1, 9):
+        indices = [_indices(m) for m in range(1 << n)]
+        for p in sorted({0, n // 2, n}):
+            sig = Signature(p, n - p)
+            for ma, a in enumerate(indices):
+                for mb, b in enumerate(indices):
+                    sign, ind = clifford_blade_product(a, b, p)
+                    assert blade_product_masks(ma, mb, sig) == (sign, blade_mask(ind, n)), \
+                        (sig, ma, mb)
+    rng = random.Random(2007)
+    for n in range(9, 13):  # sampled: the sign kernel's bit windows reach these dimensions
+        for p in sorted({0, n // 2, n}):
+            sig = Signature(p, n - p)
+            for _ in range(500):
+                ma, mb = rng.randrange(1 << n), rng.randrange(1 << n)
+                sign, ind = clifford_blade_product(_indices(ma), _indices(mb), p)
+                assert blade_product_masks(ma, mb, sig) == (sign, blade_mask(ind, n)), \
+                    (sig, ma, mb)
 
 
 def test_blade_square_sign_matches_product():

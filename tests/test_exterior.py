@@ -22,7 +22,7 @@ from cliffideal import (
 from cliffideal.algebra import grade_of, mask_indices
 
 from conftest import forms, multivectors
-from oracles import hodge_blade, interior_blade, wedge_dicts
+from oracles import hodge_blade, interior_blade, sort_sign, wedge_dicts
 
 
 def _form_dict(x):
@@ -37,6 +37,14 @@ def test_wedge_blades_exhaustive_n5():
         got = _form_dict(wedge(a, b))
         want = wedge_dicts(_form_dict(a), _form_dict(b))
         assert got == want
+
+
+def test_wedge_signs_against_sort_sign():
+    for n in range(1, 8):
+        blades = [ExteriorForm.blade(n, mask_indices(m)) for m in range(1 << n)]
+        for (ma, a), (mb, b) in product(enumerate(blades), repeat=2):
+            sign, _ = sort_sign(mask_indices(ma) + mask_indices(mb))
+            assert wedge(a, b).term_map() == ({ma | mb: sign} if sign else {}), (n, ma, mb)
 
 
 @given(st.integers(min_value=1, max_value=7).flatmap(

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,8 @@ from cliffideal import (
     radon_hurwitz,
     validate_generators,
 )
-from cliffideal.algebra import blade_mask, mask_indices
+from cliffideal import ideals
+from cliffideal.algebra import blade_mask, blade_product_masks, blade_square_sign, mask_indices
 from cliffideal.linalg import RowBasis, det, leading_principal_minors
 
 from conftest import multivectors
@@ -188,6 +190,77 @@ def test_left_ideal_of_zero_rejected(sig6):
         left_ideal_basis(Multivector.zero(sig6))
 
 
+def _random_idempotent(sig, rng):
+    """A primitive idempotent of sig from a seeded greedy generator search."""
+    k = sig.q - radon_hurwitz(sig.q - sig.p)
+    blades = list(range(1, 1 << sig.n))
+    while True:
+        rng.shuffle(blades)
+        chosen = []
+        for m in blades:
+            if len(chosen) == k:
+                break
+            if (blade_square_sign(mask_indices(m), sig) == 1
+                    and all(blade_product_masks(m, c, sig) == blade_product_masks(c, m, sig)
+                            for c in chosen)
+                    and ideals._f2_dependent(chosen + [m]) is None):
+                chosen.append(m)
+        if len(chosen) == k:
+            gens = tuple((rng.choice((1, -1)), mask_indices(m)) for m in chosen)
+            return build_idempotent(IdempotentSpec(sig, gens))
+
+
+def test_signed_permutation_rows_match_products(f6, f7, f8):
+    rng = random.Random(2309)
+    idempotents = [f6, f7, f8]
+    for n in range(2, 11):  # one mixed signature per dimension
+        p = rng.randint(1, n - 1)
+        idempotents.append(_random_idempotent(Signature(p, n - p), rng))
+    for f in idempotents:
+        n = f.sig.n
+        den, rows = ideals._blade_rows(f, range(1 << n))
+        assert den == lcm(*(c.denominator for c in f.term_map().values()))
+        for mask, row in zip(range(1 << n), rows):
+            product = Multivector(f.sig, {mask: 1}) * f
+            assert row == {m: c * den for m, c in product.term_map().items()}, (f.sig, mask)
+            assert all(type(c) is int for c in row.values())
+
+
+def test_left_ideal_basis_memo(f6, f7, sig6, monkeypatch):
+    ideals.left_ideal_basis.cache_clear()
+    again = build_idempotent(IdempotentSpec(sig6, GENS6))
+    assert again is not f6 and left_ideal_basis(f6) is left_ideal_basis(again)
+
+    ideals.left_ideal_basis.cache_clear()
+    calls = []
+    add = RowBasis.add
+    monkeypatch.setattr(RowBasis, "add", lambda self, row: calls.append(1) or add(self, row))
+    cands = [()] + [(i,) for i in range(1, 8)]
+    ideal = left_ideal_basis(f7)
+    assert coset_basis(f7, cands) == cands
+    assert is_primitive(f7) and is_primitive(f7)
+    assert left_ideal_basis(f7) is ideal
+    assert len(calls) == (1 << 7) + len(cands)  # one full-blade pass, one candidate pass
+
+    pieces = decompose_algebra(IdempotentSpec(sig6, GENS6)) + [f7]
+    assert len(pieces) > ideals._IDEAL_MEMO
+    for piece in pieces:
+        left_ideal_basis(piece)
+        info = ideals.left_ideal_basis.cache_info()
+        assert info.maxsize == ideals._IDEAL_MEMO and info.currsize <= ideals._IDEAL_MEMO
+
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            left_ideal_basis(Multivector.zero(sig6))
+
+
+def test_ideal_basis_elements_are_blade_products(f6):
+    ideal = left_ideal_basis(f6)
+    products = {Multivector(f6.sig, {m: 1}) * f6 for m in ideals._blade_order(6)}
+    assert len(ideal.basis) == ideal.dimension
+    assert all(b in products and ideal.contains(b) for b in ideal.basis)
+
+
 def test_coset_basis_stated_representatives(f6, f7):
     cands6 = [(), (2,), (3,), (5,), (2, 3), (2, 5), (3, 5), (2, 3, 5)]
     assert coset_basis(f6, cands6) == cands6
@@ -283,15 +356,33 @@ def test_leading_principal_minors_match_oracle():
 def test_row_basis_rank_matches_dense_oracle():
     rng = random.Random(11)
     n = 4
+
+    def random_row():
+        row = {}
+        for _ in range(rng.randint(0, 5)):
+            den = rng.choice((1, 2 ** rng.randint(1, 6), 3, 9))
+            row[mask_indices(rng.randrange(1 << n))] = Fraction(rng.randint(-3, 3), den)
+        return {k: v for k, v in row.items() if v}
+
+    def masked(row):
+        return {blade_mask(ind, n): coef for ind, coef in row.items()}
+
     for _ in range(25):
-        rows = []
-        for _ in range(rng.randint(1, 10)):
-            row = {}
-            for _ in range(rng.randint(0, 5)):
-                mask = rng.randrange(1 << n)
-                row[mask_indices(mask)] = Fraction(rng.randint(-3, 3))
-            rows.append({k: v for k, v in row.items() if v})
+        rows = [random_row() for _ in range(rng.randint(1, 10))]
         basis = RowBasis()
         for row in rows:
-            basis.add({blade_mask(ind, n): coef for ind, coef in row.items()})
-        assert basis.rank == dense_rank(rows, n)
+            basis.add(masked(row))
+        rank = dense_rank(rows, n)
+        assert basis.rank == rank
+        for lead, pivot in basis._pivots.items():  # primitive integer rows
+            assert min(pivot) == lead and pivot[lead] > 0 and gcd(*pivot.values()) == 1
+            assert all(type(v) is int for v in pivot.values())
+        combo = {}
+        for row in rows:
+            c = Fraction(rng.randint(-2, 2), rng.choice((1, 2, 3)))
+            for ind, v in row.items():
+                combo[ind] = combo.get(ind, 0) + c * v
+        combo = {k: v for k, v in combo.items() if v}
+        probe = random_row()
+        for query in rows + [combo, probe]:
+            assert basis.contains(masked(query)) == (dense_rank(rows + [query], n) == rank)
