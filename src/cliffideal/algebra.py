@@ -5,8 +5,10 @@ e_i^2 = -1 for i > p, so a vector v has v*v = -q(v) in the negative
 definite case R_{0,n}.  Basis blades are strictly increasing index
 sets from {1..n}; internally a blade is an n-bit mask (bit i-1 set
 iff generator i occurs), which keeps products and sign bookkeeping
-to a few bit operations per blade pair.  Coefficients are fractions.Fraction throughout;
-no floats enter at any point.
+to a few bit operations per blade pair.  Coefficients are
+fractions.Fraction at the API; the geometric product runs on integer
+numerators over one common denominator and builds a Fraction only for
+each output term.  No floats enter at any point.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
+
+from .linalg import clear_denominators
 
 MAX_DIM = 12
 
@@ -82,21 +86,28 @@ def grade_of(mask: int) -> int:
     return mask.bit_count()
 
 
-def reorder_sign(a: int, b: int) -> int:
-    """Sign of reordering blade a followed by blade b into increasing order.
+def _suffix_parity(a: int) -> int:
+    """Mask whose bit j is the parity of the bits of a above position j.
 
-    Each generator j of b transposes past every generator i > j of a
-    (Dorst, Fontijne & Mann, Geometric Algebra for Computer Science,
-    2007).  Only the parity of that count matters: it is the parity of
-    b & s, where bit j of s is the parity of the bits of a above j.  The
-    suffix xor below spans 16 positions, enough for every n <= MAX_DIM.
+    The suffix xor spans 16 positions, enough for every n <= MAX_DIM.
     """
     a >>= 1
     a ^= a >> 1
     a ^= a >> 2
     a ^= a >> 4
     a ^= a >> 8
-    return -1 if (a & b).bit_count() & 1 else 1
+    return a
+
+
+def reorder_sign(a: int, b: int) -> int:
+    """Sign of reordering blade a followed by blade b into increasing order.
+
+    Each generator j of b transposes past every generator i > j of a
+    (Dorst, Fontijne & Mann, Geometric Algebra for Computer Science,
+    2007).  Only the parity of that count matters: it is the parity of
+    b & _suffix_parity(a).
+    """
+    return -1 if (_suffix_parity(a) & b).bit_count() & 1 else 1
 
 
 def blade_product_masks(a: int, b: int, sig: Signature) -> tuple[int, int]:
@@ -151,6 +162,17 @@ class Multivector:
         object.__setattr__(self, "sig", sig)
         object.__setattr__(self, "_terms", canon)
 
+    @classmethod
+    def _from_canonical(cls, sig: Signature, terms: dict[int, Fraction]) -> "Multivector":
+        """Wrap a term map that is already canonical, without copying it.
+
+        Every mask must be in range and every value a nonzero Fraction.
+        """
+        mv = object.__new__(cls)
+        object.__setattr__(mv, "sig", sig)
+        object.__setattr__(mv, "_terms", terms)
+        return mv
+
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("Multivector is immutable")
 
@@ -180,9 +202,6 @@ class Multivector:
 
     def coefficient(self, indices: Iterable[int]) -> Fraction:
         return self._terms.get(blade_mask(indices, self.sig.n), Fraction(0))
-
-    def coefficient_mask(self, mask: int) -> Fraction:
-        return self._terms.get(mask, Fraction(0))
 
     def term_map(self) -> dict[int, Fraction]:
         return dict(self._terms)
@@ -262,35 +281,32 @@ class Multivector:
 
 
 def geometric_product(x: Multivector, y: Multivector) -> Multivector:
-    """Bilinear extension of the blade product."""
+    """Bilinear extension of the blade product.
+
+    Each operand's denominators are cleared once, the integer numerators
+    are accumulated per output blade, and only the sums are divided by
+    the common denominator.  The sign of e_a * e_b is the parity of
+    b & m for m = _suffix_parity(a) ^ (a & negative generators), so m is
+    computed once per term of x.
+    """
     x._check_sig(y)
-    out: dict[int, Fraction] = {}
     sig = x.sig
-    for am, ac in x._terms.items():
-        for bm, bc in y._terms.items():
-            sign, mask = blade_product_masks(am, bm, sig)
-            c = out.get(mask, Fraction(0)) + sign * ac * bc
-            if c:
-                out[mask] = c
-            elif mask in out:
-                del out[mask]
-    return Multivector(sig, out)
-
-
-def linear_combine(pairs: Iterable[tuple[Rational, Multivector]]) -> Multivector:
-    """Sum of coeff * value pairs; at least one pair required."""
-    pairs = list(pairs)
-    if not pairs:
-        raise ValueError("linear_combine requires at least one pair")
-    sig = pairs[0][1].sig
-    out: dict[int, Fraction] = {}
-    for coef, mv in pairs:
-        if mv.sig != sig:
-            raise ValueError(f"signature mismatch: {sig} vs {mv.sig}")
-        c = Fraction(coef)
-        for mask, v in mv._terms.items():
-            out[mask] = out.get(mask, Fraction(0)) + c * v
-    return Multivector(sig, out)
+    dx, xs = clear_denominators(x._terms)
+    dy, ys = clear_denominators(y._terms)
+    negative = (1 << sig.n) - (1 << sig.p)
+    y_terms = list(ys.items())
+    acc: dict[int, int] = {}
+    get = acc.get
+    for a, ca in xs.items():
+        sign_mask = _suffix_parity(a) ^ (a & negative)
+        for b, cb in y_terms:
+            mask = a ^ b
+            if (sign_mask & b).bit_count() & 1:
+                acc[mask] = get(mask, 0) - ca * cb
+            else:
+                acc[mask] = get(mask, 0) + ca * cb
+    den = dx * dy
+    return Multivector._from_canonical(sig, {m: Fraction(c, den) for m, c in acc.items() if c})
 
 
 def grade_project(x: Multivector, k: int) -> Multivector:

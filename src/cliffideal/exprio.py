@@ -16,6 +16,7 @@ is the inverse of the parser on canonical output.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -91,19 +92,25 @@ class _Scanner:
             prev = i
         return tuple(indices)
 
+    def integer(self, start: int, digits: str) -> int:
+        try:
+            return int(digits)
+        except ValueError:  # past the interpreter's limit on integer string length
+            raise ParseError(f"integer literal too long ({len(digits)} digits)", start) from None
+
     def rational(self) -> Fraction:
         start = self.pos
         digits = self.take_digits()
         if not digits:
             raise ParseError("expected a number", start)
-        num = int(digits)
+        num = self.integer(start, digits)
         if self.peek() == "/":
             self.pos += 1
             den_start = self.pos
             den_digits = self.take_digits()
             if not den_digits:
                 raise ParseError("expected a denominator", den_start)
-            den = int(den_digits)
+            den = self.integer(den_start, den_digits)
             if den == 0:
                 raise ParseError("zero denominator", den_start)
             return Fraction(num, den)
@@ -212,6 +219,10 @@ def print_canonical(x: Value) -> str:
 
 # -- JSON ---------------------------------------------------------------
 
+# integer ['/' positive-integer], as for the text grammar
+_JSON_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
 def to_json_obj(x: Value) -> dict:
     if isinstance(x, Multivector):
         signature = [x.sig.p, x.sig.q]
@@ -283,10 +294,15 @@ def from_json_obj(obj, path: str = "") -> Value:
             raise SchemaError(str(exc), f"{tpath}.blade") from None
         coef = item["coef"]
         _expect(isinstance(coef, str), "expected a string rational", f"{tpath}.coef")
+        _expect(_JSON_RATIONAL.fullmatch(coef) is not None,
+                "expected integer ['/' positive-integer]", f"{tpath}.coef")
+        num, _, den = coef.partition("/")
         try:
-            value = Fraction(coef)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SchemaError(f"not a rational: {exc}", f"{tpath}.coef") from None
+            value = Fraction(int(num), int(den or 1))
+        except ValueError:  # past the interpreter's limit on integer string length
+            raise SchemaError("integer literal too long", f"{tpath}.coef") from None
+        except ZeroDivisionError:
+            raise SchemaError("zero denominator", f"{tpath}.coef") from None
         acc[mask] = acc.get(mask, Fraction(0)) + value
 
     if kind == "clifford":

@@ -13,7 +13,10 @@ from math import gcd, lcm
 
 def clear_denominators(row: dict[int, int | Fraction]) -> tuple[int, dict[int, int]]:
     """(D, D * row) for D the lcm of the row's denominators; zero entries dropped."""
-    den = lcm(*(v.denominator for v in row.values()))
+    # A list, not a generator: *-unpacking a generator builds an oversized
+    # tuple and shrinks it, and CPython's tuple free lists then keep each
+    # shrunk tuple, which over many products pins an extra allocator arena.
+    den = lcm(*[v.denominator for v in row.values()])
     return den, {k: v.numerator * (den // v.denominator) for k, v in row.items() if v}
 
 
@@ -77,30 +80,44 @@ class RowBasis:
         return not self._reduce(row)
 
 
-def det(matrix: list[list[Fraction]]) -> Fraction:
-    """Determinant by fraction Gaussian elimination with row pivoting."""
+def det(matrix: list[list[int | Fraction]]) -> Fraction:
+    """Determinant by fraction-free Bareiss elimination with row pivoting.
+
+    Each row is cleared of denominators once; the integer determinant is
+    divided by the product of the row denominators at the end.  Every
+    division inside the elimination is exact (Bareiss, Math. Comp. 22,
+    1968).
+    """
     n = len(matrix)
-    m = [list(map(Fraction, row)) for row in matrix]
-    if any(len(row) != n for row in m):
+    if any(len(row) != n for row in matrix):
         raise ValueError("matrix must be square")
-    result = Fraction(1)
+    den = 1
+    m = []
+    for row in matrix:
+        d, ints = clear_denominators(dict(enumerate(row)))
+        den *= d
+        m.append([ints.get(c, 0) for c in range(n)])
+    sign = 1
+    prev = 1
     for i in range(n):
         pivot_row = next((r for r in range(i, n) if m[r][i]), None)
         if pivot_row is None:
             return Fraction(0)
         if pivot_row != i:
             m[i], m[pivot_row] = m[pivot_row], m[i]
-            result = -result
-        result *= m[i][i]
+            sign = -sign
+        top = m[i]
+        lead = top[i]
         for r in range(i + 1, n):
-            if m[r][i]:
-                factor = m[r][i] / m[i][i]
-                for c in range(i, n):
-                    m[r][c] -= factor * m[i][c]
-    return result
+            row = m[r]
+            factor = row[i]
+            for c in range(i + 1, n):
+                row[c] = (lead * row[c] - factor * top[c]) // prev
+        prev = lead
+    return Fraction(sign * prev, den)
 
 
-def leading_principal_minors(matrix: list[list[Fraction]]) -> list[Fraction]:
+def leading_principal_minors(matrix: list[list[int | Fraction]]) -> list[Fraction]:
     """Determinants of the upper-left k x k blocks, k = 1..n."""
     n = len(matrix)
     return [det([row[: k + 1] for row in matrix[: k + 1]]) for k in range(n)]

@@ -19,7 +19,7 @@ from cliffideal import (
 from cliffideal.algebra import blade_mask, blade_product_masks, grade_of, mask_indices
 
 from conftest import multivectors, signatures
-from oracles import clifford_blade_product
+from oracles import clifford_blade_product, multiply_dicts
 
 
 def _indices(mask):
@@ -179,6 +179,57 @@ def test_geometric_product_function_matches_operator(sig6):
     x = Multivector.blade(sig6, (1, 3, 5))
     y = Multivector.blade(sig6, (1, 4, 6))
     assert geometric_product(x, y) == x * y
+
+
+def _check_product_against_oracle(x, y):
+    got = geometric_product(x, y)
+    want = multiply_dicts({_indices(m): c for m, c in x.term_map().items()},
+                          {_indices(m): c for m, c in y.term_map().items()}, x.sig.p)
+    assert {_indices(m): c for m, c in got.term_map().items()} == want, x.sig
+    assert all(type(c) is Fraction and c for c in got.term_map().values())
+    rebuilt = Multivector(x.sig, got.term_map())
+    assert rebuilt == got
+    assert hash(rebuilt) == hash(got)
+    return got
+
+
+def test_geometric_product_dense_against_oracle():
+    rng = random.Random(3217)
+
+    def dense(sig, max_den):
+        return Multivector(sig, {m: Fraction(rng.randint(-2**31, 2**31), rng.randint(1, max_den))
+                                 for m in range(1 << sig.n)})
+
+    for n in range(1, 9):
+        for p in sorted({0, n // 2, n}):
+            sig = Signature(p, n - p)
+            _check_product_against_oracle(dense(sig, 2**32), dense(sig, 12))
+    for n in range(9, 13):  # sparse: the hoisted sign mask spans these dimensions too
+        for p in sorted({0, n // 2, n}):
+            sig = Signature(p, n - p)
+            x, y = (Multivector(sig, {rng.randrange(1 << n): Fraction(rng.randint(-9, 9),
+                                                                       rng.randint(1, 2**32))
+                                      for _ in range(24)}) for _ in range(2))
+            _check_product_against_oracle(x, y)
+
+
+def test_geometric_product_cancels_to_zero():
+    for n in range(3, 9):
+        for p in sorted({0, n // 2, n}):
+            sig = Signature(p, n - p)
+            # f = prod (1 + b)/2 over commuting blades b with b*b = 1 is idempotent
+            f = Multivector.scalar(sig, 1)
+            for mask in range(1, 1 << n):
+                b = Multivector(sig, {mask: 1})
+                if b * b == Multivector.scalar(sig, 1) and f * b == b * f:
+                    candidate = f * (Multivector.scalar(sig, 1) + b).scale(Fraction(1, 2))
+                    if not candidate.is_zero():
+                        f = candidate
+            assert len(f) > 1
+            assert f * f == f
+            complement = Multivector.scalar(sig, Fraction(3, 2**32)) - f.scale(Fraction(3, 2**32))
+            assert _check_product_against_oracle(f, complement).is_zero()
+            assert _check_product_against_oracle(complement, f).is_zero()
 
 
 def test_mixed_signature_rejected(sig6, sig7):

@@ -72,6 +72,13 @@ def test_eval_parse_error_exit_2(capsys):
     assert "error" in err
 
 
+def test_eval_overlong_literal_exit_2(capsys):
+    code, out, err = run(capsys, "eval", "--sig", "0,6", "7" * 5000, "--op", "reverse")
+    assert code == 2
+    assert out == ""
+    assert "position 0" in err
+
+
 def test_eval_unknown_op_exit_2(capsys):
     code, _, err = run(capsys, "eval", "--sig", "0,6", "e1", "--op", "frobnicate")
     assert code == 2

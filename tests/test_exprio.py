@@ -150,6 +150,35 @@ def test_json_schema_errors_name_fields():
         from_json("not json at all")
 
 
+LONG_LITERAL = "7" * 5000
+
+
+@pytest.mark.parametrize("coef", ["1.5e3", "1e999999", " +7 ", "1/0", LONG_LITERAL,
+                                  "1/-2", "1_000", "\uff17", "7\n", "0x10", ""],
+                         ids=lambda c: repr(c) if len(c) < 20 else f"{len(c)}-digit")
+def test_json_coef_strict_rational_grammar(coef):
+    text = json.dumps({"signature": [0, 6], "kind": "clifford",
+                       "terms": [{"blade": [1], "coef": "1"}, {"blade": [2], "coef": coef}]})
+    with pytest.raises(SchemaError) as err:
+        from_json(text)
+    assert err.value.path == "terms[1].coef"
+
+
+def test_json_coef_accepts_documented_forms(sig6):
+    text = json.dumps({"signature": [0, 6], "kind": "clifford",
+                       "terms": [{"blade": [], "coef": "-0"}, {"blade": [1], "coef": "007"},
+                                 {"blade": [2], "coef": "-6/4"}]})
+    assert from_json(text) == Multivector(sig6, {0b1: 7, 0b10: Fraction(-3, 2)})
+
+
+@pytest.mark.parametrize("text, position", [(LONG_LITERAL, 0), ("e1 + 1/" + LONG_LITERAL, 7)],
+                         ids=["numerator", "denominator"])
+def test_parse_overlong_integer_is_positioned(text, position, sig6):
+    with pytest.raises(ParseError, match="too long") as err:
+        parse(text, sig6)
+    assert err.value.position == position
+
+
 @settings(max_examples=300)
 @given(signatures(8).flatmap(lambda s: multivectors(s, 6)))
 def test_json_roundtrip_clifford(x):

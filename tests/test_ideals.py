@@ -353,6 +353,29 @@ def test_leading_principal_minors_match_oracle():
         assert leading_principal_minors(matrix) == principal_minors(matrix)
 
 
+def test_det_bareiss_matches_oracle():
+    rng = random.Random(1968)
+    for size in range(1, 9):
+        for trial in range(12):
+            matrix = [[Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7, 2**32)))
+                       if rng.random() < 0.7 else Fraction(0) for _ in range(size)]
+                      for _ in range(size)]
+            if trial % 3 == 1:  # zero leading entry: the first step must swap rows
+                matrix[0][0] = Fraction(0)
+            if trial % 3 == 2 and size > 1:  # singular: one row a multiple of another
+                i, j = rng.sample(range(size), 2)
+                matrix[i] = [Fraction(-5, 3) * v for v in matrix[j]]
+            want = principal_minors([row[:] for row in matrix])
+            assert leading_principal_minors(matrix) == want
+            assert det(matrix) == want[-1]
+            if trial % 3 == 2 and size > 1:
+                assert want[-1] == 0
+    assert det([]) == 1
+    assert det([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+    with pytest.raises(ValueError):
+        det([[1, 2]])
+
+
 def test_row_basis_rank_matches_dense_oracle():
     rng = random.Random(11)
     n = 4
