@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, cached_property
+from itertools import combinations
 from typing import Iterable, Iterator, Mapping, Union
 
 from .linalg import clear_denominators
@@ -86,6 +88,48 @@ def grade_of(mask: int) -> int:
     return mask.bit_count()
 
 
+def _by_grade(n: int) -> Iterator[tuple[int, ...]]:
+    """Index tuples of every blade of dimension n, by grade, then lexicographically."""
+    return (c for k in range(n + 1) for c in combinations(range(1, n + 1), k))
+
+
+class BladeTable:
+    """The blades of dimension n: blade_table(n) builds one per n, on first use.
+
+    order lists every mask by grade, then lexicographically; rank[mask] is
+    its position there.  The text columns are built on first use, so a
+    dimension never printed or parsed as text holds only these two arrays.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.order = memoryview(bytearray(2 << n)).cast("H")
+        self.rank = memoryview(bytearray(2 << n)).cast("H")
+        for r, c in enumerate(_by_grade(n)):
+            m = sum(1 << (i - 1) for i in c)
+            self.order[r] = m
+            self.rank[m] = r
+
+    @cached_property
+    def text(self) -> tuple[str, ...]:
+        """'1', 'e135', or 'e{1,10}' once some index exceeds 9."""
+        text = [""] * (1 << self.n)
+        for m, ind in zip(self.order, _by_grade(self.n)):
+            text[m] = ("e" + "".join(map(str, ind)) if ind[-1] < 10
+                       else "e{" + ",".join(map(str, ind)) + "}") if ind else "1"
+        return tuple(text)
+
+    @cached_property
+    def digits(self) -> dict[str, int]:
+        """Mask of each undelimited index string: 'e' + key is text[mask]."""
+        if self.n > 9:
+            return blade_table(9).digits
+        return {t[1:]: m for m, t in enumerate(self.text) if m}
+
+
+blade_table = cache(BladeTable)
+
+
 def _suffix_parity(a: int) -> int:
     """Mask whose bit j is the parity of the bits of a above position j.
 
@@ -138,45 +182,124 @@ def blade_square_sign(a: Iterable[int], sig: Signature) -> int:
     return sign
 
 
-class Multivector:
-    """Immutable sparse multivector: {blade mask: nonzero Fraction}.
+class _BladeMap:
+    """Immutable sparse {blade mask: nonzero Fraction} over a space.
 
-    Supports +, -, unary -, * (geometric product, or scaling by a
-    rational), == and grade projection.  Instances compare equal iff
-    they have the same signature and identical term maps.
+    The part Multivector and ExteriorForm share.  The space is a Signature
+    for one and a dimension n for the other; _dim reads n off it.  Instances
+    compare equal iff they have the same type, space and term map.
     """
 
-    __slots__ = ("sig", "_terms")
+    __slots__ = ("_space", "_terms")
 
-    def __init__(self, sig: Signature, terms: Mapping[int, Rational] | None = None):
+    def __init__(self, space, terms: Mapping[int, Rational] | None = None):
         canon: dict[int, Fraction] = {}
-        limit = 1 << sig.n
+        limit = 1 << self._dim(space)
         for mask, coef in (terms or {}).items():
             if not 0 <= mask < limit:
-                raise ValueError(f"blade mask {mask} out of range for {sig}")
-            c = Fraction(coef)
-            if c:
-                canon[mask] = canon.get(mask, Fraction(0)) + c
-                if not canon[mask]:
-                    del canon[mask]
-        object.__setattr__(self, "sig", sig)
+                raise ValueError(f"blade mask {mask} out of range for {self._describe(space)}")
+            if type(coef) is not Fraction:
+                coef = Fraction(coef)
+            if coef:
+                canon[mask] = coef
+        object.__setattr__(self, "_space", space)
         object.__setattr__(self, "_terms", canon)
 
     @classmethod
-    def _from_canonical(cls, sig: Signature, terms: dict[int, Fraction]) -> "Multivector":
+    def _from_canonical(cls, space, terms: dict[int, Fraction]):
         """Wrap a term map that is already canonical, without copying it.
 
         Every mask must be in range and every value a nonzero Fraction.
         """
-        mv = object.__new__(cls)
-        object.__setattr__(mv, "sig", sig)
-        object.__setattr__(mv, "_terms", terms)
-        return mv
+        x = object.__new__(cls)
+        object.__setattr__(x, "_space", space)
+        object.__setattr__(x, "_terms", terms)
+        return x
 
     def __setattr__(self, name: str, value) -> None:
-        raise AttributeError("Multivector is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-    # -- constructors ------------------------------------------------
+    def terms(self) -> Iterator[tuple[int, Fraction]]:
+        """Iterate (mask, coefficient) in canonical order (grade, then lexicographic)."""
+        t = self._terms
+        rank = blade_table(self._dim(self._space)).rank
+        return iter([(m, t[m]) for m in sorted(t, key=rank.__getitem__)])
+
+    def coefficient(self, indices: Iterable[int]) -> Fraction:
+        return self._terms.get(blade_mask(indices, self._dim(self._space)), Fraction(0))
+
+    def term_map(self) -> dict[int, Fraction]:
+        return dict(self._terms)
+
+    def grades(self) -> tuple[int, ...]:
+        return tuple(sorted({grade_of(m) for m in self._terms}))
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+    def _check_space(self, other: "_BladeMap") -> None:
+        if self._space != other._space:
+            raise ValueError(f"{self._space_name} mismatch: {self._space} vs {other._space}")
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._check_space(other)
+        out = dict(self._terms)
+        for mask, coef in other._terms.items():
+            c = out.pop(mask, None)
+            if c is None:
+                out[mask] = coef
+            elif c := c + coef:
+                out[mask] = c
+        return self._from_canonical(self._space, out)
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self + (-other)
+
+    def __neg__(self):
+        return self._from_canonical(self._space, {m: -c for m, c in self._terms.items()})
+
+    def scale(self, value: Rational):
+        c = Fraction(value)
+        return self._from_canonical(self._space, {m: c * v for m, v in self._terms.items()}
+                                    if c else {})
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._space == other._space and self._terms == other._terms
+
+    def __hash__(self) -> int:
+        return hash((self._space, frozenset(self._terms.items())))
+
+    def __repr__(self) -> str:
+        text = blade_table(self._dim(self._space)).text
+        inside = " ".join(f"{'+' if c > 0 else '-'}{abs(c)}*{text[m]}" for m, c in self.terms())
+        return f"{type(self).__name__}({self._repr_space(self._space)}, {inside or '0'})"
+
+
+class Multivector(_BladeMap):
+    """Immutable sparse multivector of R_{p,q}: {blade mask: nonzero Fraction}.
+
+    Supports +, -, unary -, * (geometric product, or scaling by a
+    rational), == and grade projection.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, sig: Signature, terms: Mapping[int, Rational] | None = None):
+        super().__init__(sig, terms)
+
+    sig = property(lambda self: self._space, doc="The Signature (p, q).")
+    _space_name = "signature"
+    _dim = staticmethod(lambda sig: sig.n)
+    _describe = _repr_space = staticmethod(str)
 
     @classmethod
     def zero(cls, sig: Signature) -> "Multivector":
@@ -194,57 +317,9 @@ class Multivector:
     def generator(cls, sig: Signature, i: int) -> "Multivector":
         return cls.blade(sig, (i,))
 
-    # -- inspection --------------------------------------------------
-
-    def terms(self) -> Iterator[tuple[int, Fraction]]:
-        """Iterate (mask, coefficient) in canonical order (grade, then lexicographic)."""
-        return iter(sorted(self._terms.items(), key=lambda kv: (grade_of(kv[0]), mask_indices(kv[0]))))
-
-    def coefficient(self, indices: Iterable[int]) -> Fraction:
-        return self._terms.get(blade_mask(indices, self.sig.n), Fraction(0))
-
-    def term_map(self) -> dict[int, Fraction]:
-        return dict(self._terms)
-
     @property
     def scalar_part(self) -> Fraction:
         return self._terms.get(0, Fraction(0))
-
-    def grades(self) -> tuple[int, ...]:
-        return tuple(sorted({grade_of(m) for m in self._terms}))
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    # -- arithmetic --------------------------------------------------
-
-    def _check_sig(self, other: "Multivector") -> None:
-        if self.sig != other.sig:
-            raise ValueError(f"signature mismatch: {self.sig} vs {other.sig}")
-
-    def __add__(self, other: "Multivector") -> "Multivector":
-        if not isinstance(other, Multivector):
-            return NotImplemented
-        self._check_sig(other)
-        out = dict(self._terms)
-        for mask, coef in other._terms.items():
-            out[mask] = out.get(mask, Fraction(0)) + coef
-        return Multivector(self.sig, out)
-
-    def __sub__(self, other: "Multivector") -> "Multivector":
-        if not isinstance(other, Multivector):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "Multivector":
-        return Multivector(self.sig, {m: -c for m, c in self._terms.items()})
-
-    def scale(self, value: Rational) -> "Multivector":
-        c = Fraction(value)
-        return Multivector(self.sig, {m: c * v for m, v in self._terms.items()})
 
     def __mul__(self, other) -> "Multivector":
         if isinstance(other, (int, Fraction)):
@@ -258,26 +333,11 @@ class Multivector:
             return self.scale(other)
         return NotImplemented
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Multivector):
-            return NotImplemented
-        return self.sig == other.sig and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash((self.sig, frozenset(self._terms.items())))
-
     def grade(self, k: int) -> "Multivector":
         return grade_project(self, k)
 
     def reverse(self) -> "Multivector":
         return reverse(self)
-
-    def __repr__(self) -> str:
-        inside = " ".join(
-            f"{'+' if c > 0 else '-'}{abs(c)}*e{''.join(map(str, mask_indices(m))) or '()'}"
-            for m, c in self.terms()
-        )
-        return f"Multivector({self.sig}, {inside or '0'})"
 
 
 def geometric_product(x: Multivector, y: Multivector) -> Multivector:
@@ -289,7 +349,7 @@ def geometric_product(x: Multivector, y: Multivector) -> Multivector:
     b & m for m = _suffix_parity(a) ^ (a & negative generators), so m is
     computed once per term of x.
     """
-    x._check_sig(y)
+    x._check_space(y)
     sig = x.sig
     dx, xs = clear_denominators(x._terms)
     dy, ys = clear_denominators(y._terms)
@@ -312,7 +372,8 @@ def geometric_product(x: Multivector, y: Multivector) -> Multivector:
 def grade_project(x: Multivector, k: int) -> Multivector:
     if not 0 <= k <= x.sig.n:
         raise ValueError(f"grade {k} out of range 0..{x.sig.n}")
-    return Multivector(x.sig, {m: c for m, c in x._terms.items() if grade_of(m) == k})
+    return Multivector._from_canonical(x.sig, {m: c for m, c in x._terms.items()
+                                               if m.bit_count() == k})
 
 
 def volume_element(sig: Signature) -> Multivector:
@@ -322,8 +383,6 @@ def volume_element(sig: Signature) -> Multivector:
 
 def reverse(x: Multivector) -> Multivector:
     """Reverse anti-automorphism: grade k picks up (-1)^{k(k-1)/2}."""
-    out = {}
-    for m, c in x._terms.items():
-        k = grade_of(m)
-        out[m] = -c if (k * (k - 1) // 2) & 1 else c
-    return Multivector(x.sig, out)
+    # (-1)^{k(k-1)/2} is -1 exactly for k = 2, 3 (mod 4)
+    return Multivector._from_canonical(x.sig, {m: -c if m.bit_count() & 2 else c
+                                               for m, c in x._terms.items()})

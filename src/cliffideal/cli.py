@@ -10,15 +10,23 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
-from .algebra import Multivector, Signature, mask_indices
+from .algebra import Multivector, Signature, blade_mask, blade_table, mask_indices
 from .exterior import ExteriorForm, HodgeConvention, clifford_hodge, hodge_star, wedge
-from .exprio import ParseError, SchemaError, from_json, parse, print_canonical, to_json
+from .exprio import (
+    ParseError,
+    SchemaError,
+    from_json,
+    parse,
+    parse_blade,
+    print_canonical,
+    to_json,
+)
 from .ideals import (
     GeneratorError,
     IdempotentSpec,
-    _blade_order,
     build_idempotent,
     classify,
     coset_basis,
@@ -150,33 +158,25 @@ def _cmd_eval(args) -> int:
 
 # -- idempotent ----------------------------------------------------------
 
-def _parse_generators(text: str) -> tuple[tuple[int, tuple[int, ...]], ...]:
+def _parse_generators(text: str, n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     gens = []
-    for chunk in text.split(","):
+    for chunk in re.split(r",(?![^{]*\})", text):  # a comma inside e{...} separates indices
         token = chunk.strip()
         if not token:
             raise _usage("empty generator in --gens")
-        sign = 1
-        if token[0] in "+-":
-            sign = -1 if token[0] == "-" else 1
-            token = token[1:]
-        if not token.startswith("e") or not token[1:].isdigit() or len(token) < 2:
-            raise _usage(f"generator {chunk.strip()!r} is not a signed blade like '+e135'")
-        indices = tuple(int(d) for d in token[1:])
-        gens.append((sign, indices))
-    if not gens:
-        raise _usage("--gens needs at least one generator")
+        try:
+            mask = parse_blade(token[1:] if token[0] in "+-" else token, n)
+        except ParseError as exc:
+            raise _usage(f"generator {token!r} is not a signed blade like '+e135' or "
+                         f"'+e{{1,10}}': {exc}") from None
+        gens.append((-1 if token[0] == "-" else 1, mask_indices(mask)))
     return tuple(gens)
-
-
-def _blade_text(indices: tuple[int, ...]) -> str:
-    return "e" + "".join(map(str, indices)) if indices else "1"
 
 
 def _cmd_idempotent(args) -> int:
     sig = _parse_sig(args.sig)
     try:
-        spec = IdempotentSpec(sig, _parse_generators(args.gens))
+        spec = IdempotentSpec(sig, _parse_generators(args.gens, sig.n))
     except ValueError as exc:
         raise _semantic(str(exc)) from None
     report = validate_generators(spec)
@@ -197,8 +197,9 @@ def _cmd_idempotent(args) -> int:
     if args.mode == "ideal":
         ideal = left_ideal_basis(f)
         print(f"dimension: {ideal.dimension}")
-        reps = coset_basis(f, (mask_indices(m) for m in _blade_order(sig.n)))
-        print("coset basis: " + ", ".join(_blade_text(r) for r in reps))
+        table = blade_table(sig.n)
+        reps = coset_basis(f, (mask_indices(m) for m in table.order))
+        print("coset basis: " + ", ".join(table.text[blade_mask(r, sig.n)] for r in reps))
         return EXIT_OK
 
     # decompose

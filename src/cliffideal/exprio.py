@@ -1,16 +1,19 @@
 """Text and JSON serialization for multivectors and exterior forms.
 
-Text grammar (whitespace-insensitive)::
+Text grammar (whitespace between terms and around '*' is ignored)::
 
     expr     := ['-'] term (('+'|'-') term)*
-    term     := rational ['*' blade] | blade
-    blade    := 'e' digit+ | '1'
+    term     := rational ['*' (blade | '1')] | blade
+    blade    := 'e' digit+ | 'e{' integer (',' integer)* '}'
     rational := integer ['/' positive-integer]
 
-Blade digits must be strictly increasing, so the notation is unambiguous
-for dimensions up to 9; the JSON form carries index lists and covers the
-full supported range.  Like terms are combined on input, and the printer
-is the inverse of the parser on canonical output.
+Digits are ASCII.  Blade indices must be strictly increasing and lie in
+1..n.  In the undelimited form each digit is one index; the delimited
+form also writes indices >= 10, so the notation covers every dimension
+up to 12.  The printer uses the delimited form only for a blade with an
+index >= 10, so printed text for n <= 9 never contains it.  Like terms
+are combined on input, and the printer is the inverse of the parser on
+canonical output.
 """
 
 from __future__ import annotations
@@ -19,9 +22,10 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from functools import cache
+from typing import Iterable, Iterator, Union
 
-from .algebra import MAX_DIM, Multivector, Signature, blade_mask, mask_indices
+from .algebra import MAX_DIM, Multivector, Signature, blade_mask, blade_table, mask_indices
 from .exterior import ExteriorForm
 
 Value = Union[Multivector, ExteriorForm]
@@ -51,119 +55,130 @@ class ExprTerm:
     indices: tuple[int, ...]
 
 
-class _Scanner:
-    def __init__(self, text: str, n: int):
-        self.text = text
-        self.n = n
-        self.pos = 0
+# A term is a rational, optionally times a blade or '1', or a bare blade.  A
+# match stops where the grammar can no longer continue, and the groups say
+# which parts were present, so every error is raised from one match.
+_BLADE = r"e(?:\{([0-9,]*)(\}?)|([0-9]*))"
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
 
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+@cache
+def _grammar() -> tuple[re.Pattern, re.Pattern]:
+    """The term and separator patterns, compiled on first use to keep them out of import."""
+    return (re.compile(rf"([0-9]+)(?:(/)([0-9]*))?(?:\s*(\*)\s*(?:{_BLADE}|(1))?)?|{_BLADE}"),
+            re.compile(r"\s*(?:([+-])\s*)?"))  # \s is str.isspace on every code point
 
-    def take_digits(self) -> str:
-        # ASCII only: str.isdigit also accepts superscripts etc., which int rejects
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in "0123456789":
-            self.pos += 1
-        return self.text[start : self.pos]
 
-    def blade(self) -> tuple[int, ...]:
-        # caller has seen 'e' at self.pos
-        self.pos += 1
-        start = self.pos
-        digits = self.take_digits()
+_ONE, _MINUS_ONE = Fraction(1), Fraction(-1)
+
+
+def _integer(digits: str, start: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # past the interpreter's limit on integer string length
+        raise ParseError(f"integer literal too long ({len(digits)} digits)", start) from None
+
+
+def _check_index(i: int, prev: int, n: int, position: int) -> None:
+    if i == 0:
+        raise ParseError("blade index 0 is not valid", position)
+    if i <= prev:
+        raise ParseError("blade indices must be strictly increasing", position)
+    if i > n:
+        raise ParseError(f"blade index {i} exceeds dimension {n}", position)
+
+
+def _blade(m: re.Match, group: int, n: int) -> int:
+    """Mask of the blade in groups group..group+2 of a term match."""
+    braced, close, digits = m.group(group, group + 1, group + 2)
+    if digits is not None:
+        mask = blade_table(n).digits.get(digits)
+        if mask is not None:
+            return mask
+        start = m.start(group + 2)
         if not digits:
-            raise ParseError("expected blade indices after 'e'", self.pos)
-        indices = []
+            raise ParseError("expected blade indices after 'e'", start)
         prev = 0
-        for offset, ch in enumerate(digits):
-            i = int(ch)
-            if i == 0:
-                raise ParseError("blade index 0 is not valid", start + offset)
-            if i <= prev:
-                raise ParseError("blade indices must be strictly increasing", start + offset)
-            if i > self.n:
-                raise ParseError(f"blade index {i} exceeds dimension {self.n}", start + offset)
-            indices.append(i)
-            prev = i
-        return tuple(indices)
+        for offset, ch in enumerate(digits):  # raises: the table holds every valid blade
+            _check_index(int(ch), prev, n, start + offset)
+            prev = int(ch)
+    pos = m.start(group)
+    mask = prev = 0
+    for piece in braced.split(","):
+        if not piece:
+            raise ParseError("expected a blade index", pos)
+        i = _integer(piece, pos)
+        _check_index(i, prev, n, pos)
+        mask |= 1 << (i - 1)
+        prev = i
+        pos += len(piece) + 1
+    if not close:
+        raise ParseError("expected ',' or '}'", pos - 1)
+    return mask
 
-    def integer(self, start: int, digits: str) -> int:
-        try:
-            return int(digits)
-        except ValueError:  # past the interpreter's limit on integer string length
-            raise ParseError(f"integer literal too long ({len(digits)} digits)", start) from None
 
-    def rational(self) -> Fraction:
-        start = self.pos
-        digits = self.take_digits()
-        if not digits:
-            raise ParseError("expected a number", start)
-        num = self.integer(start, digits)
-        if self.peek() == "/":
-            self.pos += 1
-            den_start = self.pos
-            den_digits = self.take_digits()
-            if not den_digits:
-                raise ParseError("expected a denominator", den_start)
-            den = self.integer(den_start, den_digits)
-            if den == 0:
-                raise ParseError("zero denominator", den_start)
-            return Fraction(num, den)
-        return Fraction(num)
+def parse_blade(text: str, n: int) -> int:
+    """Mask of a single blade written in the text grammar, e.g. 'e135' or 'e{1,10}'."""
+    m = _grammar()[0].match(text)
+    if m is None or m.group(1) is not None:  # not a bare blade
+        raise ParseError("expected a blade", 0)
+    mask = _blade(m, 9, n)
+    if m.end() != len(text):
+        raise ParseError("unexpected text after the blade", m.end())
+    return mask
 
-    def term(self) -> ExprTerm:
-        ch = self.peek()
-        if ch == "e":
-            return ExprTerm(Fraction(1), self.blade())
-        if ch in "0123456789":
-            coef = self.rational()
-            self.skip_ws()
-            if self.peek() == "*":
-                self.pos += 1
-                self.skip_ws()
-                ch = self.peek()
-                if ch == "e":
-                    return ExprTerm(coef, self.blade())
-                if ch == "1":
-                    self.pos += 1
-                    return ExprTerm(coef, ())
-                raise ParseError("expected a blade after '*'", self.pos)
-            return ExprTerm(coef, ())
-        raise ParseError("expected a term", self.pos)
+
+def _scan(text: str, n: int) -> Iterator[tuple[Fraction, int]]:
+    """(coefficient, blade mask) of each signed term, left to right."""
+    term, separator = _grammar()
+    end = len(text)
+    sep = separator.match(text)
+    op = sep.group(1)
+    if op is None and sep.end() == end:
+        raise ParseError("empty expression", end)
+    if op == "+":
+        raise ParseError("expected a term", sep.start(1))
+    while True:
+        pos = sep.end()
+        m = term.match(text, pos)
+        if m is None:  # at the end of the text a coefficient is what was missing
+            raise ParseError("expected a number" if pos == end else "expected a term", pos)
+        num, slash, den, star, braced, _, digits, one = m.group(1, 2, 3, 4, 5, 6, 7, 8)
+        if num is None:
+            yield (_MINUS_ONE if op == "-" else _ONE), _blade(m, 9, n)
+        else:
+            num = _integer(num, pos)
+            if slash is None:
+                den = 1
+            elif not den:
+                raise ParseError("expected a denominator", m.start(3))
+            elif not (den := _integer(den, m.start(3))):
+                raise ParseError("zero denominator", m.start(3))
+            if star is None or one is not None:
+                mask = 0
+            elif braced is None and digits is None:
+                raise ParseError("expected a blade after '*'", m.end())
+            else:
+                mask = _blade(m, 5, n)
+            yield Fraction(-num if op == "-" else num, den), mask
+        sep = separator.match(text, m.end())
+        op = sep.group(1)
+        if op is None:
+            if sep.end() == end:
+                return
+            raise ParseError("expected '+' or '-'", sep.end())
 
 
 def parse_terms(text: str, n: int) -> list[ExprTerm]:
     """Parse the text grammar into a list of signed terms."""
-    sc = _Scanner(text, n)
-    sc.skip_ws()
-    if sc.pos == len(text):
-        raise ParseError("empty expression", sc.pos)
-    terms = []
-    sign = 1
-    if sc.peek() == "-":
-        sign = -1
-        sc.pos += 1
-        sc.skip_ws()
-    while True:
-        t = sc.term()
-        terms.append(ExprTerm(sign * t.coef, t.indices))
-        sc.skip_ws()
-        if sc.pos == len(text):
-            return terms
-        op = sc.peek()
-        if op == "+":
-            sign = 1
-        elif op == "-":
-            sign = -1
-        else:
-            raise ParseError("expected '+' or '-'", sc.pos)
-        sc.pos += 1
-        sc.skip_ws()
+    return [ExprTerm(coef, mask_indices(mask)) for coef, mask in _scan(text, n)]
+
+
+def _combine(pairs: Iterable[tuple[Fraction, int]]) -> dict[int, Fraction]:
+    """Canonical term map of (coefficient, mask) pairs: like terms summed, zeros dropped."""
+    acc: dict[int, Fraction] = {}
+    for coef, mask in pairs:
+        acc[mask] = acc[mask] + coef if mask in acc else coef
+    return acc if all(acc.values()) else {m: c for m, c in acc.items() if c}
 
 
 def _coerce_sig(sig, kind: str):
@@ -186,35 +201,30 @@ def parse(text: str, sig, kind: str = "clifford") -> Value:
     """Parse text into a Multivector (kind='clifford') or ExteriorForm (kind='form')."""
     target = _coerce_sig(sig, kind)
     n = target.n if isinstance(target, Signature) else target
-    terms = parse_terms(text, n)
-    acc: dict[int, Fraction] = {}
-    for t in terms:
-        mask = blade_mask(t.indices, n)
-        acc[mask] = acc.get(mask, Fraction(0)) + t.coef
+    terms = _combine(_scan(text, n))
     if kind == "clifford":
-        return Multivector(target, acc)
-    return ExteriorForm(n, acc)
+        return Multivector._from_canonical(target, terms)
+    return ExteriorForm._from_canonical(n, terms)
 
 
 def print_canonical(x: Value) -> str:
     """Canonical text: terms by grade, then lexicographic blade order."""
-    pieces = []
+    text = blade_table(x.sig.n if isinstance(x, Multivector) else x.n).text
+    out = []
     for mask, coef in x.terms():
-        mag = abs(coef)
-        if mask == 0:
-            body = str(mag)
-        elif mag == 1:
-            body = "e" + "".join(map(str, mask_indices(mask)))
+        num, den = coef.numerator, coef.denominator
+        out.append(" - " if num < 0 else " + ")
+        mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+        if not mask:
+            out.append(mag)
+        elif mag == "1":
+            out.append(text[mask])
         else:
-            body = f"{mag}*e" + "".join(map(str, mask_indices(mask)))
-        pieces.append((coef < 0, body))
-    if not pieces:
+            out.append(f"{mag}*{text[mask]}")
+    if not out:
         return "0"
-    neg, body = pieces[0]
-    out = ("-" if neg else "") + body
-    for neg, body in pieces[1:]:
-        out += (" - " if neg else " + ") + body
-    return out
+    out[0] = "-" if out[0] == " - " else ""
+    return "".join(out)
 
 
 # -- JSON ---------------------------------------------------------------
@@ -275,7 +285,7 @@ def from_json_obj(obj, path: str = "") -> Value:
     raw_terms = obj["terms"]
     _expect(isinstance(raw_terms, list), "expected a list", sub("terms"))
 
-    acc: dict[int, Fraction] = {}
+    pairs = []
     for i, item in enumerate(raw_terms):
         tpath = f"{sub('terms')}[{i}]"
         _expect(isinstance(item, dict), "expected an object", tpath)
@@ -303,11 +313,11 @@ def from_json_obj(obj, path: str = "") -> Value:
             raise SchemaError("integer literal too long", f"{tpath}.coef") from None
         except ZeroDivisionError:
             raise SchemaError("zero denominator", f"{tpath}.coef") from None
-        acc[mask] = acc.get(mask, Fraction(0)) + value
+        pairs.append((value, mask))
 
     if kind == "clifford":
-        return Multivector(Signature(p, q), acc)
-    return ExteriorForm(n, acc)
+        return Multivector._from_canonical(Signature(p, q), _combine(pairs))
+    return ExteriorForm._from_canonical(n, _combine(pairs))
 
 
 def from_json(text: str) -> Value:

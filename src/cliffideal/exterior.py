@@ -25,19 +25,20 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .algebra import (
     MAX_DIM,
     Multivector,
     Rational,
     Signature,
+    _BladeMap,
+    _suffix_parity,
     blade_mask,
-    grade_of,
-    mask_indices,
     reorder_sign,
     volume_element,
 )
+from .linalg import clear_denominators
 
 
 class HodgeConvention(enum.Enum):
@@ -59,29 +60,21 @@ class HodgeConvention(enum.Enum):
         return self in (HodgeConvention.EXT_DUAL_FIRST, HodgeConvention.EXT_ALPHA_FIRST)
 
 
-class ExteriorForm:
+class ExteriorForm(_BladeMap):
     """Immutable sparse form on (R^n)*: {blade mask: nonzero Fraction}."""
 
-    __slots__ = ("n", "_terms")
+    __slots__ = ()
 
     def __init__(self, n: int, terms: Mapping[int, Rational] | None = None):
         if not 1 <= n <= MAX_DIM:
             raise ValueError(f"dimension must be in 1..{MAX_DIM}, got {n}")
-        canon: dict[int, Fraction] = {}
-        limit = 1 << n
-        for mask, coef in (terms or {}).items():
-            if not 0 <= mask < limit:
-                raise ValueError(f"blade mask {mask} out of range for dimension {n}")
-            c = Fraction(coef)
-            if c:
-                canon[mask] = canon.get(mask, Fraction(0)) + c
-                if not canon[mask]:
-                    del canon[mask]
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_terms", canon)
+        super().__init__(n, terms)
 
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError("ExteriorForm is immutable")
+    n = property(lambda self: self._space, doc="The dimension n.")
+    _space_name = "dimension"
+    _dim = staticmethod(lambda n: n)
+    _describe = staticmethod(lambda n: f"dimension {n}")
+    _repr_space = staticmethod(lambda n: f"n={n}")
 
     @classmethod
     def zero(cls, n: int) -> "ExteriorForm":
@@ -99,49 +92,6 @@ class ExteriorForm:
             out[mask] = out.get(mask, Fraction(0)) + Fraction(coef)
         return cls(n, out)
 
-    def terms(self) -> Iterator[tuple[int, Fraction]]:
-        return iter(sorted(self._terms.items(), key=lambda kv: (grade_of(kv[0]), mask_indices(kv[0]))))
-
-    def coefficient(self, indices: Iterable[int]) -> Fraction:
-        return self._terms.get(blade_mask(indices, self.n), Fraction(0))
-
-    def term_map(self) -> dict[int, Fraction]:
-        return dict(self._terms)
-
-    def grades(self) -> tuple[int, ...]:
-        return tuple(sorted({grade_of(m) for m in self._terms}))
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def _check_dim(self, other: "ExteriorForm") -> None:
-        if self.n != other.n:
-            raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
-
-    def __add__(self, other: "ExteriorForm") -> "ExteriorForm":
-        if not isinstance(other, ExteriorForm):
-            return NotImplemented
-        self._check_dim(other)
-        out = dict(self._terms)
-        for mask, coef in other._terms.items():
-            out[mask] = out.get(mask, Fraction(0)) + coef
-        return ExteriorForm(self.n, out)
-
-    def __sub__(self, other: "ExteriorForm") -> "ExteriorForm":
-        if not isinstance(other, ExteriorForm):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "ExteriorForm":
-        return ExteriorForm(self.n, {m: -c for m, c in self._terms.items()})
-
-    def scale(self, value: Rational) -> "ExteriorForm":
-        c = Fraction(value)
-        return ExteriorForm(self.n, {m: c * v for m, v in self._terms.items()})
-
     def __mul__(self, other) -> "ExteriorForm":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
@@ -155,31 +105,17 @@ class ExteriorForm:
             return NotImplemented
         return wedge(self, other)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ExteriorForm):
-            return NotImplemented
-        return self.n == other.n and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash((self.n, frozenset(self._terms.items())))
-
     def grade(self, k: int) -> "ExteriorForm":
         if not 0 <= k <= self.n:
             raise ValueError(f"grade {k} out of range 0..{self.n}")
-        return ExteriorForm(self.n, {m: c for m, c in self._terms.items() if grade_of(m) == k})
+        return ExteriorForm._from_canonical(self.n, {m: c for m, c in self._terms.items()
+                                                     if m.bit_count() == k})
 
     def embed(self, n: int) -> "ExteriorForm":
         """Reinterpret in a larger ambient dimension (same index meaning)."""
         if n < self.n:
             raise ValueError(f"cannot embed dimension {self.n} form into dimension {n}")
-        return ExteriorForm(n, dict(self._terms))
-
-    def __repr__(self) -> str:
-        inside = " ".join(
-            f"{'+' if c > 0 else '-'}{abs(c)}*e{''.join(map(str, mask_indices(m))) or '()'}"
-            for m, c in self.terms()
-        )
-        return f"ExteriorForm(n={self.n}, {inside or '0'})"
+        return ExteriorForm._from_canonical(n, dict(self._terms))
 
 
 def volume_form(n: int) -> ExteriorForm:
@@ -187,20 +123,28 @@ def volume_form(n: int) -> ExteriorForm:
 
 
 def wedge(a: ExteriorForm, b: ExteriorForm) -> ExteriorForm:
-    """Exterior product; blades sharing an index annihilate."""
-    a._check_dim(b)
-    out: dict[int, Fraction] = {}
-    for am, ac in a._terms.items():
-        for bm, bc in b._terms.items():
+    """Exterior product; blades sharing an index annihilate.
+
+    As in the geometric product, integer numerators are accumulated over
+    the operands' common denominators and divided out once per output term.
+    """
+    a._check_space(b)
+    da, xs = clear_denominators(a._terms)
+    db, ys = clear_denominators(b._terms)
+    y_terms = list(ys.items())
+    acc: dict[int, int] = {}
+    get = acc.get
+    for am, ac in xs.items():
+        parity = _suffix_parity(am)
+        for bm, bc in y_terms:
             if am & bm:
                 continue
-            mask = am | bm
-            c = out.get(mask, Fraction(0)) + reorder_sign(am, bm) * ac * bc
-            if c:
-                out[mask] = c
-            elif mask in out:
-                del out[mask]
-    return ExteriorForm(a.n, out)
+            if (parity & bm).bit_count() & 1:
+                acc[am | bm] = get(am | bm, 0) - ac * bc
+            else:
+                acc[am | bm] = get(am | bm, 0) + ac * bc
+    den = da * db
+    return ExteriorForm._from_canonical(a.n, {m: Fraction(c, den) for m, c in acc.items() if c})
 
 
 def interior_product(i: int, a: ExteriorForm) -> ExteriorForm:
@@ -232,15 +176,13 @@ def hodge_star(a: ExteriorForm, c: HodgeConvention = HodgeConvention.EXT_DUAL_FI
     if not c.is_exterior:
         raise ValueError(f"hodge_star on forms supports only the EXT conventions, got {c.value}")
     full = (1 << a.n) - 1
+    dual_first = c is HodgeConvention.EXT_DUAL_FIRST
     out: dict[int, Fraction] = {}
-    for mask, coef in a._terms.items():
+    for mask, coef in a._terms.items():  # complements are distinct: no like terms
         comp = full ^ mask
-        if c is HodgeConvention.EXT_DUAL_FIRST:
-            sign = reorder_sign(comp, mask)
-        else:
-            sign = reorder_sign(mask, comp)
-        out[comp] = out.get(comp, Fraction(0)) + sign * coef
-    return ExteriorForm(a.n, out)
+        sign = reorder_sign(comp, mask) if dual_first else reorder_sign(mask, comp)
+        out[comp] = coef if sign > 0 else -coef
+    return ExteriorForm._from_canonical(a.n, out)
 
 
 def quantize(a: ExteriorForm, sig: Signature | None = None) -> Multivector:
@@ -253,12 +195,12 @@ def quantize(a: ExteriorForm, sig: Signature | None = None) -> Multivector:
         sig = Signature(0, a.n)
     elif sig.n != a.n:
         raise ValueError(f"signature dimension {sig.n} does not match form dimension {a.n}")
-    return Multivector(sig, dict(a._terms))
+    return Multivector._from_canonical(sig, dict(a._terms))
 
 
 def symbol(x: Multivector) -> ExteriorForm:
     """Inverse of quantize: e_I -> e^I, coefficients preserved."""
-    return ExteriorForm(x.sig.n, x.term_map())
+    return ExteriorForm._from_canonical(x.sig.n, x.term_map())
 
 
 def clifford_hodge(x: Multivector, c: HodgeConvention = HodgeConvention.EXT_DUAL_FIRST) -> Multivector:

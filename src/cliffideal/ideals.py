@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import lru_cache
 from itertools import product as _iterproduct
 from typing import Iterable, Iterator, Sequence
 
@@ -24,8 +24,7 @@ from .algebra import (
     blade_mask,
     blade_product_masks,
     blade_square_sign,
-    grade_of,
-    mask_indices,
+    blade_table,
 )
 from .linalg import RowBasis, clear_denominators
 
@@ -51,10 +50,6 @@ def radon_hurwitz(i: int) -> int:
     if i < 8:
         return _RH_BASE[i]
     return radon_hurwitz(i - 8) + 4
-
-
-def _blade_name(mask: int) -> str:
-    return "e" + "".join(map(str, mask_indices(mask))) if mask else "1"
 
 
 @dataclass(frozen=True)
@@ -105,10 +100,11 @@ def validate_generators(spec: IdempotentSpec) -> GeneratorReport:
     sig = spec.sig
     violations: list[str] = []
     masks = spec.masks()
+    name = blade_table(sig.n).text
 
-    for _, t in spec.generators:
+    for (_, t), mask in zip(spec.generators, masks):
         if blade_square_sign(t, sig) != 1:
-            violations.append(f"generator {_blade_name(blade_mask(t, sig.n))} squares to -1")
+            violations.append(f"generator {name[mask]} squares to -1")
 
     for i in range(len(masks)):
         for j in range(i + 1, len(masks)):
@@ -116,13 +112,13 @@ def validate_generators(spec: IdempotentSpec) -> GeneratorReport:
             sji, _ = blade_product_masks(masks[j], masks[i], sig)
             if sij != sji:
                 violations.append(
-                    f"generators {_blade_name(masks[i])} and {_blade_name(masks[j])} anticommute"
+                    f"generators {name[masks[i]]} and {name[masks[j]]} anticommute"
                 )
 
     dep = _f2_dependent(masks)
     if dep is not None:
         violations.append(
-            f"generator {_blade_name(masks[dep])} is a product of earlier generators"
+            f"generator {name[masks[dep]]} is a product of earlier generators"
         )
 
     expected = sig.q - radon_hurwitz(sig.q - sig.p)
@@ -179,12 +175,6 @@ class IdealBasis:
         return self._rows.contains(x.term_map())
 
 
-@cache
-def _blade_order(n: int) -> tuple[int, ...]:
-    """All blade masks of dimension n by grade, then lexicographically."""
-    return tuple(sorted(range(1 << n), key=lambda m: (grade_of(m), mask_indices(m))))
-
-
 def _blade_rows(f: Multivector, masks: Iterable[int]) -> tuple[int, Iterator[dict[int, int]]]:
     """D, the lcm of f's denominators, and the integer rows D * (e_b * f), b in masks.
 
@@ -214,7 +204,7 @@ def left_ideal_basis(f: Multivector) -> IdealBasis:
     if f.is_zero():
         raise ValueError("left ideal of the zero element is trivial")
     sig = f.sig
-    den, rows = _blade_rows(f, _blade_order(sig.n))
+    den, rows = _blade_rows(f, blade_table(sig.n).order)
     echelon = RowBasis()
     accepted = [row for row in rows if echelon.add(row)]
     basis = tuple(Multivector(sig, {m: Fraction(c, den) for m, c in row.items()})

@@ -25,7 +25,7 @@ from functools import cache
 from importlib import resources
 from typing import Callable, Optional
 
-from .algebra import Multivector, Signature, volume_element
+from .algebra import Multivector, Signature, blade_table, volume_element
 from .exterior import (
     HodgeConvention,
     clifford_hodge,
@@ -123,11 +123,8 @@ def _diff_note(computed: Multivector, stated: Multivector) -> str:
     delta = computed - stated
     if delta.is_zero():
         return ""
-    from .algebra import mask_indices
-
-    blades = ", ".join(
-        "e" + "".join(map(str, mask_indices(m))) if m else "1" for m, _ in delta.terms()
-    )
+    text = blade_table(delta.sig.n).text
+    blades = ", ".join(text[m] for m, _ in delta.terms())
     return f"displays differ from the engine at: {blades}"
 
 

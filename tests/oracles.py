@@ -152,3 +152,140 @@ def principal_minors(matrix):
                 sub[r] = [a - factor * b for a, b in zip(sub[r], sub[col])]
         minors.append(det)
     return minors
+
+
+class ScanError(ValueError):
+    """A text-grammar error from reference_parse_terms: message and character offset."""
+
+    def __init__(self, message, position):
+        super().__init__(f"{message} (at position {position})")
+        self.position = position
+
+
+class _CharScanner:
+    """The character-at-a-time scanner exprio used before its regex scanner,
+    with the delimited blade e{i,j,...} added in the same style."""
+
+    def __init__(self, text, n):
+        self.text = text
+        self.n = n
+        self.pos = 0
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self):
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def take_digits(self):
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos] in "0123456789":
+            self.pos += 1
+        return self.text[start:self.pos]
+
+    def integer(self, start, digits):
+        try:
+            return int(digits)
+        except ValueError:
+            raise ScanError(f"integer literal too long ({len(digits)} digits)", start) from None
+
+    def check_index(self, i, prev, position):
+        if i == 0:
+            raise ScanError("blade index 0 is not valid", position)
+        if i <= prev:
+            raise ScanError("blade indices must be strictly increasing", position)
+        if i > self.n:
+            raise ScanError(f"blade index {i} exceeds dimension {self.n}", position)
+
+    def blade(self):
+        self.pos += 1  # the 'e'
+        indices = []
+        if self.peek() == "{":
+            self.pos += 1
+            while True:
+                start = self.pos
+                digits = self.take_digits()
+                if not digits:
+                    raise ScanError("expected a blade index", start)
+                i = self.integer(start, digits)
+                self.check_index(i, indices[-1] if indices else 0, start)
+                indices.append(i)
+                if self.peek() == ",":
+                    self.pos += 1
+                elif self.peek() == "}":
+                    self.pos += 1
+                    return tuple(indices)
+                else:
+                    raise ScanError("expected ',' or '}'", self.pos)
+        start = self.pos
+        digits = self.take_digits()
+        if not digits:
+            raise ScanError("expected blade indices after 'e'", self.pos)
+        for offset, ch in enumerate(digits):
+            self.check_index(int(ch), indices[-1] if indices else 0, start + offset)
+            indices.append(int(ch))
+        return tuple(indices)
+
+    def rational(self):
+        start = self.pos
+        digits = self.take_digits()
+        if not digits:
+            raise ScanError("expected a number", start)
+        num = self.integer(start, digits)
+        if self.peek() != "/":
+            return Fraction(num)
+        self.pos += 1
+        den_start = self.pos
+        den_digits = self.take_digits()
+        if not den_digits:
+            raise ScanError("expected a denominator", den_start)
+        den = self.integer(den_start, den_digits)
+        if den == 0:
+            raise ScanError("zero denominator", den_start)
+        return Fraction(num, den)
+
+    def term(self):
+        ch = self.peek()
+        if ch == "e":
+            return Fraction(1), self.blade()
+        if ch in "0123456789":  # also at the end of the text, where ch is ''
+            coef = self.rational()
+            self.skip_ws()
+            if self.peek() != "*":
+                return coef, ()
+            self.pos += 1
+            self.skip_ws()
+            if self.peek() == "e":
+                return coef, self.blade()
+            if self.peek() == "1":
+                self.pos += 1
+                return coef, ()
+            raise ScanError("expected a blade after '*'", self.pos)
+        raise ScanError("expected a term", self.pos)
+
+
+def reference_parse_terms(text, n):
+    """[(coefficient, indices), ...] of a text expression, read one character at a time."""
+    sc = _CharScanner(text, n)
+    sc.skip_ws()
+    if sc.pos == len(text):
+        raise ScanError("empty expression", sc.pos)
+    terms = []
+    sign = 1
+    if sc.peek() == "-":
+        sign = -1
+        sc.pos += 1
+        sc.skip_ws()
+    while True:
+        coef, indices = sc.term()
+        terms.append((sign * coef, indices))
+        sc.skip_ws()
+        if sc.pos == len(text):
+            return terms
+        op = sc.peek()
+        if op not in ("+", "-"):
+            raise ScanError("expected '+' or '-'", sc.pos)
+        sign = -1 if op == "-" else 1
+        sc.pos += 1
+        sc.skip_ws()

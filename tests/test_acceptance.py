@@ -212,7 +212,7 @@ def test_acceptance_8_property_suites():
                     (-1) ** (k * (n - k)))
 
     for _ in range(1000):
-        n = rng.randint(1, 8)
+        n = rng.randint(1, 12)
         sig = Signature(0, n)
         x = _random_multivector(rng, sig, terms=5)
         assert parse(print_canonical(x), sig) == x

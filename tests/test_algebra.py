@@ -7,19 +7,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cliffideal import (
+    ExteriorForm,
+    HodgeConvention,
     Multivector,
     Signature,
     blade_product,
     blade_square_sign,
+    from_json,
     geometric_product,
     grade_project,
+    hodge_star,
+    parse,
+    print_canonical,
+    quantize,
     reverse,
+    symbol,
+    to_json,
     volume_element,
+    wedge,
 )
-from cliffideal.algebra import blade_mask, blade_product_masks, grade_of, mask_indices
+from cliffideal.algebra import blade_mask, blade_product_masks, blade_table, grade_of, mask_indices
 
 from conftest import multivectors, signatures
-from oracles import clifford_blade_product, multiply_dicts
+from oracles import clifford_blade_product, multiply_dicts, wedge_dicts
 
 
 def _indices(mask):
@@ -261,3 +271,60 @@ def test_zero_terms_dropped(sig6):
     x = Multivector(sig6, {0b1: Fraction(0), 0b10: Fraction(1)})
     assert len(x) == 1
     assert x == Multivector.blade(sig6, (2,))
+
+
+# -- results built canonical, without the checked constructor ---------------------
+
+def _assert_canonical(v):
+    """Nonzero Fraction values on in-range masks, equal (with the same hash) to a checked rebuild."""
+    terms = v.term_map()
+    n = v.sig.n if isinstance(v, Multivector) else v.n
+    assert all(type(c) is Fraction and c for c in terms.values())
+    assert all(type(m) is int and 0 <= m < 1 << n for m in terms)
+    rebuilt = type(v)(v.sig if isinstance(v, Multivector) else n, terms)
+    assert rebuilt == v
+    assert hash(rebuilt) == hash(v)
+
+
+def test_element_operations_are_canonical_by_construction():
+    rng = random.Random(5150)
+    for n in range(1, 13):
+        for _ in range(12):
+            p = rng.randint(0, n)
+            sig = Signature(p, n - p)
+            x, y = (Multivector(sig, {rng.randrange(1 << n): Fraction(rng.randint(-9, 9),
+                                                                      rng.randint(1, 12))
+                                      for _ in range(rng.randint(0, 7))}) for _ in range(2))
+            a, b = symbol(x), symbol(y)
+            k = rng.randint(0, n)
+            results = [
+                parse(print_canonical(x), sig), from_json(to_json(x)), -x, x.scale(Fraction(-3, 7)),
+                x.scale(0), x + y, x - y, x + (-x), grade_project(x, k), x.grade(k), reverse(x),
+                quantize(a, sig), a, parse(print_canonical(a), n, kind="form"),
+                from_json(to_json(a)), -a, a.scale(5), a.scale(0), a + b, a - a, a.grade(k),
+                a.embed(12), wedge(a, b), hodge_star(a), hodge_star(a, HodgeConvention.EXT_ALPHA_FIRST),
+            ]
+            for v in results:
+                _assert_canonical(v)
+            assert x.scale(0).is_zero() and (x + (-x)).is_zero() and (a - a).is_zero()
+            got = {mask_indices(m): c for m, c in wedge(a, b).term_map().items()}
+            assert got == wedge_dicts({mask_indices(m): c for m, c in a.term_map().items()},
+                                      {mask_indices(m): c for m, c in b.term_map().items()})
+
+
+def test_blade_table_order_rank_and_text():
+    for n in (1, 4, 9, 10, 12):
+        table = blade_table(n)
+        assert list(table.order) == sorted(range(1 << n),
+                                           key=lambda m: (grade_of(m), mask_indices(m)))
+        assert [table.rank[m] for m in table.order] == list(range(1 << n))
+        for m in range(1, 1 << n):
+            ind = mask_indices(m)
+            if ind[-1] < 10:
+                assert table.text[m] == "e" + "".join(map(str, ind))
+                assert table.digits[table.text[m][1:]] == m
+            else:
+                assert table.text[m] == "e{" + ",".join(map(str, ind)) + "}"
+        assert table.text[0] == "1"
+        assert len(table.digits) == (1 << min(n, 9)) - 1
+    assert blade_table(12) is blade_table(12)

@@ -1,6 +1,7 @@
 import io
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -140,6 +141,30 @@ def test_idempotent_decompose(capsys):
 def test_idempotent_bad_gens_syntax(capsys):
     code, _, err = run(capsys, "idempotent", "--sig", "0,6", "--gens", "x135", "--ideal")
     assert code == 2
+
+
+@pytest.mark.parametrize("gens", ["+e1\u00b2,-e146,-e236", "+e\u0661\u0663\u0665,-e146,-e236",
+                                  "+e135,-e146,-e2 36", "+e{1,3,5,-e146"])
+def test_idempotent_gens_non_ascii_or_malformed_is_usage_error(capsys, gens):
+    code, out, err = run(capsys, "idempotent", "--sig", "0,6", "--gens", gens, "--check")
+    assert code == 2
+    assert out == ""
+    assert "is not a signed blade" in err and "invalid literal" not in err
+
+
+def test_idempotent_gens_delimited_blades(capsys):
+    plain = run(capsys, "idempotent", "--sig", "0,6", "--gens", "+e135,-e146,-e236", "--ideal")
+    braced = run(capsys, "idempotent", "--sig", "0,6", "--gens", "+e{1,3,5}, -e{1,4,6},-e236",
+                 "--ideal")
+    assert braced == plain
+    code, out, _ = run(capsys, "idempotent", "--sig", "0,10", "--gens", "+e{1,2,3,10}", "--check")
+    assert code == 1
+    assert out == "k: 1 (expected 4)\nvalid: false\nviolation: expected 4 generators for R_{0,10}, got 1\n"
+
+
+def test_eval_delimited_blade_for_n_ge_10(capsys):
+    code, out, _ = run(capsys, "eval", "--sig", "0,10", "--op", "product", "e1", "e{10}")
+    assert (code, out) == (0, "e{1,10}\n")
 
 
 def test_idempotent_invalid_gens_ideal_refused(capsys):
@@ -329,3 +354,17 @@ def test_lift_json_output(capsys, tmp_path):
     payload = json.loads(out)
     assert set(payload) == {"phi", "idempotent"}
     assert payload["idempotent"]["kind"] == "clifford"
+
+
+# -- the README commands, against the transcript of their output ---------------------
+
+TRANSCRIPT = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "paper_cli_transcript.json"
+
+
+@pytest.mark.parametrize("entry", json.loads(TRANSCRIPT.read_text(encoding="utf-8")),
+                         ids=lambda entry: " ".join(entry["argv"]))
+def test_golden_transcript(capsys, monkeypatch, entry):
+    monkeypatch.chdir(TRANSCRIPT.parent)  # the commands name idem.json and su3.json there
+    code, out, _ = run(capsys, *entry["argv"])
+    assert code == entry["exit"]
+    assert out.encode("utf-8") == entry["stdout"].encode("utf-8")

@@ -18,7 +18,9 @@ from cliffideal import (
     print_canonical,
     to_json,
 )
+from cliffideal.exprio import parse_terms
 
+import oracles
 from conftest import forms, multivectors, signatures
 
 F6_DISPLAY = "1 + e135 - e146 - e236 - e245 - e3456 - e1234 - e1256"
@@ -206,3 +208,109 @@ def test_parser_fuzz_smoke():
             parse(text, Signature(0, 6))
         except ParseError:
             pass
+
+
+# -- blades with indices >= 10 -------------------------------------------------
+
+def test_delimited_blade_prints_and_parses_for_n_ge_10():
+    sig = Signature(0, 10)
+    x = Multivector.blade(sig, (1, 10))
+    assert print_canonical(x) == "e{1,10}"
+    assert parse("e{1,10}", sig) == x
+    assert repr(x) == "Multivector(R_{0,10}, +1*e{1,10})"
+    assert repr(ExteriorForm.blade(10, (1, 10), 2)) == "ExteriorForm(n=10, +2*e{1,10})"
+    y = parse("1/2*e{2,11,12} - e{3} + e45 + e{1,2}", Signature(2, 10))
+    assert print_canonical(y) == "-e3 + e12 + e45 + 1/2*e{2,11,12}"
+    assert parse(print_canonical(y), y.sig) == y
+    z = parse("e{1,3,5} - 2*e{9}", Signature(0, 12))  # delimited only when needed
+    assert print_canonical(z) == "-2*e9 + e135"
+    assert repr(z) == "Multivector(R_{0,12}, -2*e9 +1*e135)"
+
+
+@pytest.mark.parametrize("text, message, position", [
+    ("e{", "expected a blade index", 2),
+    ("e{}", "expected a blade index", 2),
+    ("e{1,}", "expected a blade index", 4),
+    ("e{1 }", "expected ',' or '}'", 3),
+    ("3*e{1,2", "expected ',' or '}'", 7),
+    ("e{2,1}", "strictly increasing", 4),
+    ("e{0}", "blade index 0 is not valid", 2),
+    ("e1 + e{1,13}", "blade index 13 exceeds dimension 12", 9),
+    ("e{" + "1" * 5000 + "}", "integer literal too long", 2),
+])
+def test_delimited_blade_errors_are_positioned(text, message, position):
+    with pytest.raises(ParseError, match=message) as err:
+        parse(text, Signature(0, 12))
+    assert err.value.position == position
+
+
+@settings(max_examples=200)
+@given(st.integers(min_value=9, max_value=12).flatmap(
+    lambda n: st.integers(min_value=0, max_value=n).flatmap(
+        lambda p: multivectors(Signature(p, n - p), 8))))
+def test_parse_print_roundtrip_n_up_to_12(x):
+    assert parse(print_canonical(x), x.sig) == x
+    a = ExteriorForm(x.sig.n, x.term_map())
+    assert parse(print_canonical(a), a.n, kind="form") == a
+
+
+# -- the regex scanner against the character scanner ----------------------------
+
+FUZZ_ALPHABET = "e0123456789+-*/ \t\n.{},\x1c\x85\u3000\u0663\uff11\u00b2"
+
+
+def _near_valid(rng, n):
+    """A well-formed expression (both blade spellings) with up to two characters changed."""
+    pieces = []
+    for i in range(rng.randint(1, 4)):
+        ind = sorted(rng.sample(range(1, n + 1), rng.randint(0, n)))
+        if ind and (ind[-1] >= 10 or rng.random() < 0.3):
+            blade = "e{" + ",".join(map(str, ind)) + "}"
+        else:
+            blade = "e" + "".join(map(str, ind)) if ind else "1"
+        coef = rng.choice(("", "3", "1/2", "7/4", "0", "12/0"))
+        body = f"{coef}{rng.choice(('*', ' * '))}{blade}" if coef else blade
+        pieces.append(rng.choice(("", "-", " - ") if i == 0 else (" + ", "-", " -  ", "+")) + body)
+    chars = list("".join(pieces))
+    for _ in range(rng.randint(0, 2)):
+        i = rng.randrange(len(chars) + 1)
+        action = rng.random()
+        if action < 0.4 and i < len(chars):
+            del chars[i]
+        elif action < 0.7:
+            chars.insert(i, rng.choice(FUZZ_ALPHABET))
+        elif i < len(chars):
+            chars[i] = rng.choice(FUZZ_ALPHABET)
+    return "".join(chars)
+
+
+def test_parse_terms_matches_character_scanner():
+    rng = random.Random(2604)
+    accepted = 0
+    for i in range(60_000):
+        n = rng.randint(1, 12)
+        if i % 2:
+            text = "".join(rng.choice(FUZZ_ALPHABET) for _ in range(rng.randint(0, 16)))
+        else:
+            text = _near_valid(rng, n)
+        try:
+            want = oracles.reference_parse_terms(text, n)
+        except oracles.ScanError as exc:
+            with pytest.raises(ParseError) as err:
+                parse_terms(text, n)
+            assert (str(err.value), err.value.position) == (str(exc), exc.position), (text, n)
+        else:
+            assert [(t.coef, t.indices) for t in parse_terms(text, n)] == want, (text, n)
+            accepted += 1
+    assert accepted > 10_000
+
+
+def test_like_terms_that_cancel_are_dropped(sig6):
+    x = parse("e1 + 1/2*e2 - e1 - 1/2*e2 + 0*e3 + e4", sig6)
+    assert x.term_map() == {0b1000: 1}
+    assert parse("e1 - e1", sig6).is_zero()
+    assert parse("0", 6, kind="form").is_zero()
+    text = json.dumps({"signature": [0, 6], "kind": "form",
+                       "terms": [{"blade": [1], "coef": "1/2"}, {"blade": [1], "coef": "-2/4"},
+                                 {"blade": [2], "coef": "0"}, {"blade": [3], "coef": "5"}]})
+    assert from_json(text).term_map() == {0b100: 5}

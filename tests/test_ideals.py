@@ -24,7 +24,13 @@ from cliffideal import (
     validate_generators,
 )
 from cliffideal import ideals
-from cliffideal.algebra import blade_mask, blade_product_masks, blade_square_sign, mask_indices
+from cliffideal.algebra import (
+    blade_mask,
+    blade_product_masks,
+    blade_square_sign,
+    blade_table,
+    mask_indices,
+)
 from cliffideal.linalg import RowBasis, det, leading_principal_minors
 
 from conftest import multivectors
@@ -256,7 +262,7 @@ def test_left_ideal_basis_memo(f6, f7, sig6, monkeypatch):
 
 def test_ideal_basis_elements_are_blade_products(f6):
     ideal = left_ideal_basis(f6)
-    products = {Multivector(f6.sig, {m: 1}) * f6 for m in ideals._blade_order(6)}
+    products = {Multivector(f6.sig, {m: 1}) * f6 for m in blade_table(6).order}
     assert len(ideal.basis) == ideal.dimension
     assert all(b in products and ideal.contains(b) for b in ideal.basis)
 
