@@ -9,13 +9,17 @@ to a few bit operations per blade pair.  Coefficients are
 fractions.Fraction at the API; the geometric product runs on integer
 numerators over one common denominator and builds a Fraction only for
 each output term.  No floats enter at any point.
+
+The package's immutable records (Signature here, the specs and reports
+elsewhere) derive from _Record, one slotted base whose methods read the
+fields from __slots__.  Defining a record generates no code, which keeps
+importing the package, and so every command-line run, cheap.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, total_ordering
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -26,18 +30,103 @@ MAX_DIM = 12
 Rational = Union[int, Fraction]
 
 
-@dataclass(frozen=True, order=True)
-class Signature:
-    """Signature (p, q) of R_{p,q}: p positive squares, q negative squares."""
+class _Record:
+    """Immutable value with named fields: the package's record types.
+
+    A subclass lists its fields, in order, in __slots__ and gets
+    positional or keyword construction, a _validate hook run after the
+    fields are set, AttributeError on assignment or deletion, == against
+    the same class only, a hash over the fields and the repr
+    Name(field=value, ...).  Fields named with a leading '_' are left out
+    of ==, hash and repr.  Instances copy and pickle through their
+    constructor.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._public = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self.__slots__
+        if len(args) > len(names):
+            raise TypeError(f"{type(self).__name__}() takes {len(names)} arguments "
+                            f"but {len(args)} were given")
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        for name in names[len(args):]:
+            if name not in kwargs:
+                raise TypeError(f"{type(self).__name__}() missing argument {name!r}")
+            object.__setattr__(self, name, kwargs.pop(name))
+        if kwargs:
+            name = next(iter(kwargs))
+            raise TypeError(f"{type(self).__name__}() got multiple values for argument {name!r}"
+                            if name in names else
+                            f"{type(self).__name__}() got an unexpected keyword argument {name!r}")
+        self._validate()
+
+    def _validate(self) -> None:
+        """Check the fields once they are set; a subclass may override."""
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._public)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        inside = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._public)
+        return f"{type(self).__qualname__}({inside})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+@total_ordering
+class Signature(_Record):
+    """Signature (p, q) of R_{p,q}: p positive squares, q negative squares.
+
+    Compared on every binary operation of elements, so construction, ==,
+    hash and < are written out; ordering is by (p, q).
+    """
+
+    __slots__ = ("p", "q")
 
     p: int
     q: int
 
-    def __post_init__(self) -> None:
-        if self.p < 0 or self.q < 0:
+    def __init__(self, p: int, q: int) -> None:
+        if p < 0 or q < 0:
             raise ValueError("signature components must be non-negative")
-        if not 1 <= self.p + self.q <= MAX_DIM:
-            raise ValueError(f"total dimension must be in 1..{MAX_DIM}, got {self.p + self.q}")
+        if not 1 <= p + q <= MAX_DIM:
+            raise ValueError(f"total dimension must be in 1..{MAX_DIM}, got {p + q}")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Signature:
+            return NotImplemented
+        return self.p == other.p and self.q == other.q
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.q))
+
+    def __lt__(self, other) -> bool:
+        if other.__class__ is not Signature:
+            return NotImplemented
+        return (self.p, self.q) < (other.p, other.q)
 
     @property
     def n(self) -> int:
@@ -218,6 +307,12 @@ class _BladeMap:
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), (self._space, self._terms)
 
     def terms(self) -> Iterator[tuple[int, Fraction]]:
         """Iterate (mask, coefficient) in canonical order (grade, then lexicographic)."""

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from typing import Iterable, Iterator, Union
 
-from .algebra import MAX_DIM, Multivector, Signature, blade_mask, blade_table, mask_indices
+from .algebra import (MAX_DIM, Multivector, Signature, _Record, blade_mask, blade_table,
+                      mask_indices)
 from .exterior import ExteriorForm
 
 Value = Union[Multivector, ExteriorForm]
@@ -47,9 +47,10 @@ class SchemaError(ValueError):
         self.path = path
 
 
-@dataclass(frozen=True)
-class ExprTerm:
+class ExprTerm(_Record):
     """One signed term of a parsed expression."""
+
+    __slots__ = ("coef", "indices")
 
     coef: Fraction
     indices: tuple[int, ...]
@@ -140,8 +141,8 @@ def _scan(text: str, n: int) -> Iterator[tuple[Fraction, int]]:
     while True:
         pos = sep.end()
         m = term.match(text, pos)
-        if m is None:  # at the end of the text a coefficient is what was missing
-            raise ParseError("expected a number" if pos == end else "expected a term", pos)
+        if m is None:
+            raise ParseError("expected a term", pos)
         num, slash, den, star, braced, _, digits, one = m.group(1, 2, 3, 4, 5, 6, 7, 8)
         if num is None:
             yield (_MINUS_ONE if op == "-" else _ONE), _blade(m, 9, n)
@@ -323,6 +324,9 @@ def from_json_obj(obj, path: str = "") -> Value:
 def from_json(text: str) -> Value:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # besides JSONDecodeError (a ValueError), json raises a plain ValueError for an
+        # integer past the interpreter's string-length limit and RecursionError for
+        # arrays or objects nested too deep
         raise SchemaError(f"invalid JSON: {exc}", "") from None
     return from_json_obj(obj)

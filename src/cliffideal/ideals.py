@@ -12,7 +12,6 @@ integer elimination with no geometric product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as _iterproduct
@@ -21,6 +20,8 @@ from typing import Iterable, Iterator, Sequence
 from .algebra import (
     Multivector,
     Signature,
+    _Record,
+    _suffix_parity,
     blade_mask,
     blade_product_masks,
     blade_square_sign,
@@ -52,14 +53,15 @@ def radon_hurwitz(i: int) -> int:
     return radon_hurwitz(i - 8) + 4
 
 
-@dataclass(frozen=True)
-class IdempotentSpec:
+class IdempotentSpec(_Record):
     """Signature plus signed generator blades (sign, index tuple)."""
+
+    __slots__ = ("sig", "generators")
 
     sig: Signature
     generators: tuple[tuple[int, tuple[int, ...]], ...]
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         gens = tuple((s, tuple(t)) for s, t in self.generators)
         for s, t in gens:
             if s not in (1, -1):
@@ -71,8 +73,9 @@ class IdempotentSpec:
         return tuple(blade_mask(t, self.sig.n) for _, t in self.generators)
 
 
-@dataclass(frozen=True)
-class GeneratorReport:
+class GeneratorReport(_Record):
+    __slots__ = ("ok", "k", "expected_k", "violations")
+
     ok: bool
     k: int
     expected_k: int
@@ -160,14 +163,15 @@ def is_sub_idempotent(f: Multivector, e: Multivector) -> bool:
     return is_idempotent(f) and is_idempotent(e) and f * e == f and e * f == f
 
 
-@dataclass(frozen=True)
-class IdealBasis:
+class IdealBasis(_Record):
     """Echelonized description of the left ideal Cl(p,q) * f."""
+
+    __slots__ = ("idempotent", "dimension", "basis", "_rows")
 
     idempotent: Multivector
     dimension: int
     basis: tuple[Multivector, ...]
-    _rows: RowBasis = field(repr=False, compare=False)
+    _rows: RowBasis  # left out of ==, hash and repr
 
     def contains(self, x: Multivector) -> bool:
         if x.sig != self.idempotent.sig:
@@ -179,13 +183,20 @@ def _blade_rows(f: Multivector, masks: Iterable[int]) -> tuple[int, Iterator[dic
     """D, the lcm of f's denominators, and the integer rows D * (e_b * f), b in masks.
 
     e_b * f maps each term c e_m of f to sign(b, m) c e_{b xor m}, so every
-    row is a signed permutation of the integer terms of D * f.
+    row is a signed permutation of the integer terms of D * f.  As in
+    geometric_product, the sign is the parity of m & sign_mask, with
+    sign_mask computed once per row.
     """
     sig = f.sig
     den, scaled = clear_denominators(f.term_map())
-    rows = ({b ^ m: c if blade_product_masks(b, m, sig)[0] > 0 else -c
-             for m, c in scaled.items()} for b in masks)
-    return den, rows
+    terms = list(scaled.items())
+    negative = (1 << sig.n) - (1 << sig.p)
+
+    def row(b: int) -> dict[int, int]:
+        sign_mask = _suffix_parity(b) ^ (b & negative)
+        return {b ^ m: -c if (sign_mask & m).bit_count() & 1 else c for m, c in terms}
+
+    return den, map(row, masks)
 
 
 # A fixed size, not a setting: verify-paper, the widest caller, asks for four distinct ideals.
@@ -232,9 +243,10 @@ def coset_basis(f: Multivector, candidates: Iterable[Iterable[int]]) -> list[tup
     return accepted
 
 
-@dataclass(frozen=True)
-class AlgebraClass:
+class AlgebraClass(_Record):
     """Wedderburn shape of R_{p,q}: one or two matrix algebras over R, C or H."""
+
+    __slots__ = ("ring", "matrix_size", "summands", "minimal_ideal_dim")
 
     ring: str  # "R" | "C" | "H"
     matrix_size: int

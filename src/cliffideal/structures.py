@@ -12,10 +12,9 @@ inputs are rejected instead of silently producing garbage.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Multivector, Signature
+from .algebra import Multivector, Signature, _Record
 from .exterior import (
     ExteriorForm,
     HodgeConvention,
@@ -44,43 +43,47 @@ def _check_form(form: ExteriorForm, n: int, k: int, name: str) -> None:
         raise StructureError(f"{name} must be a pure {k}-form")
 
 
-@dataclass(frozen=True)
-class SU3Structure:
+class SU3Structure(_Record):
     """omega (2-form) and psi_plus/psi_minus (3-forms) on (R^6)*."""
+
+    __slots__ = ("omega", "psi_plus", "psi_minus")
 
     omega: ExteriorForm
     psi_plus: ExteriorForm
     psi_minus: ExteriorForm
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         _check_form(self.omega, 6, 2, "omega")
         _check_form(self.psi_plus, 6, 3, "psi_plus")
         _check_form(self.psi_minus, 6, 3, "psi_minus")
 
 
-@dataclass(frozen=True)
-class G2Structure:
+class G2Structure(_Record):
     """phi, a 3-form on (R^7)*."""
+
+    __slots__ = ("phi",)
 
     phi: ExteriorForm
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         _check_form(self.phi, 7, 3, "phi")
 
 
-@dataclass(frozen=True)
-class Spin7Structure:
+class Spin7Structure(_Record):
     """The Cayley 4-form on (R^8)*."""
+
+    __slots__ = ("cayley",)
 
     cayley: ExteriorForm
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         _check_form(self.cayley, 8, 4, "cayley")
 
 
-@dataclass(frozen=True)
-class OrbitReport:
+class OrbitReport(_Record):
     """Symmetric bilinear form induced by a 3-form on R^7, with its orbit tag."""
+
+    __slots__ = ("metric", "determinant", "tag")
 
     metric: tuple[tuple[Fraction, ...], ...]
     determinant: Fraction

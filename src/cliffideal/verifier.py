@@ -19,13 +19,12 @@ run_all flags only deviations from the pinned expectations.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from importlib import resources
 from typing import Callable, Optional
 
-from .algebra import Multivector, Signature, blade_table, volume_element
+from .algebra import Multivector, Signature, _Record, blade_table, volume_element
 from .exterior import (
     HodgeConvention,
     clifford_hodge,
@@ -67,13 +66,15 @@ FAIL = "FAIL"
 CONVENTION_DEPENDENT = "CONVENTION_DEPENDENT"
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(_Record):
     """One displayed identity: where it appears, what it states, how to check it.
 
     evaluate(convention) returns (holds, computed text, extra note); the
     convention argument is meaningful only when uses_clifford_star is set.
     """
+
+    __slots__ = ("id", "paper_ref", "category", "statement", "paper_value",
+                 "uses_clifford_star", "evaluate")
 
     id: str
     paper_ref: str
@@ -84,8 +85,9 @@ class Claim:
     evaluate: Callable[[Optional[HodgeConvention]], tuple[bool, str, str]]
 
 
-@dataclass(frozen=True)
-class ClaimResult:
+class ClaimResult(_Record):
+    __slots__ = ("id", "status", "computed", "paper", "note")
+
     id: str
     status: str
     computed: str
@@ -499,8 +501,9 @@ def run_claim(claim_id: str) -> ClaimResult:
                        paper=claim.paper_value, note=note)
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(_Record):
+    __slots__ = ("results",)
+
     results: tuple[ClaimResult, ...]
 
     def to_json(self) -> str:

@@ -249,7 +249,7 @@ class _CharScanner:
         ch = self.peek()
         if ch == "e":
             return Fraction(1), self.blade()
-        if ch in "0123456789":  # also at the end of the text, where ch is ''
+        if ch and ch in "0123456789":  # ch is '' at the end of the text: "expected a term"
             coef = self.rational()
             self.skip_ws()
             if self.peek() != "*":

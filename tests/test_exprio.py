@@ -1,3 +1,4 @@
+import copy
 import json
 import random
 from fractions import Fraction
@@ -314,3 +315,125 @@ def test_like_terms_that_cancel_are_dropped(sig6):
                        "terms": [{"blade": [1], "coef": "1/2"}, {"blade": [1], "coef": "-2/4"},
                                  {"blade": [2], "coef": "0"}, {"blade": [3], "coef": "5"}]})
     assert from_json(text).term_map() == {0b100: 5}
+
+
+@pytest.mark.parametrize("text, position", [("e1 +", 4), ("e1 -", 4), ("-", 1), ("3 - ", 4)])
+def test_missing_term_after_a_sign(text, position):
+    with pytest.raises(ParseError) as err:
+        parse(text, Signature(0, 6))
+    assert str(err.value) == f"expected a term (at position {position})"
+    assert err.value.position == position
+
+
+# -- JSON schema fuzz ----------------------------------------------------------
+
+JUNK = (None, True, False, 0, -1, 7, 13, 1.5, "", "x", "1", "e1", [], {}, [0, 6], [[1]],
+        {"blade": [], "coef": "1"}, {"signature": [0, 6]})
+BAD_COEFS = ("1.5", "1e3", "1/0", "0x10", " 1", "+1", "1/-2", "", "--1", "1/", "/2", "½",
+             "7" * 5000, "1/" + "3" * 5000, 1, 1.0, True, None, ["1"])
+BAD_SIGNATURES = ([0, 13], [13, 0], [7, 6], [0, 0], [-1, 7], [6], [0, 6, 1], [True, 5],
+                  [0, 6.0], ["0", "6"], (0, 6), "0,6", None)
+
+
+def _random_payload(rng: random.Random) -> dict:
+    n = rng.randint(1, 12)
+    p = rng.randint(0, n)
+    terms = []
+    for _ in range(rng.randint(0, 6)):
+        blade = sorted(rng.sample(range(1, n + 1), rng.randint(0, n)))
+        num, den = rng.randint(-9, 9), rng.randint(1, 9)
+        terms.append({"blade": blade, "coef": str(num) if den == 1 else f"{num}/{den}"})
+    return {"signature": [p, n - p], "kind": rng.choice(("clifford", "form")), "terms": terms}
+
+
+def _nodes(obj, path=()):
+    """(path, value) of every node of a JSON-shaped value, the root first."""
+    yield path, obj
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _nodes(value, path + (key,))
+
+
+def _set(obj, path, value):
+    if not path:
+        return value
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return obj
+
+
+def _pick(rng: random.Random, pool):
+    return copy.deepcopy(rng.choice(pool))  # a fresh copy: later damage must not alias it
+
+
+def _mutate(rng: random.Random, obj):
+    """One random damage: a junk node, a bool for an int, a missing or extra
+    key, a bad coef, signature or blade, or an extra level of nesting."""
+    nodes = list(_nodes(obj))
+    blades = [(path, v) for path, v in nodes if path[-1:] == ("blade",) and isinstance(v, list)]
+    action = rng.randrange(8)
+    if action == 0:
+        path, _ = rng.choice(nodes)
+        return _set(obj, path, _pick(rng, JUNK))
+    if action == 1:
+        ints = [path for path, v in nodes if type(v) is int]
+        return _set(obj, rng.choice(ints), rng.choice((True, False))) if ints else obj
+    if action == 2:
+        dicts = [v for _, v in nodes if isinstance(v, dict) and v]
+        if dicts:
+            d = rng.choice(dicts)
+            if rng.random() < 0.5:
+                del d[rng.choice(list(d))]
+            else:
+                d[rng.choice(("extra", "blades", "Coef"))] = _pick(rng, JUNK)
+        return obj
+    if action == 3:
+        coefs = [path for path, _ in nodes if path[-1:] == ("coef",)]
+        return _set(obj, rng.choice(coefs), _pick(rng, BAD_COEFS)) if coefs else obj
+    if action == 4:
+        return _set(obj, ("signature",), _pick(rng, BAD_SIGNATURES)) if isinstance(obj, dict) else obj
+    if action == 5 and blades:
+        path, blade = rng.choice(blades)
+        index = rng.choice((0, -1, 13, 100, True, 2.0, "3", None))
+        return _set(obj, path, blade + [index] if rng.random() < 0.5 else [index] + blade)
+    if action == 6 and blades:
+        path, blade = rng.choice(blades)
+        if blade:
+            changed = blade[::-1] if len(blade) > 1 and rng.random() < 0.5 else blade + blade[-1:]
+            return _set(obj, path, changed)
+        return obj
+    path, node = rng.choice(nodes)
+    return _set(obj, path, [node] if rng.random() < 0.5 else {"terms": node})
+
+
+def test_json_schema_fuzz_loads_and_round_trips_or_rejects():
+    rng = random.Random(5)
+    loaded = rejected = 0
+    for i in range(4000):
+        obj = _random_payload(rng)
+        for _ in range(rng.randint(0, 3)):
+            obj = _mutate(rng, obj)
+        text = json.dumps(obj)
+        if i % 50 == 0:
+            text = text[:rng.randrange(len(text) + 1)]  # cut short
+        try:
+            x = from_json(text)
+        except SchemaError:
+            rejected += 1
+            continue
+        assert from_json(to_json(x)) == x, text
+        assert to_json(from_json(to_json(x))) == to_json(x), text
+        loaded += 1
+    assert loaded > 500 and rejected > 500
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 100_000 + "]" * 100_000,
+    '{"signature": [0, 6], "kind": "form", "terms": ' + "[" * 100_000 + "]" * 100_000 + "}",
+    '{"signature": [0, 1' + "0" * 5000 + '], "kind": "form", "terms": []}',
+], ids=["deep-root", "deep-terms", "long-integer"])
+def test_json_hostile_text_is_a_schema_error(text):
+    with pytest.raises(SchemaError, match="invalid JSON"):
+        from_json(text)
