@@ -3,13 +3,14 @@
 Thin shell over the library: parse flags, call one library function,
 print canonical text (or JSON with --json).  Exit codes are a stable
 contract: 0 success, 1 semantic or validation failure, 2 parse or
-usage error.
+usage error, 141 the reader of stdout went away (128 + SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -60,6 +61,7 @@ from .verifier import load_golden, run_all, run_claim, _claim_by_id
 EXIT_OK = 0
 EXIT_SEMANTIC = 1
 EXIT_PARSE = 2
+EXIT_PIPE = 141  # 128 + SIGPIPE, what a shell reports for `yes | head`
 
 
 class _CliError(Exception):
@@ -484,7 +486,13 @@ def main(argv: list[str] | None = None) -> int:
     if args.fn is _cmd_structure and args.model == (args.input is not None):
         parser.error("structure needs exactly one of --model or --input")
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe fails here, not in the flush at exit
+        return code
+    except BrokenPipeError:
+        # Nobody reads the rest; stdout goes to devnull so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

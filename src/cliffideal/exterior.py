@@ -156,14 +156,10 @@ def interior_product(i: int, a: ExteriorForm) -> ExteriorForm:
     if not 1 <= i <= a.n:
         raise ValueError(f"generator index {i} out of range 1..{a.n}")
     bit = 1 << (i - 1)
-    out: dict[int, Fraction] = {}
-    for mask, coef in a._terms.items():
-        if not mask & bit:
-            continue
-        below = bin(mask & (bit - 1)).count("1")
-        sign = -1 if below & 1 else 1
-        out[mask ^ bit] = sign * coef
-    return ExteriorForm(a.n, out)
+    # distinct masks stay distinct after dropping the bit, and signs keep coefficients nonzero
+    out = {mask ^ bit: -coef if (mask & (bit - 1)).bit_count() & 1 else coef
+           for mask, coef in a._terms.items() if mask & bit}
+    return ExteriorForm._from_canonical(a.n, out)
 
 
 def hodge_star(a: ExteriorForm, c: HodgeConvention = HodgeConvention.EXT_DUAL_FIRST) -> ExteriorForm:

@@ -4,10 +4,16 @@ An idempotent is built from k commuting basis blades that square to +1
 and whose index sets are independent over F_2, as the expanded product
 prod (1 + s_i e_{t_i}) / 2.  With k = q - r_{q-p} (r the Radon-Hurwitz
 numbers) the result is primitive and its left ideal has dimension
-2^{p+q-k}.  Ideal dimensions are computed by exact elimination, never
-assumed: for a blade b the product b*f is a signed permutation of f's
-terms, so the rows b*f, scaled to integers once, go through fraction-free
-integer elimination with no geometric product.
+2^{p+q-k}.  Ideal dimensions are computed by an exact F_2 coset
+certificate or by elimination, never assumed.  For a blade b the product
+b*f is a signed permutation of f's terms.  When supp f is an F_2 subspace
+T and e_t*f = +-f for each t in a basis of T, the rows b*f fall into the
+cosets b xor T: rows of one coset are +-each other, rows of distinct cosets
+have disjoint supports (Lounesto, Clifford Algebras and Spinors, 2nd ed.,
+2001; Ablamowicz, Comput. Phys. Commun. 115, 1998), so the first blade of
+each coset is exactly what elimination would keep.  Any other f goes
+through fraction-free integer elimination of the rows b*f, scaled to
+integers once, with no geometric product.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from .algebra import (
     blade_product_masks,
     blade_square_sign,
     blade_table,
+    mask_indices,
 )
 from .linalg import RowBasis, clear_denominators
 
@@ -82,19 +89,27 @@ class GeneratorReport(_Record):
     violations: tuple[str, ...]
 
 
+def _f2_reduce(mask: int, basis: Sequence[int]) -> int:
+    """mask reduced by an F_2 echelon basis listed by decreasing leading bit.
+
+    Each step clears the basis vector's leading bit if mask has it set, so
+    the result is 0 iff mask is in the span, and the same for every mask of
+    one coset of the span.
+    """
+    for vec in basis:
+        mask = min(mask, mask ^ vec)
+    return mask
+
+
 def _f2_dependent(masks: Sequence[int]) -> int | None:
     """Index of the first mask in the F_2-span of its predecessors, else None."""
-    basis: dict[int, int] = {}  # leading bit -> reduced mask
+    basis: list[int] = []
     for pos, mask in enumerate(masks):
-        m = mask
-        while m:
-            lead = m.bit_length() - 1
-            if lead not in basis:
-                basis[lead] = m
-                break
-            m ^= basis[lead]
-        if m == 0:
+        m = _f2_reduce(mask, basis)
+        if not m:
             return pos
+        basis.append(m)
+        basis.sort(reverse=True)
     return None
 
 
@@ -179,24 +194,80 @@ class IdealBasis(_Record):
         return self._rows.contains(x.term_map())
 
 
-def _blade_rows(f: Multivector, masks: Iterable[int]) -> tuple[int, Iterator[dict[int, int]]]:
-    """D, the lcm of f's denominators, and the integer rows D * (e_b * f), b in masks.
+def _signed_rows(sig: Signature, terms: Iterable[tuple[int, int | Fraction]],
+                 masks: Iterable[int]) -> Iterator[dict[int, int | Fraction]]:
+    """The term maps of e_b * x for b in masks, x given by its (mask, coefficient) terms.
 
-    e_b * f maps each term c e_m of f to sign(b, m) c e_{b xor m}, so every
-    row is a signed permutation of the integer terms of D * f.  As in
-    geometric_product, the sign is the parity of m & sign_mask, with
-    sign_mask computed once per row.
+    e_b * x maps each term c e_m of x to sign(b, m) c e_{b xor m}, so every
+    row is a signed permutation of x's terms.  As in geometric_product, the
+    sign is the parity of m & sign_mask, with sign_mask computed once per row.
     """
-    sig = f.sig
-    den, scaled = clear_denominators(f.term_map())
-    terms = list(scaled.items())
     negative = (1 << sig.n) - (1 << sig.p)
+    signed = [(m, c, -c) for m, c in terms]
 
-    def row(b: int) -> dict[int, int]:
+    def row(b: int) -> dict[int, int | Fraction]:
         sign_mask = _suffix_parity(b) ^ (b & negative)
-        return {b ^ m: -c if (sign_mask & m).bit_count() & 1 else c for m, c in terms}
+        return {b ^ m: neg if (sign_mask & m).bit_count() & 1 else c for m, c, neg in signed}
 
-    return den, map(row, masks)
+    return map(row, masks)
+
+
+def _blade_rows(f: Multivector, masks: Iterable[int]) -> tuple[int, Iterator[dict[int, int]]]:
+    """D, the lcm of f's denominators, and the integer rows D * (e_b * f), b in masks."""
+    den, scaled = clear_denominators(f.term_map())
+    return den, _signed_rows(f.sig, list(scaled.items()), masks)
+
+
+def _f2_certified(f: Multivector) -> bool:
+    """True iff f passes the F_2 coset certificate.
+
+    f passes when supp f is an F_2 subspace T (it holds 0, and its masks
+    span exactly log2 len(f) dimensions) and e_t * f = +-f for each vector
+    t of an echelon basis of T.  Then e_t * f = +-f for every t in T, so
+    e_b * f and e_{b xor t} * f are +-each other, while rows of distinct
+    cosets b xor T have disjoint supports: the rank is 2^n / |T|, and
+    elimination in any order keeps exactly the first candidate of each
+    coset.  Idempotency is not needed.
+    """
+    terms = f._terms
+    if 0 not in terms:  # implied by the count below; a cheap early out
+        return False
+    basis: list[int] = []
+    for mask in terms:
+        m = _f2_reduce(mask, basis)
+        if m:
+            basis.append(m)
+            basis.sort(reverse=True)
+    if 1 << len(basis) != len(terms):  # supp f fills its span only if it is a subspace
+        return False
+    _, rows = _blade_rows(f, [0, *basis])
+    scaled = next(rows)  # e_0 * D f = D f
+    negated = {m: -c for m, c in scaled.items()}
+    return all(row == scaled or row == negated for row in rows)
+
+
+def _first_per_coset(masks: Iterable[int], span: Iterable[int]) -> list[int]:
+    """The masks b met first in their coset b xor span, in order; span lists a subspace."""
+    span = list(span)
+    seen: set[int] = set()
+    kept = []
+    for b in masks:
+        if b not in seen:
+            kept.append(b)
+            seen.update([b ^ t for t in span])
+    return kept
+
+
+def _eliminate(f: Multivector, masks: Sequence[int]) -> tuple[RowBasis, list[int]]:
+    """Integer elimination of the rows D * (e_b * f), b in masks, in order.
+
+    Returns the echelon of the accepted rows and the masks b whose rows
+    enlarged the span.
+    """
+    _, rows = _blade_rows(f, masks)
+    echelon = RowBasis()
+    kept = [b for b, row in zip(masks, rows) if echelon.add(row)]
+    return echelon, kept
 
 
 # A fixed size, not a setting: verify-paper, the widest caller, asks for four distinct ideals.
@@ -207,20 +278,27 @@ _IDEAL_MEMO = 8
 def left_ideal_basis(f: Multivector) -> IdealBasis:
     """Exact rank and basis of the left ideal generated by f.
 
-    Runs every basis blade b through b*f and keeps those that enlarge the
-    row span; for a primitive idempotent the resulting dimension matches
-    the classification minimum.  Results are memoised on f, so asking
-    again for the same ideal reuses one elimination.
+    Runs every basis blade b, in canonical order, through b*f and keeps
+    those that enlarge the row span: the first blade of each coset when f
+    passes the F_2 coset certificate, by elimination otherwise.  For a
+    primitive idempotent the resulting dimension matches the
+    classification minimum.  Results are memoised on f, so asking again
+    for the same ideal reuses one computation.
     """
     if f.is_zero():
         raise ValueError("left ideal of the zero element is trivial")
     sig = f.sig
-    den, rows = _blade_rows(f, blade_table(sig.n).order)
-    echelon = RowBasis()
-    accepted = [row for row in rows if echelon.add(row)]
-    basis = tuple(Multivector(sig, {m: Fraction(c, den) for m, c in row.items()})
-                  for row in accepted)
-    return IdealBasis(idempotent=f, dimension=echelon.rank, basis=basis, _rows=echelon)
+    order = blade_table(sig.n).order
+    if _f2_certified(f):
+        kept = _first_per_coset(order, f._terms)
+        echelon = RowBasis()
+        for row in _blade_rows(f, kept)[1]:
+            echelon.add(row)  # disjoint supports: one pivot probe each
+    else:
+        echelon, kept = _eliminate(f, order)
+    elements = tuple(Multivector._from_canonical(sig, row)
+                     for row in _signed_rows(sig, f._terms.items(), kept))
+    return IdealBasis(idempotent=f, dimension=echelon.rank, basis=elements, _rows=echelon)
 
 
 def coset_basis(f: Multivector, candidates: Iterable[Iterable[int]]) -> list[tuple[int, ...]]:
@@ -230,17 +308,16 @@ def coset_basis(f: Multivector, candidates: Iterable[Iterable[int]]) -> list[tup
     enlarges the span.  Raises ValueError when the surviving set does not
     span the whole ideal.
     """
-    target = left_ideal_basis(f).dimension
     n = f.sig.n
-    indices = [tuple(cand) for cand in candidates]
-    _, rows = _blade_rows(f, (blade_mask(t, n) for t in indices))
-    echelon = RowBasis()
-    accepted = [t for t, row in zip(indices, rows) if echelon.add(row)]
-    if echelon.rank != target:
+    certified = _f2_certified(f)
+    target = (1 << n) // len(f) if certified else left_ideal_basis(f).dimension
+    masks = [blade_mask(cand, n) for cand in candidates]
+    kept = _first_per_coset(masks, f._terms) if certified else _eliminate(f, masks)[1]
+    if len(kept) != target:
         raise ValueError(
-            f"candidates insufficient to span the ideal (got rank {echelon.rank} of {target})"
+            f"candidates insufficient to span the ideal (got rank {len(kept)} of {target})"
         )
-    return accepted
+    return [mask_indices(m) for m in kept]
 
 
 class AlgebraClass(_Record):

@@ -218,9 +218,9 @@ def g2_metric(s: G2Structure) -> OrbitReport:
     if not d:
         tag = "degenerate"
     else:
-        plus = leading_principal_minors([list(r) for r in rows])
-        minus = leading_principal_minors([[-v for v in r] for r in rows])
-        if all(m > 0 for m in plus) or all(m > 0 for m in minus):
+        # the k-th leading minor of -B is (-1)^k times that of B
+        minors = leading_principal_minors([list(r) for r in rows])
+        if all(m > 0 for m in minors) or all((-1) ** k * m > 0 for k, m in enumerate(minors, 1)):
             tag = "definite"
         else:
             tag = "split"

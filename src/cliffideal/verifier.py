@@ -37,6 +37,7 @@ from .exterior import (
 from .exprio import parse, print_canonical
 from .ideals import (
     IdempotentSpec,
+    _eliminate,
     build_idempotent,
     classify,
     coset_basis,
@@ -290,11 +291,9 @@ def _build_catalog() -> tuple[Claim, ...]:
 
     # C13 ----------------------------------------------------------------
     def eval_c13(conv):
-        dims = (
-            left_ideal_basis(_f6()).dimension,
-            left_ideal_basis(_f7()).dimension,
-            left_ideal_basis(_f8()).dimension,
-        )
+        # elimination over every blade, as the statement says, not the coset certificate
+        dims = tuple(_eliminate(f, blade_table(f.sig.n).order)[0].rank
+                     for f in (_f6(), _f7(), _f8()))
         computed = f"dim(R_(0,6) f) = {dims[0]}; dim(R_(0,7) f) = {dims[1]}; dim(R_(0,8) f) = {dims[2]}"
         return dims == (8, 8, 16), computed, ""
 

@@ -8,6 +8,7 @@ representation tricks with the package under test.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 
 def sort_sign(indices):
@@ -113,9 +114,16 @@ def dense_rank(rows, n):
         for ind, coef in row.items():
             vec[index[ind]] += coef
         matrix.append(vec)
+    return matrix_rank(matrix)
+
+
+def matrix_rank(matrix):
+    """Rank of a list of equal-length rational rows, by full Gaussian elimination."""
+    matrix = [[Fraction(v) for v in row] for row in matrix]
+    width = len(matrix[0]) if matrix else 0
     rank = 0
     col = 0
-    while rank < len(matrix) and col < len(columns):
+    while rank < len(matrix) and col < width:
         pivot = next((r for r in range(rank, len(matrix)) if matrix[r][col]), None)
         if pivot is None:
             col += 1
@@ -152,6 +160,126 @@ def principal_minors(matrix):
                 sub[r] = [a - factor * b for a, b in zip(sub[r], sub[col])]
         minors.append(det)
     return minors
+
+
+# -- real matrix representations of R_{0,n} ------------------------------------
+#
+# Each generator e_i goes to a Kronecker word over the 2x2 integer matrices
+# I, X = sigma_x, Z = sigma_z and E = epsilon.  A word squares to -I and two
+# words anticommute exactly as their letters say, by the mixed-product rule
+# (A (x) B)(C (x) D) = AC (x) BD (Lounesto, Clifford Algebras and Spinors,
+# 2nd ed., 2001, chs. 16-17).
+
+LETTERS = {
+    "I": [[1, 0], [0, 1]],
+    "X": [[0, 1], [1, 0]],
+    "Z": [[1, 0], [0, -1]],
+    "E": [[0, -1], [1, 0]],
+}
+
+
+def mat_mul(a, b):
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
+            for i in range(len(a))]
+
+
+def kron(a, b):
+    return [[x * y for x in row_a for y in row_b] for row_a in a for row_b in b]
+
+
+def identity(size):
+    return [[int(i == j) for j in range(size)] for i in range(size)]
+
+
+def _scaled(a, s):
+    return [[s * v for v in row] for row in a]
+
+
+def _letter_sign(x, y):
+    """s with xy = s * yx for two letters."""
+    xy, yx = mat_mul(LETTERS[x], LETTERS[y]), mat_mul(LETTERS[y], LETTERS[x])
+    return 1 if xy == yx else -1 if xy == _scaled(yx, -1) else 0
+
+
+def anticommuting_words(n, length):
+    """n words of the given length that each square to -I and pairwise
+    anticommute: the first such set in a depth-first search over the
+    words in lexicographic order, or None."""
+    minus = _scaled(identity(2), -1)
+    candidates = []
+    for word in product("IXZE", repeat=length):
+        squares = [mat_mul(LETTERS[x], LETTERS[x]) for x in word]
+        if sum(sq == minus for sq in squares) % 2 == 1:  # the rest square to +I
+            candidates.append(word)
+
+    def anti(u, v):
+        sign = 1
+        for x, y in zip(u, v):
+            sign *= _letter_sign(x, y)
+        return sign == -1
+
+    def extend(chosen, start):
+        if len(chosen) == n:
+            return chosen
+        for j in range(start, len(candidates)):
+            if all(anti(candidates[j], w) for w in chosen):
+                found = extend(chosen + [candidates[j]], j + 1)
+                if found:
+                    return found
+        return None
+
+    return extend([], 0)
+
+
+class MatrixRep:
+    """rho: R_{0,n} -> real 2^length x 2^length matrices, e_i -> the i-th word.
+
+    With doubled, the representation is rho (+) rho' with rho'(e_i) =
+    -rho(e_i), as block diagonal matrices twice the size: faithful on
+    R_{0,7} = M_8(R) (+) M_8(R), where rho alone kills one summand.
+    Elements are {indices: coefficient} dicts, as in multiply_dicts.
+    """
+
+    def __init__(self, n, length, doubled=False):
+        self.words = anticommuting_words(n, length)
+        if self.words is None:
+            raise ValueError(f"no {n} anticommuting words of length {length}")
+        self.block = 1 << length
+        self.doubled = doubled
+        self.size = 2 * self.block if doubled else self.block
+
+    def word_blade(self, indices):
+        """rho(e_{i1} e_{i2} ...): per position the product of the letters, then kron."""
+        out = [[1]]
+        for pos in range(len(self.words[0])):
+            m = identity(2)
+            for i in indices:
+                m = mat_mul(m, LETTERS[self.words[i - 1][pos]])
+            out = kron(out, m)
+        return out
+
+    def __call__(self, x):
+        block = [[0] * self.block for _ in range(self.block)]
+        other = [[0] * self.block for _ in range(self.block)]
+        for indices, coef in x.items():
+            m = self.word_blade(indices)
+            flip = -1 if len(indices) % 2 else 1  # rho'(e_I) = (-1)^|I| rho(e_I)
+            for i in range(self.block):
+                for j in range(self.block):
+                    block[i][j] += coef * m[i][j]
+                    other[i][j] += flip * coef * m[i][j]
+        if not self.doubled:
+            return block
+        zero = [0] * self.block
+        return ([row + zero for row in block]
+                + [zero + row for row in other])
+
+    def blocks(self, matrix):
+        """The diagonal blocks of a representing matrix: one, or two when doubled."""
+        if not self.doubled:
+            return [matrix]
+        b = self.block
+        return [[row[:b] for row in matrix[:b]], [row[b:] for row in matrix[b:]]]
 
 
 class ScanError(ValueError):

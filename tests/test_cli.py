@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -368,3 +371,23 @@ def test_golden_transcript(capsys, monkeypatch, entry):
     code, out, _ = run(capsys, *entry["argv"])
     assert code == entry["exit"]
     assert out.encode("utf-8") == entry["stdout"].encode("utf-8")
+
+
+# -- a reader that goes away -----------------------------------------------
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+@pytest.mark.parametrize("argv", [["classify", "0", "6"],
+                                  ["idempotent", "--sig", "0,8", "--ideal",
+                                   "--gens=-e1234,-e1256,-e1278,-e1357"]])
+def test_closed_stdout_pipe_exits_141(argv, unbuffered):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the child writes a byte
+    try:
+        proc = subprocess.run([sys.executable, "-m", "cliffideal.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert b"Traceback" not in proc.stderr and b"BrokenPipeError" not in proc.stderr

@@ -21,6 +21,7 @@ from cliffideal import (
     left_ideal_basis,
     parse,
     radon_hurwitz,
+    run_claim,
     validate_generators,
 )
 from cliffideal import ideals
@@ -246,7 +247,8 @@ def test_left_ideal_basis_memo(f6, f7, sig6, monkeypatch):
     assert coset_basis(f7, cands) == cands
     assert is_primitive(f7) and is_primitive(f7)
     assert left_ideal_basis(f7) is ideal
-    assert len(calls) == (1 << 7) + len(cands)  # one full-blade pass, one candidate pass
+    # f7 passes the coset certificate: one add per accepted row, none for the candidates
+    assert len(calls) == ideal.dimension == 8
 
     pieces = decompose_algebra(IdempotentSpec(sig6, GENS6)) + [f7]
     assert len(pieces) > ideals._IDEAL_MEMO
@@ -258,6 +260,134 @@ def test_left_ideal_basis_memo(f6, f7, sig6, monkeypatch):
     for _ in range(2):
         with pytest.raises(ValueError):
             left_ideal_basis(Multivector.zero(sig6))
+
+
+# -- the F_2 coset certificate against elimination ------------------------------
+
+def _eliminated(f, monkeypatch):
+    """left_ideal_basis(f) as elimination computes it, past the memo and the certificate."""
+    with monkeypatch.context() as m:
+        m.setattr(ideals, "_f2_certified", lambda f: False)
+        return ideals.left_ideal_basis.__wrapped__(f)
+
+
+def _eliminated_cosets(f, candidates):
+    """The candidates elimination keeps, in order, and the rank they reach."""
+    masks = [blade_mask(c, f.sig.n) for c in candidates]
+    echelon, kept = ideals._eliminate(f, masks)
+    return [mask_indices(b) for b in kept], echelon.rank
+
+
+def _assert_same_ideal(f, monkeypatch, rng):
+    """The certified or fallback ideal of f against elimination: basis, echelon,
+    coset bases of shuffled candidate lists, and contains queries."""
+    n = f.sig.n
+    idempotent = is_idempotent(f)
+    ideal = ideals.left_ideal_basis.__wrapped__(f)
+    want = _eliminated(f, monkeypatch)
+    assert ideal.dimension == want.dimension
+    assert ideal.basis == want.basis  # element for element, in order
+    assert ideal._rows._pivots == want._rows._pivots
+    order = [mask_indices(m) for m in blade_table(n).order]
+    assert ideal.basis == tuple(Multivector(f.sig, {blade_mask(t, n): 1}) * f
+                                for t in coset_basis(f, order))
+    for _ in range(3):
+        cands = rng.sample(order, rng.randint(1, len(order)))
+        cands += rng.sample(cands, min(2, len(cands)))  # repeats are never kept twice
+        kept, rank = _eliminated_cosets(f, cands)
+        if rank == want.dimension:
+            assert coset_basis(f, cands) == kept
+        else:
+            with pytest.raises(ValueError, match=rf"\(got rank {rank} of {want.dimension}\)$"):
+                coset_basis(f, cands)
+    for _ in range(4):
+        b = Multivector(f.sig, {rng.randrange(1 << n): Fraction(rng.randint(-5, 5) or 1,
+                                                                   rng.randint(1, 4))})
+        inside = b * f + ideal.basis[rng.randrange(ideal.dimension)]
+        outside = inside + Multivector(f.sig, {rng.randrange(1 << n): Fraction(1, 3)})
+        for x in (inside, outside):
+            assert ideal.contains(x) == want.contains(x)
+            if idempotent:  # x is in A f exactly when x f = x
+                assert ideal.contains(x) == (x * f == x)
+        assert ideal.contains(inside)
+    return ideal
+
+
+def _conjugate(f, b):
+    """u f u^-1 with u = 2 + e_b, where u^-1 = (2 - e_b) / (4 - e_b^2)."""
+    e = Multivector(f.sig, {b: 1})
+    one = Multivector.scalar(f.sig, 1)
+    square = (e * e).scalar_part
+    return (one.scale(2) + e) * f * (one.scale(2) - e).scale(Fraction(1, 4 - square))
+
+
+def test_certificate_matches_elimination_on_random_idempotents(monkeypatch):
+    rng = random.Random(1998)
+    checked = 0
+    for n in range(2, 11):
+        for p in range(n + 1):
+            sig = Signature(p, n - p)
+            f = _random_idempotent(sig, rng)
+            assert ideals._f2_certified(f), sig
+            ideal = _assert_same_ideal(f, monkeypatch, rng)
+            assert ideal.dimension == (1 << n) * f.scalar_part  # trace identity
+            assert ideal.dimension == classify(sig).minimal_ideal_dim
+            checked += 1
+    assert checked == sum(n + 1 for n in range(2, 11))
+
+
+def test_conjugated_idempotents_take_the_fallback(monkeypatch):
+    rng = random.Random(2001)
+    taken = 0
+    for n in range(2, 9):
+        p = rng.randint(0, n)
+        sig = Signature(p, n - p)
+        f = _random_idempotent(sig, rng)
+        for b in rng.sample(range(1, 1 << n), 1 << n - 1):
+            g = _conjugate(f, b)
+            if g != f:
+                break
+        else:
+            continue
+        assert is_idempotent(g) and not ideals._f2_certified(g), (sig, b)
+        calls = []
+        add = RowBasis.add
+        with monkeypatch.context() as m:
+            m.setattr(RowBasis, "add", lambda self, row: calls.append(1) or add(self, row))
+            ideal = _assert_same_ideal(g, monkeypatch, rng)
+        assert len(calls) >= 1 << n  # the fallback eliminates over every blade
+        assert ideal.dimension == (1 << n) * g.scalar_part == left_ideal_basis(f).dimension
+        taken += 1
+    assert taken >= 6
+
+
+def test_certificate_on_non_idempotents(monkeypatch):
+    rng = random.Random(115)
+    certified = [("1 + e1", Signature(1, 0), 1), ("2 - 2*e12", Signature(1, 1), 2),
+                 (F6_CANONICAL.replace("1/8", "3/8"), Signature(0, 6), 8)]
+    rejected = [("e1", Signature(1, 0), 2), ("1 + 2*e1", Signature(1, 0), 2),
+                ("1 + e12", Signature(0, 2), 4), ("2 - 2*e12", Signature(2, 0), 4),
+                ("1 + e1 + e2", Signature(2, 0), None),
+                # supp is a subspace, but e135 and e246 anticommute
+                ("3 + 3*e135 - 3*e246 + 3*e123456", Signature(0, 6), None)]
+    for text, sig, dim in certified + rejected:
+        f = parse(text, sig)
+        assert ideals._f2_certified(f) == ((text, sig, dim) in certified), text
+        assert not is_idempotent(f)
+        ideal = _assert_same_ideal(f, monkeypatch, rng)
+        if dim is not None:
+            assert ideal.dimension == dim, text
+        if (text, sig, dim) in certified:
+            assert ideal.dimension == (1 << sig.n) // len(f)
+
+
+def test_c13_eliminates_over_every_blade(monkeypatch):
+    calls = []
+    add = RowBasis.add
+    monkeypatch.setattr(RowBasis, "add", lambda self, row: calls.append(1) or add(self, row))
+    result = run_claim("C13")
+    assert result.status == "PASS"
+    assert len(calls) == (1 << 6) + (1 << 7) + (1 << 8)
 
 
 def test_ideal_basis_elements_are_blade_products(f6):

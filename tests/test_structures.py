@@ -162,6 +162,22 @@ def test_g2_metric_degenerate():
     assert report.determinant == 0
 
 
+def test_g2_metric_pins_three_tags():
+    phi = model_g2().phi
+    split = phi - ExteriorForm.blade(7, (1, 2, 3)).scale(2)  # e123 with its sign flipped
+    cases = (
+        (phi, "definite", [1] * 7),
+        (phi.scale(-1), "definite", [(-1) ** k for k in range(1, 8)]),  # B = -I
+        (split, "split", [-1, 1, -1, -1, -1, -1, -1]),
+        (ExteriorForm.blade(7, (1, 2, 3)), "degenerate", None),
+    )
+    for form, tag, minors in cases:
+        report = g2_metric(G2Structure(phi=form))
+        assert report.tag == tag
+        if minors is not None:
+            assert principal_minors([list(r) for r in report.metric]) == minors
+
+
 def _oracle_g2_metric(phi_dict):
     def contract(i):
         out = {}
