@@ -186,8 +186,9 @@ class BladeTable:
     """The blades of dimension n: blade_table(n) builds one per n, on first use.
 
     order lists every mask by grade, then lexicographically; rank[mask] is
-    its position there.  The text columns are built on first use, so a
-    dimension never printed or parsed as text holds only these two arrays.
+    its position there.  The text columns and the index-tuple map are
+    built on first use, so a dimension never printed, parsed or looked up
+    by index tuple holds only these two arrays.
     """
 
     def __init__(self, n: int):
@@ -207,6 +208,11 @@ class BladeTable:
             text[m] = ("e" + "".join(map(str, ind)) if ind[-1] < 10
                        else "e{" + ",".join(map(str, ind)) + "}") if ind else "1"
         return tuple(text)
+
+    @cached_property
+    def index(self) -> dict[tuple[int, ...], int]:
+        """Mask of each strictly increasing index tuple, keys in canonical order."""
+        return dict(zip(_by_grade(self.n), self.order))
 
     @cached_property
     def digits(self) -> dict[str, int]:

@@ -14,7 +14,7 @@ import os
 import re
 import sys
 
-from .algebra import Multivector, Signature, blade_mask, blade_table, mask_indices
+from .algebra import Multivector, Signature, blade_table, mask_indices
 from .exterior import ExteriorForm, HodgeConvention, clifford_hodge, hodge_star, wedge
 from .exprio import (
     ParseError,
@@ -200,8 +200,8 @@ def _cmd_idempotent(args) -> int:
         ideal = left_ideal_basis(f)
         print(f"dimension: {ideal.dimension}")
         table = blade_table(sig.n)
-        reps = coset_basis(f, (mask_indices(m) for m in table.order))
-        print("coset basis: " + ", ".join(table.text[blade_mask(r, sig.n)] for r in reps))
+        reps = coset_basis(f, table.index)  # the table's own tuples, in canonical order
+        print("coset basis: " + ", ".join(table.text[table.index[r]] for r in reps))
         return EXIT_OK
 
     # decompose

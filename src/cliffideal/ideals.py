@@ -2,10 +2,14 @@
 
 An idempotent is built from k commuting basis blades that square to +1
 and whose index sets are independent over F_2, as the expanded product
-prod (1 + s_i e_{t_i}) / 2.  With k = q - r_{q-p} (r the Radon-Hurwitz
-numbers) the result is primitive and its left ideal has dimension
-2^{p+q-k}.  Ideal dimensions are computed by an exact F_2 coset
-certificate or by elimination, never assumed.  For a blade b the product
+prod (1 + s_i e_{t_i}) / 2.  The signed products of the s_i e_{t_i} form
+a group of 2^k distinct signed blades, so the expansion is 2^-k times
+that group's signed sum, written down term by term with no geometric
+product.  With k = q - r_{q-p} (r the Radon-Hurwitz numbers) the result
+is primitive and its left ideal has dimension 2^{p+q-k}.  Ideal
+dimensions are computed by exact identities (an F_2 coset certificate,
+or the trace 2^n <f>_0 of x -> x*f for an idempotent f) or by
+elimination, never assumed.  For a blade b the product
 b*f is a signed permutation of f's terms.  When supp f is an F_2 subspace
 T and e_t*f = +-f for each t in a basis of T, the rows b*f fall into the
 cosets b xor T: rows of one coset are +-each other, rows of distinct cosets
@@ -20,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as _iterproduct
+from itertools import chain, product as _iterproduct
 from typing import Iterable, Iterator, Sequence
 
 from .algebra import (
@@ -148,7 +152,14 @@ def validate_generators(spec: IdempotentSpec) -> GeneratorReport:
 
 
 def build_idempotent(spec: IdempotentSpec) -> Multivector:
-    """Expand prod (1 + s_i e_{t_i}) / 2 exactly.
+    """Expand prod (1 + s_i e_{t_i}) / 2 exactly, as 2^-k times a signed group.
+
+    Valid generators commute and are independent over F_2, so the products
+    of the s_i e_{t_i} form a group of 2^k distinct signed blades and the
+    expansion has no like terms: starting from {0: 1}, each factor in turn
+    adds c s sign(e_m e_t) e_{m xor t} beside every term c e_m, and every
+    coefficient is +-2^-k.  The terms come out in the order the product of
+    the factors, left to right, would list them.
 
     Raises GeneratorError if the generator set fails validation.
     """
@@ -156,12 +167,13 @@ def build_idempotent(spec: IdempotentSpec) -> Multivector:
     if not report.ok:
         raise GeneratorError("; ".join(report.violations))
     sig = spec.sig
-    f = Multivector.scalar(sig, 1)
-    half = Fraction(1, 2)
-    for s, t in spec.generators:
-        factor = Multivector(sig, {0: half, blade_mask(t, sig.n): s * half})
-        f = f * factor
-    return f
+    terms = [(0, 1)]
+    for (s, _), t in zip(spec.generators, spec.masks()):
+        terms = [term for m, c in terms
+                 for term in ((m, c), (m ^ t, c * s * blade_product_masks(m, t, sig)[0]))]
+    plus = Fraction(1, 1 << len(spec.generators))
+    minus = -plus
+    return Multivector._from_canonical(sig, {m: plus if c > 0 else minus for m, c in terms})
 
 
 def is_idempotent(x: Multivector) -> bool:
@@ -189,9 +201,15 @@ class IdealBasis(_Record):
     _rows: RowBasis  # left out of ==, hash and repr
 
     def contains(self, x: Multivector) -> bool:
+        _require_multivector(x, "IdealBasis.contains")
         if x.sig != self.idempotent.sig:
             raise ValueError(f"signature mismatch: {x.sig} vs {self.idempotent.sig}")
-        return self._rows.contains(x.term_map())
+        return self._rows.contains(x._terms)  # a Fraction row is cleared into a new dict
+
+
+def _require_multivector(x, caller: str) -> None:
+    if not isinstance(x, Multivector):
+        raise TypeError(f"{caller} needs a Multivector, got {type(x).__name__}")
 
 
 def _signed_rows(sig: Signature, terms: Iterable[tuple[int, int | Fraction]],
@@ -285,6 +303,7 @@ def left_ideal_basis(f: Multivector) -> IdealBasis:
     classification minimum.  Results are memoised on f, so asking again
     for the same ideal reuses one computation.
     """
+    _require_multivector(f, "left_ideal_basis")
     if f.is_zero():
         raise ValueError("left ideal of the zero element is trivial")
     sig = f.sig
@@ -301,17 +320,35 @@ def left_ideal_basis(f: Multivector) -> IdealBasis:
     return IdealBasis(idempotent=f, dimension=echelon.rank, basis=elements, _rows=echelon)
 
 
+def _candidate_masks(candidates: Iterable[Iterable[int]], n: int) -> list[int]:
+    """blade_mask of each candidate, in order, by one table lookup each.
+
+    The lookup is taken only when every index has type exactly int (True,
+    1.0, Fraction(1) and IntEnum members hash like 1); a miss then means a
+    malformed blade.  Otherwise blade_mask runs over the candidates in
+    order and raises on the first bad one.
+    """
+    cands = list(map(tuple, candidates))
+    if set(map(type, chain.from_iterable(cands))) <= {int}:
+        masks = list(map(blade_table(n).index.get, cands))
+        if None not in masks:
+            return masks
+    return [blade_mask(cand, n) for cand in cands]
+
+
 def coset_basis(f: Multivector, candidates: Iterable[Iterable[int]]) -> list[tuple[int, ...]]:
     """Select candidate blades b whose products b*f form a basis of the ideal.
 
     Candidates are taken in the given order; a candidate is kept iff it
     enlarges the span.  Raises ValueError when the surviving set does not
-    span the whole ideal.
+    span the whole ideal, or on the first candidate that is not a strictly
+    increasing tuple of int indices in 1..n.
     """
+    _require_multivector(f, "coset_basis")
     n = f.sig.n
     certified = _f2_certified(f)
     target = (1 << n) // len(f) if certified else left_ideal_basis(f).dimension
-    masks = [blade_mask(cand, n) for cand in candidates]
+    masks = _candidate_masks(candidates, n)
     kept = _first_per_coset(masks, f._terms) if certified else _eliminate(f, masks)[1]
     if len(kept) != target:
         raise ValueError(
@@ -359,10 +396,15 @@ def classify(sig: Signature) -> AlgebraClass:
 
 
 def is_primitive(f: Multivector) -> bool:
-    """True iff f is a nonzero idempotent whose ideal has the minimal dimension."""
+    """True iff f is a nonzero idempotent whose ideal has the minimal dimension.
+
+    x -> x*f is a projection of the algebra when f*f = f, and a projection's
+    rank is its trace; e_b*e_m has an e_b term only for m = 0, so the trace,
+    and with it dim A*f, is 2^n <f>_0.  No elimination is needed.
+    """
     if f.is_zero() or not is_idempotent(f):
         return False
-    return left_ideal_basis(f).dimension == classify(f.sig).minimal_ideal_dim
+    return (1 << f.sig.n) * f.scalar_part == classify(f.sig).minimal_ideal_dim
 
 
 def decompose_algebra(spec: IdempotentSpec) -> list[Multivector]:

@@ -25,10 +25,11 @@ class RowBasis:
 
     Elimination is fraction-free, as in Bareiss, Math. Comp. 22 (1968),
     but keeps entries small by primitive parts instead of exact division:
-    rows are cleared of denominators on entry, each pivot row is kept
-    primitive (content 1, positive leading entry), and a row is reduced
-    against a pivot by integer cross-multiplication scaled down by the
-    gcd of the two leading entries.
+    rows are cleared of denominators on entry (a row of nonzero ints is
+    only copied), each pivot row is kept primitive (content 1, positive
+    leading entry), and a row is reduced against a pivot by integer
+    cross-multiplication scaled down by the gcd of the two leading
+    entries.
     """
 
     def __init__(self) -> None:
@@ -39,7 +40,11 @@ class RowBasis:
         return len(self._pivots)
 
     def _reduce(self, row: dict[int, int | Fraction]) -> dict[int, int]:
-        _, row = clear_denominators(row)
+        vals = row.values()
+        if set(map(type, vals)) <= {int} and 0 not in vals:  # == 0 on a Fraction runs Python code
+            row = dict(row)  # already cleared; the copy keeps the caller's row intact
+        else:
+            _, row = clear_denominators(row)
         while row:
             lead = min(row)
             pivot = self._pivots.get(lead)

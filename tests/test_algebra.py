@@ -327,4 +327,7 @@ def test_blade_table_order_rank_and_text():
                 assert table.text[m] == "e{" + ",".join(map(str, ind)) + "}"
         assert table.text[0] == "1"
         assert len(table.digits) == (1 << min(n, 9)) - 1
+        # the index-tuple map: keys in canonical order, each the tuple blade_mask packs
+        assert list(table.index) == [mask_indices(m) for m in table.order]
+        assert all(blade_mask(ind, n) == m for ind, m in table.index.items())
     assert blade_table(12) is blade_table(12)

@@ -1,11 +1,14 @@
 import random
+from enum import IntEnum
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 
 from cliffideal import (
+    ExteriorForm,
     GeneratorError,
     IdempotentSpec,
     Multivector,
@@ -35,7 +38,7 @@ from cliffideal.algebra import (
 from cliffideal.linalg import RowBasis, det, leading_principal_minors
 
 from conftest import multivectors
-from oracles import dense_rank, principal_minors
+from oracles import dense_rank, multiply_dicts, principal_minors
 
 GENS6 = ((1, (1, 3, 5)), (-1, (1, 4, 6)), (-1, (2, 3, 6)))
 GENS7 = ((1, (1, 2, 3)), (1, (1, 4, 5)), (-1, (2, 5, 7)), (1, (1, 6, 7)))
@@ -199,6 +202,11 @@ def test_left_ideal_of_zero_rejected(sig6):
 
 def _random_idempotent(sig, rng):
     """A primitive idempotent of sig from a seeded greedy generator search."""
+    return build_idempotent(_random_spec(sig, rng))
+
+
+def _random_spec(sig, rng):
+    """A valid generator set of sig, with random signs, from a seeded greedy search."""
     k = sig.q - radon_hurwitz(sig.q - sig.p)
     blades = list(range(1, 1 << sig.n))
     while True:
@@ -214,7 +222,7 @@ def _random_idempotent(sig, rng):
                 chosen.append(m)
         if len(chosen) == k:
             gens = tuple((rng.choice((1, -1)), mask_indices(m)) for m in chosen)
-            return build_idempotent(IdempotentSpec(sig, gens))
+            return IdempotentSpec(sig, gens)
 
 
 def test_signed_permutation_rows_match_products(f6, f7, f8):
@@ -409,6 +417,96 @@ def test_coset_basis_insufficient_candidates(f6):
         coset_basis(f6, [(), (2,), (3,), (5,)])
 
 
+# -- the signed group expansion and the candidate lookup -----------------------
+
+def _oracle_expansion(spec):
+    """prod (1 + s_i e_{t_i}) / 2 multiplied out by tests/oracles.py, as {mask: Fraction}."""
+    half = Fraction(1, 2)
+    out = {(): Fraction(1)}
+    for s, t in spec.generators:
+        out = multiply_dicts(out, {(): half, t: s * half}, spec.sig.p)
+    return {blade_mask(ind, spec.sig.n): c for ind, c in out.items()}
+
+
+def _assert_expands_its_factors(spec, f):
+    want = Multivector(spec.sig, _oracle_expansion(spec))
+    assert f.term_map() == want.term_map(), spec
+    assert f == want and hash(f) == hash(want)
+    assert all(type(c) is Fraction and c for c in f.term_map().values())
+    assert len(f) == 1 << len(spec.generators)  # 2^k distinct blades, no like terms
+
+
+def test_build_idempotent_expands_the_signed_group():
+    rng = random.Random(1018)
+    mixed = 0
+    for n in range(2, 11):
+        for p in range(n + 1):
+            sig = Signature(p, n - p)
+            blades = tuple(t for _, t in _random_spec(sig, rng).generators)
+            k = len(blades)
+            signs = ([1, -1] + [rng.choice((1, -1)) for _ in range(k - 2)])[:k]
+            rng.shuffle(signs)
+            spec = IdempotentSpec(sig, tuple(zip(signs, blades)))
+            _assert_expands_its_factors(spec, build_idempotent(spec))
+            mixed += len(set(signs)) == 2
+            pieces = decompose_algebra(spec)
+            assert len(pieces) == 1 << k
+            for piece_signs, piece in zip(product((1, -1), repeat=k), pieces):
+                _assert_expands_its_factors(IdempotentSpec(sig, tuple(zip(piece_signs, blades))),
+                                            piece)
+    assert mixed >= 40
+
+
+Index = IntEnum("Index", {f"E{i}": i for i in range(1, 7)})
+
+
+def _outcome(f, candidates):
+    """coset_basis(f, candidates): the kept tuples, or the error type and text."""
+    try:
+        return coset_basis(f, candidates)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+def test_coset_basis_lookup_matches_blade_mask(f6, monkeypatch):
+    order = list(blade_table(6).index)
+    g = _conjugate(f6, blade_mask((1, 2), 6))
+    assert not ideals._f2_certified(g)
+    cases = [
+        order, order[::-1], [list(t) for t in order], [(), (2,), (3,), (5,)], [],
+        [(True,)], [(1.0,)], [(Fraction(1),)], [(2, 1)], [(1, 1)], [(7,)], [(0,)], [(-1,)],
+        ["12"], [5], [tuple(Index(i) for i in t) for t in order],
+        order[:10] + [(3, 2)] + order[10:], order[:5] + [(1, True)] + order[5:],
+        order + [(6, 7)],
+    ]
+    for f in (f6, g):
+        for cands in cases:
+            fast = _outcome(f, cands)
+            assert _outcome(f, (iter(t) for t in cands)) == fast  # generators of generators
+            with monkeypatch.context() as m:
+                m.setattr(ideals, "_candidate_masks",
+                          lambda cands, n: [blade_mask(c, n) for c in cands])
+                assert _outcome(f, cands) == fast, cands
+    assert _outcome(f6, order[:10] + [(3, 2)] + order[10:]) == (
+        ValueError, "blade indices must be strictly increasing, got index 2")
+    assert _outcome(f6, [(True,)]) == (ValueError, "blade index True is not an integer")
+    reps = coset_basis(f6, [tuple(Index(i) for i in t) for t in order])
+    assert reps == coset_basis(f6, order) and len(reps) == 8
+
+
+def test_non_multivector_arguments_raise_type_error(f6):
+    form = ExteriorForm.blade(6, (1,))
+    with pytest.raises(TypeError, match="^left_ideal_basis needs a Multivector, got ExteriorForm$"):
+        left_ideal_basis(form)
+    with pytest.raises(TypeError, match="^coset_basis needs a Multivector, got ExteriorForm$"):
+        coset_basis(form, [()])
+    ideal = left_ideal_basis(f6)
+    for x in (3, form):
+        with pytest.raises(TypeError,
+                           match=f"^IdealBasis.contains needs a Multivector, got {type(x).__name__}$"):
+            ideal.contains(x)
+
+
 # -- classification --------------------------------------------------------
 
 def test_classification_frozen_cases():
@@ -447,6 +545,33 @@ def test_primitivity(f6, f7, f8, sig6):
     assert not is_primitive(half)           # ideal too large
     assert not is_primitive(Multivector.zero(sig6))
     assert not is_primitive(Multivector.blade(sig6, (1,)))  # not an idempotent
+
+
+def test_is_primitive_trace_identity_matches_elimination(monkeypatch):
+    rng = random.Random(2027)
+    cases = []
+    for n in range(2, 9):
+        p = rng.randint(0, n)
+        sig = Signature(p, n - p)
+        spec = _random_spec(sig, rng)
+        f = build_idempotent(spec)
+        pieces = decompose_algebra(spec)
+        cases += [f, _conjugate(f, rng.randrange(1, 1 << n)), f.scale(2),
+                  f + Multivector(sig, {rng.randrange(1, 1 << n): 1})]
+        if len(pieces) > 1:
+            cases.append(pieces[0] + pieces[-1])  # idempotent, twice the minimal ideal
+    primitive = 0
+    monkeypatch.setattr(ideals, "left_ideal_basis", None)  # is_primitive needs no elimination
+    for f in cases:
+        n = f.sig.n
+        rank = ideals._eliminate(f, blade_table(n).order)[0].rank
+        idempotent = is_idempotent(f)
+        if idempotent:
+            assert rank == (1 << n) * f.scalar_part  # the trace of x -> x*f
+        want = idempotent and rank == classify(f.sig).minimal_ideal_dim
+        assert is_primitive(f) == want, f
+        primitive += want
+    assert primitive >= 14 and len(cases) - primitive >= 14
 
 
 # -- decomposition -----------------------------------------------------------
@@ -510,6 +635,20 @@ def test_det_bareiss_matches_oracle():
     assert det([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
     with pytest.raises(ValueError):
         det([[1, 2]])
+
+
+def test_row_basis_integer_rows_and_caller_rows():
+    rows = [{0: 0, 2: 5, 4: -10}, {0: 2, 3: 0, 5: 4}, {0: Fraction(1, 3), 5: Fraction(2, 3)},
+            {0: 3, 1: 1, 5: 6}, {0: 0}, {}, {2: -1, 4: 2}]
+    copies = [dict(row) for row in rows]
+    basis = RowBasis()
+    assert [basis.add(row) for row in rows] == [True, True, False, True, False, False, False]
+    assert basis._pivots == {0: {0: 1, 5: 2}, 1: {1: 1}, 2: {2: 1, 4: -2}}
+    queries = [{0: 6, 1: 2, 3: 0, 5: 12}, {0: Fraction(3, 2), 5: 3}, {2: 1, 4: 1}, {0: 0},
+               {0: -3, 1: 4, 5: -6}]
+    query_copies = [dict(q) for q in queries]
+    assert [basis.contains(q) for q in queries] == [True, True, False, True, True]
+    assert rows == copies and queries == query_copies  # reduction works on its own copies
 
 
 def test_row_basis_rank_matches_dense_oracle():
