@@ -10,20 +10,22 @@ is primitive and its left ideal has dimension 2^{p+q-k}.  Ideal
 dimensions are computed by exact identities (an F_2 coset certificate,
 or the trace 2^n <f>_0 of x -> x*f for an idempotent f) or by
 elimination, never assumed.  For a blade b the product
-b*f is a signed permutation of f's terms.  When supp f is an F_2 subspace
-T and e_t*f = +-f for each t in a basis of T, the rows b*f fall into the
-cosets b xor T: rows of one coset are +-each other, rows of distinct cosets
-have disjoint supports (Lounesto, Clifford Algebras and Spinors, 2nd ed.,
-2001; Ablamowicz, Comput. Phys. Commun. 115, 1998), so the first blade of
-each coset is exactly what elimination would keep.  Any other f goes
-through fraction-free integer elimination of the rows b*f, scaled to
-integers once, with no geometric product.
+b*f is a signed permutation of f's terms.  f passes the certificate when
+its coefficients are +-<f>_0 on an F_2 subspace T and e_t*f = +-f for each
+t in a basis of T, which is a parity test on the signs alone.  Then the
+rows b*f fall into the cosets b xor T: rows of one coset are +-each other,
+rows of distinct cosets have disjoint supports (Lounesto, Clifford
+Algebras and Spinors, 2nd ed., 2001; Ablamowicz, Comput. Phys. Commun.
+115, 1998), so the first blade of each coset is exactly what elimination
+would keep, membership in A*f is a sign check coset by coset, and f*f is
+len(f) <f>_0 f.  Any other f goes through fraction-free integer
+elimination of the rows b*f, scaled to integers once, with no geometric
+product.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain, product as _iterproduct
 from typing import Iterable, Iterator, Sequence
 
@@ -177,6 +179,15 @@ def build_idempotent(spec: IdempotentSpec) -> Multivector:
 
 
 def is_idempotent(x: Multivector) -> bool:
+    """True iff x*x = x.
+
+    When x passes the F_2 coset certificate, e_t*x = +-x for every t in
+    supp x, and applying e_t twice gives e_t^2 = +1; so x*x = sum_t x_t e_t x
+    = len(x) <x>_0 x, and x is idempotent exactly when len(x) <x>_0 = 1.
+    Any other x is multiplied out.
+    """
+    if isinstance(x, Multivector) and _f2_signs(x) is not None:
+        return len(x) * x.scalar_part == 1
     return x * x == x
 
 
@@ -191,20 +202,25 @@ def is_sub_idempotent(f: Multivector, e: Multivector) -> bool:
 
 
 class IdealBasis(_Record):
-    """Echelonized description of the left ideal Cl(p,q) * f."""
+    """Basis of the left ideal Cl(p,q) * f, with what membership needs."""
 
     __slots__ = ("idempotent", "dimension", "basis", "_rows")
 
     idempotent: Multivector
     dimension: int
     basis: tuple[Multivector, ...]
-    _rows: RowBasis  # left out of ==, hash and repr
+    # the signs of a certified f (see _f2_signs), else the echelon of the
+    # rows b*f; left out of ==, hash and repr
+    _rows: dict[int, int] | RowBasis
 
     def contains(self, x: Multivector) -> bool:
         _require_multivector(x, "IdealBasis.contains")
-        if x.sig != self.idempotent.sig:
-            raise ValueError(f"signature mismatch: {x.sig} vs {self.idempotent.sig}")
-        return self._rows.contains(x._terms)  # a Fraction row is cleared into a new dict
+        sig = self.idempotent.sig
+        if x.sig != sig:
+            raise ValueError(f"signature mismatch: {x.sig} vs {sig}")
+        if isinstance(self._rows, RowBasis):
+            return self._rows.contains(x._terms)  # a Fraction row is cleared into a new dict
+        return _in_cosets(sig, self._rows, x._terms)
 
 
 def _require_multivector(x, caller: str) -> None:
@@ -212,19 +228,33 @@ def _require_multivector(x, caller: str) -> None:
         raise TypeError(f"{caller} needs a Multivector, got {type(x).__name__}")
 
 
+def _require_generator(f, caller: str) -> None:
+    _require_multivector(f, caller)
+    if f.is_zero():
+        raise ValueError("left ideal of the zero element is trivial")
+
+
+def _sign_mask(sig: Signature, b: int) -> int:
+    """The mask s with e_b * e_m = (-1)^|s & m| e_{b xor m}, for every blade m.
+
+    As in geometric_product: the reordering parity _suffix_parity(b), plus
+    b's generators that square to -1 (indices above p).
+    """
+    return _suffix_parity(b) ^ (b >> sig.p << sig.p)
+
+
 def _signed_rows(sig: Signature, terms: Iterable[tuple[int, int | Fraction]],
                  masks: Iterable[int]) -> Iterator[dict[int, int | Fraction]]:
     """The term maps of e_b * x for b in masks, x given by its (mask, coefficient) terms.
 
     e_b * x maps each term c e_m of x to sign(b, m) c e_{b xor m}, so every
-    row is a signed permutation of x's terms.  As in geometric_product, the
-    sign is the parity of m & sign_mask, with sign_mask computed once per row.
+    row is a signed permutation of x's terms, with the sign mask computed
+    once per row.
     """
-    negative = (1 << sig.n) - (1 << sig.p)
     signed = [(m, c, -c) for m, c in terms]
 
     def row(b: int) -> dict[int, int | Fraction]:
-        sign_mask = _suffix_parity(b) ^ (b & negative)
+        sign_mask = _sign_mask(sig, b)
         return {b ^ m: neg if (sign_mask & m).bit_count() & 1 else c for m, c, neg in signed}
 
     return map(row, masks)
@@ -236,20 +266,31 @@ def _blade_rows(f: Multivector, masks: Iterable[int]) -> tuple[int, Iterator[dic
     return den, _signed_rows(f.sig, list(scaled.items()), masks)
 
 
-def _f2_certified(f: Multivector) -> bool:
-    """True iff f passes the F_2 coset certificate.
+def _f2_signs(f: Multivector) -> dict[int, int] | None:
+    """The signs s_t = f_t / <f>_0 over supp f when f passes the F_2 coset certificate, else None.
 
-    f passes when supp f is an F_2 subspace T (it holds 0, and its masks
-    span exactly log2 len(f) dimensions) and e_t * f = +-f for each vector
-    t of an echelon basis of T.  Then e_t * f = +-f for every t in T, so
-    e_b * f and e_{b xor t} * f are +-each other, while rows of distinct
-    cosets b xor T have disjoint supports: the rank is 2^n / |T|, and
-    elimination in any order keeps exactly the first candidate of each
-    coset.  Idempotency is not needed.
+    f passes when every coefficient is +-<f>_0, supp f is an F_2 subspace T
+    (it holds 0, and its masks span exactly log2 len(f) dimensions), and
+    e_t * f = +-f for each vector t of an echelon basis of T.  Comparing the
+    e_{t xor m} terms of both sides, that last condition reads
+    sign(t, m) s_m = e_t^2 s_t s_{t xor m} for every m in T, a parity test.
+    Then e_t * f = +-f for every t in T, so e_b * f and e_{b xor t} * f are
+    +-each other, while rows of distinct cosets b xor T have disjoint
+    supports: the rank is 2^n / |T|, and elimination in any order keeps
+    exactly the first candidate of each coset.  Idempotency is not needed.
     """
     terms = f._terms
-    if 0 not in terms:  # implied by the count below; a cheap early out
-        return False
+    c0 = terms.get(0)
+    if c0 is None:  # implied by the count below; a cheap early out
+        return None
+    plus = c0.as_integer_ratio()
+    minus = (-plus[0], plus[1])
+    signs = {}
+    for m, c in terms.items():
+        ratio = c.as_integer_ratio()
+        if ratio != plus and ratio != minus:
+            return None
+        signs[m] = 1 if ratio == plus else -1
     basis: list[int] = []
     for mask in terms:
         m = _f2_reduce(mask, basis)
@@ -257,11 +298,39 @@ def _f2_certified(f: Multivector) -> bool:
             basis.append(m)
             basis.sort(reverse=True)
     if 1 << len(basis) != len(terms):  # supp f fills its span only if it is a subspace
+        return None
+    for t in basis:
+        sign_mask = _sign_mask(f.sig, t)
+        # e_t^2 s_t, with e_t^2 = sign(t, t)
+        scale = -signs[t] if (sign_mask & t).bit_count() & 1 else signs[t]
+        for m, s in signs.items():
+            if (-s if (sign_mask & m).bit_count() & 1 else s) != scale * signs[t ^ m]:
+                return None
+    return signs
+
+
+def _in_cosets(sig: Signature, signs: dict[int, int], terms: dict[int, Fraction]) -> bool:
+    """True iff the element with these terms lies in A*f, for f with these _f2_signs.
+
+    A*f is spanned by the rows e_b * f / <f>_0 = sum_t sign(b, t) s_t e_{b xor t},
+    one per coset b xor T, with disjoint supports.  So x lies in A*f exactly
+    when, for any term b of x, x_{b xor t} = x_b sign(b, t) s_t for every t
+    in T; each coset is checked, and its terms taken off, once.  Each
+    coefficient is read once, as an exact (numerator, denominator) pair.
+    """
+    if len(terms) % len(signs):  # supp x must be a union of cosets
         return False
-    _, rows = _blade_rows(f, [0, *basis])
-    scaled = next(rows)  # e_0 * D f = D f
-    negated = {m: -c for m, c in scaled.items()}
-    return all(row == scaled or row == negated for row in rows)
+    ratios = {m: c.as_integer_ratio() for m, c in terms.items()}
+    while ratios:
+        b, (num, den) = ratios.popitem()
+        sign_mask = _sign_mask(sig, b)
+        for t, s in signs.items():
+            if t:
+                if (sign_mask & t).bit_count() & 1:
+                    s = -s
+                if ratios.pop(b ^ t, None) != (s * num, den):
+                    return False
+    return True
 
 
 def _first_per_coset(masks: Iterable[int], span: Iterable[int]) -> list[int]:
@@ -288,36 +357,27 @@ def _eliminate(f: Multivector, masks: Sequence[int]) -> tuple[RowBasis, list[int
     return echelon, kept
 
 
-# A fixed size, not a setting: verify-paper, the widest caller, asks for four distinct ideals.
-_IDEAL_MEMO = 8
-
-
-@lru_cache(maxsize=_IDEAL_MEMO)
 def left_ideal_basis(f: Multivector) -> IdealBasis:
     """Exact rank and basis of the left ideal generated by f.
 
     Runs every basis blade b, in canonical order, through b*f and keeps
     those that enlarge the row span: the first blade of each coset when f
-    passes the F_2 coset certificate, by elimination otherwise.  For a
-    primitive idempotent the resulting dimension matches the
-    classification minimum.  Results are memoised on f, so asking again
-    for the same ideal reuses one computation.
+    passes the F_2 coset certificate, by elimination otherwise.  The basis
+    elements are the products b*f of the kept blades.  For a primitive
+    idempotent the resulting dimension matches the classification minimum.
     """
-    _require_multivector(f, "left_ideal_basis")
-    if f.is_zero():
-        raise ValueError("left ideal of the zero element is trivial")
+    _require_generator(f, "left_ideal_basis")
     sig = f.sig
     order = blade_table(sig.n).order
-    if _f2_certified(f):
-        kept = _first_per_coset(order, f._terms)
-        echelon = RowBasis()
-        for row in _blade_rows(f, kept)[1]:
-            echelon.add(row)  # disjoint supports: one pivot probe each
+    signs = _f2_signs(f)
+    if signs is not None:
+        kept = _first_per_coset(order, signs)
+        rows: dict[int, int] | RowBasis = signs
     else:
-        echelon, kept = _eliminate(f, order)
+        rows, kept = _eliminate(f, order)
     elements = tuple(Multivector._from_canonical(sig, row)
                      for row in _signed_rows(sig, f._terms.items(), kept))
-    return IdealBasis(idempotent=f, dimension=echelon.rank, basis=elements, _rows=echelon)
+    return IdealBasis(idempotent=f, dimension=len(kept), basis=elements, _rows=rows)
 
 
 def _candidate_masks(candidates: Iterable[Iterable[int]], n: int) -> list[int]:
@@ -344,10 +404,10 @@ def coset_basis(f: Multivector, candidates: Iterable[Iterable[int]]) -> list[tup
     span the whole ideal, or on the first candidate that is not a strictly
     increasing tuple of int indices in 1..n.
     """
-    _require_multivector(f, "coset_basis")
+    _require_generator(f, "coset_basis")
     n = f.sig.n
-    certified = _f2_certified(f)
-    target = (1 << n) // len(f) if certified else left_ideal_basis(f).dimension
+    certified = _f2_signs(f) is not None
+    target = (1 << n) // len(f) if certified else _eliminate(f, blade_table(n).order)[0].rank
     masks = _candidate_masks(candidates, n)
     kept = _first_per_coset(masks, f._terms) if certified else _eliminate(f, masks)[1]
     if len(kept) != target:

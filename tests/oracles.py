@@ -117,6 +117,28 @@ def dense_rank(rows, n):
     return matrix_rank(matrix)
 
 
+def f2_coset_certified(f, p):
+    """The F_2 coset certificate of a {indices: coef} element, row by row.
+
+    f passes when its support holds () and is closed under symmetric
+    difference of index sets (an F_2 subspace T), and every row e_t * f,
+    t in T, multiplied out, is f or -f.
+    """
+    support = set(f)
+    if () not in support:
+        return False
+    for a in support:
+        for b in support:
+            if tuple(sorted(set(a) ^ set(b))) not in support:
+                return False
+    negated = {ind: -coef for ind, coef in f.items()}
+    for t in support:
+        row = multiply_dicts({t: Fraction(1)}, f, p)
+        if row != f and row != negated:
+            return False
+    return True
+
+
 def matrix_rank(matrix):
     """Rank of a list of equal-length rational rows, by full Gaussian elimination."""
     matrix = [[Fraction(v) for v in row] for row in matrix]

@@ -27,7 +27,7 @@ from cliffideal import (
     run_claim,
     validate_generators,
 )
-from cliffideal import ideals
+from cliffideal import algebra, ideals
 from cliffideal.algebra import (
     blade_mask,
     blade_product_masks,
@@ -38,7 +38,7 @@ from cliffideal.algebra import (
 from cliffideal.linalg import RowBasis, det, leading_principal_minors
 
 from conftest import multivectors
-from oracles import dense_rank, multiply_dicts, principal_minors
+from oracles import dense_rank, f2_coset_certified, multiply_dicts, principal_minors
 
 GENS6 = ((1, (1, 3, 5)), (-1, (1, 4, 6)), (-1, (2, 3, 6)))
 GENS7 = ((1, (1, 2, 3)), (1, (1, 4, 5)), (-1, (2, 5, 7)), (1, (1, 6, 7)))
@@ -241,42 +241,34 @@ def test_signed_permutation_rows_match_products(f6, f7, f8):
             assert all(type(c) is int for c in row.values())
 
 
-def test_left_ideal_basis_memo(f6, f7, sig6, monkeypatch):
-    ideals.left_ideal_basis.cache_clear()
+def test_left_ideal_basis_recomputes_each_call(f6, f7, sig6):
     again = build_idempotent(IdempotentSpec(sig6, GENS6))
-    assert again is not f6 and left_ideal_basis(f6) is left_ideal_basis(again)
+    first = left_ideal_basis(f6)
+    assert again is not f6 and left_ideal_basis(again) == first
+    assert left_ideal_basis(f6) is not first  # no memo: equal by value, built afresh
+    assert not hasattr(left_ideal_basis, "cache_info")
 
-    ideals.left_ideal_basis.cache_clear()
-    calls = []
-    add = RowBasis.add
-    monkeypatch.setattr(RowBasis, "add", lambda self, row: calls.append(1) or add(self, row))
     cands = [()] + [(i,) for i in range(1, 8)]
     ideal = left_ideal_basis(f7)
     assert coset_basis(f7, cands) == cands
     assert is_primitive(f7) and is_primitive(f7)
-    assert left_ideal_basis(f7) is ideal
-    # f7 passes the coset certificate: one add per accepted row, none for the candidates
-    assert len(calls) == ideal.dimension == 8
-
-    pieces = decompose_algebra(IdempotentSpec(sig6, GENS6)) + [f7]
-    assert len(pieces) > ideals._IDEAL_MEMO
-    for piece in pieces:
-        left_ideal_basis(piece)
-        info = ideals.left_ideal_basis.cache_info()
-        assert info.maxsize == ideals._IDEAL_MEMO and info.currsize <= ideals._IDEAL_MEMO
+    assert ideal.dimension == len(ideal.basis) == 8
 
     for _ in range(2):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^left ideal of the zero element is trivial$"):
             left_ideal_basis(Multivector.zero(sig6))
+        with pytest.raises(ValueError, match="^left ideal of the zero element is trivial$"):
+            coset_basis(Multivector.zero(sig6), cands)
 
 
 # -- the F_2 coset certificate against elimination ------------------------------
 
-def _eliminated(f, monkeypatch):
-    """left_ideal_basis(f) as elimination computes it, past the memo and the certificate."""
-    with monkeypatch.context() as m:
-        m.setattr(ideals, "_f2_certified", lambda f: False)
-        return ideals.left_ideal_basis.__wrapped__(f)
+def _eliminated(f):
+    """left_ideal_basis(f) as elimination over every blade computes it, with the
+    basis multiplied out: the reference the certified path must reproduce."""
+    echelon, kept = ideals._eliminate(f, blade_table(f.sig.n).order)
+    basis = tuple(Multivector(f.sig, {b: 1}) * f for b in kept)
+    return ideals.IdealBasis(f, echelon.rank, basis, echelon)
 
 
 def _eliminated_cosets(f, candidates):
@@ -286,16 +278,24 @@ def _eliminated_cosets(f, candidates):
     return [mask_indices(b) for b in kept], echelon.rank
 
 
-def _assert_same_ideal(f, monkeypatch, rng):
-    """The certified or fallback ideal of f against elimination: basis, echelon,
-    coset bases of shuffled candidate lists, and contains queries."""
+def _certified(f):
+    """Whether f passes the engine's certificate, checked against the row-by-row oracle."""
+    got = ideals._f2_signs(f) is not None
+    as_dict = {mask_indices(m): c for m, c in f.term_map().items()}
+    assert got == f2_coset_certified(as_dict, f.sig.p), f
+    return got
+
+
+def _assert_same_ideal(f, rng):
+    """The certified or fallback ideal of f against elimination: basis, coset
+    bases of shuffled candidate lists, and contains against elimination's RowBasis."""
     n = f.sig.n
     idempotent = is_idempotent(f)
-    ideal = ideals.left_ideal_basis.__wrapped__(f)
-    want = _eliminated(f, monkeypatch)
+    ideal = left_ideal_basis(f)
+    want = _eliminated(f)
+    assert isinstance(want._rows, RowBasis)
     assert ideal.dimension == want.dimension
     assert ideal.basis == want.basis  # element for element, in order
-    assert ideal._rows._pivots == want._rows._pivots
     order = [mask_indices(m) for m in blade_table(n).order]
     assert ideal.basis == tuple(Multivector(f.sig, {blade_mask(t, n): 1}) * f
                                 for t in coset_basis(f, order))
@@ -308,13 +308,15 @@ def _assert_same_ideal(f, monkeypatch, rng):
         else:
             with pytest.raises(ValueError, match=rf"\(got rank {rank} of {want.dimension}\)$"):
                 coset_basis(f, cands)
+    for x in ideal.basis:
+        assert ideal.contains(x) and want._rows.contains(x._terms)
     for _ in range(4):
         b = Multivector(f.sig, {rng.randrange(1 << n): Fraction(rng.randint(-5, 5) or 1,
                                                                    rng.randint(1, 4))})
         inside = b * f + ideal.basis[rng.randrange(ideal.dimension)]
         outside = inside + Multivector(f.sig, {rng.randrange(1 << n): Fraction(1, 3)})
         for x in (inside, outside):
-            assert ideal.contains(x) == want.contains(x)
+            assert ideal.contains(x) == want._rows.contains(x._terms)
             if idempotent:  # x is in A f exactly when x f = x
                 assert ideal.contains(x) == (x * f == x)
         assert ideal.contains(inside)
@@ -329,64 +331,100 @@ def _conjugate(f, b):
     return (one.scale(2) + e) * f * (one.scale(2) - e).scale(Fraction(1, 4 - square))
 
 
-def test_certificate_matches_elimination_on_random_idempotents(monkeypatch):
+def _conjugates(seed):
+    """(f, u f u^-1) pairs, u = 2 + e_b with the conjugate != f, one per signature drawn."""
+    rng = random.Random(seed)
+    pairs = []
+    for n in range(2, 9):
+        p = rng.randint(0, n)
+        f = _random_idempotent(Signature(p, n - p), rng)
+        for b in rng.sample(range(1, 1 << n), 1 << n - 1):
+            g = _conjugate(f, b)
+            if g != f:
+                pairs.append((f, g))
+                break
+    return pairs
+
+
+def test_certificate_matches_elimination_on_random_idempotents():
     rng = random.Random(1998)
     checked = 0
     for n in range(2, 11):
         for p in range(n + 1):
             sig = Signature(p, n - p)
             f = _random_idempotent(sig, rng)
-            assert ideals._f2_certified(f), sig
-            ideal = _assert_same_ideal(f, monkeypatch, rng)
+            assert _certified(f), sig
+            ideal = _assert_same_ideal(f, rng)
             assert ideal.dimension == (1 << n) * f.scalar_part  # trace identity
             assert ideal.dimension == classify(sig).minimal_ideal_dim
             checked += 1
     assert checked == sum(n + 1 for n in range(2, 11))
 
 
-def test_conjugated_idempotents_take_the_fallback(monkeypatch):
+def test_conjugated_idempotents_take_the_fallback():
     rng = random.Random(2001)
-    taken = 0
-    for n in range(2, 9):
-        p = rng.randint(0, n)
-        sig = Signature(p, n - p)
-        f = _random_idempotent(sig, rng)
-        for b in rng.sample(range(1, 1 << n), 1 << n - 1):
-            g = _conjugate(f, b)
-            if g != f:
-                break
-        else:
-            continue
-        assert is_idempotent(g) and not ideals._f2_certified(g), (sig, b)
-        calls = []
-        add = RowBasis.add
-        with monkeypatch.context() as m:
-            m.setattr(RowBasis, "add", lambda self, row: calls.append(1) or add(self, row))
-            ideal = _assert_same_ideal(g, monkeypatch, rng)
-        assert len(calls) >= 1 << n  # the fallback eliminates over every blade
-        assert ideal.dimension == (1 << n) * g.scalar_part == left_ideal_basis(f).dimension
-        taken += 1
-    assert taken >= 6
+    pairs = _conjugates(2001)
+    for f, g in pairs:
+        assert is_idempotent(g) and not _certified(g), g.sig
+        ideal = _assert_same_ideal(g, rng)
+        assert isinstance(ideal._rows, RowBasis)  # the fallback eliminates
+        assert ideal.dimension == (1 << g.sig.n) * g.scalar_part == left_ideal_basis(f).dimension
+    assert len(pairs) >= 6
 
 
-def test_certificate_on_non_idempotents(monkeypatch):
+# (text, signature, ideal dimension or None): certified non-idempotents, then rejected ones
+NON_IDEMPOTENTS_CERTIFIED = [("1 + e1", Signature(1, 0), 1), ("2 - 2*e12", Signature(1, 1), 2),
+                             (F6_CANONICAL.replace("1/8", "3/8"), Signature(0, 6), 8)]
+NON_IDEMPOTENTS_REJECTED = [("e1", Signature(1, 0), 2), ("1 + 2*e1", Signature(1, 0), 2),
+                            ("1 + e12", Signature(0, 2), 4), ("2 - 2*e12", Signature(2, 0), 4),
+                            ("1 + e1 + e2", Signature(2, 0), None),
+                            # supp is a subspace, but e135 and e246 anticommute
+                            ("3 + 3*e135 - 3*e246 + 3*e123456", Signature(0, 6), None)]
+
+
+def test_certificate_on_non_idempotents():
     rng = random.Random(115)
-    certified = [("1 + e1", Signature(1, 0), 1), ("2 - 2*e12", Signature(1, 1), 2),
-                 (F6_CANONICAL.replace("1/8", "3/8"), Signature(0, 6), 8)]
-    rejected = [("e1", Signature(1, 0), 2), ("1 + 2*e1", Signature(1, 0), 2),
-                ("1 + e12", Signature(0, 2), 4), ("2 - 2*e12", Signature(2, 0), 4),
-                ("1 + e1 + e2", Signature(2, 0), None),
-                # supp is a subspace, but e135 and e246 anticommute
-                ("3 + 3*e135 - 3*e246 + 3*e123456", Signature(0, 6), None)]
-    for text, sig, dim in certified + rejected:
+    certified = NON_IDEMPOTENTS_CERTIFIED
+    for text, sig, dim in certified + NON_IDEMPOTENTS_REJECTED:
         f = parse(text, sig)
-        assert ideals._f2_certified(f) == ((text, sig, dim) in certified), text
+        assert _certified(f) == ((text, sig, dim) in certified), text
         assert not is_idempotent(f)
-        ideal = _assert_same_ideal(f, monkeypatch, rng)
+        ideal = _assert_same_ideal(f, rng)
         if dim is not None:
             assert ideal.dimension == dim, text
         if (text, sig, dim) in certified:
             assert ideal.dimension == (1 << sig.n) // len(f)
+
+
+def _mutants(f, rng):
+    """f with one term times 3, one sign flipped, one term dropped, and one term of
+    coefficient <f>_0 added off supp f (off its span, when f is certified)."""
+    terms = f.term_map()
+    m = rng.choice(list(terms))
+    out = [dict(terms) for _ in range(4)]
+    out[0][m] *= 3
+    out[1][m] = -terms[m]
+    del out[2][m]
+    out[3][rng.choice([b for b in range(1 << f.sig.n) if b not in terms])] = f.scalar_part
+    return [Multivector(f.sig, t) for t in out]
+
+
+def test_f2_signs_accepts_what_the_row_oracle_accepts():
+    rng = random.Random(1971)
+    seen = {True: 0, False: 0}
+    idempotents = [_random_idempotent(Signature(p, n - p), rng)
+                   for n in range(2, 11) for p in range(n + 1)]
+    elements = idempotents + [g for _, g in _conjugates(1971)]
+    elements += [parse(text, sig)
+                 for text, sig, _ in NON_IDEMPOTENTS_CERTIFIED + NON_IDEMPOTENTS_REJECTED]
+    elements += [mutant for f in idempotents for mutant in _mutants(f, rng)]
+    for f in elements:
+        certified = _certified(f)
+        seen[certified] += 1
+        signs = ideals._f2_signs(f)
+        if certified:  # s_t = f_t / <f>_0 over supp f
+            assert signs == {m: c / f.scalar_part for m, c in f.term_map().items()}
+    assert seen[True] >= 70 and seen[False] >= 150
 
 
 def test_c13_eliminates_over_every_blade(monkeypatch):
@@ -471,7 +509,7 @@ def _outcome(f, candidates):
 def test_coset_basis_lookup_matches_blade_mask(f6, monkeypatch):
     order = list(blade_table(6).index)
     g = _conjugate(f6, blade_mask((1, 2), 6))
-    assert not ideals._f2_certified(g)
+    assert ideals._f2_signs(g) is None
     cases = [
         order, order[::-1], [list(t) for t in order], [(), (2,), (3,), (5,)], [],
         [(True,)], [(1.0,)], [(Fraction(1),)], [(2, 1)], [(1, 1)], [(7,)], [(0,)], [(-1,)],
@@ -505,6 +543,93 @@ def test_non_multivector_arguments_raise_type_error(f6):
         with pytest.raises(TypeError,
                            match=f"^IdealBasis.contains needs a Multivector, got {type(x).__name__}$"):
             ideal.contains(x)
+
+
+# -- membership coset by coset and idempotency from <f>_0 ------------------------
+
+def test_coset_membership_matches_elimination_and_products(f6, f7, f8):
+    rng = random.Random(1034)
+    fs = [f6, f7, f8] + [_random_idempotent(Signature(p, n - p), rng)
+                         for n, p in ((4, 1), (5, 3), (7, 2), (9, 4))]
+    dens = (1, 2, 4, 8, 3, 9)
+    for f in fs:
+        n = f.sig.n
+        ideal, want = left_ideal_basis(f), _eliminated(f)
+        assert len(f) > 1 and not isinstance(ideal._rows, RowBasis)
+
+        def verdicts(x):
+            return ideal.contains(x), want._rows.contains(x._terms), x * f == x
+
+        assert verdicts(Multivector.zero(f.sig)) == (True, True, True)
+        reps = coset_basis(f, [mask_indices(m) for m in blade_table(n).order])
+        for _ in range(12):
+            x = Multivector.zero(f.sig)
+            for t in rng.sample(reps, rng.randint(1, min(3, len(reps)))):
+                coef = Fraction(rng.choice((-7, -2, -1, 1, 2, 5)), rng.choice(dens))
+                x = x + Multivector(f.sig, {blade_mask(t, n): coef}) * f
+            assert verdicts(x) == (True, True, True)
+            terms = x.term_map()
+            m = rng.choice(list(terms))
+            extra = rng.choice([b for b in range(1 << n) if b not in terms])
+            wrong = [dict(terms) for _ in range(4)]
+            wrong[0][extra] = Fraction(1, rng.choice(dens))  # one extra term
+            del wrong[1][m]  # one dropped term: partial coset support
+            wrong[2][m] = -terms[m]  # one flipped sign
+            wrong[3][m] = terms[m] * rng.choice((2, 3, Fraction(1, 3)))  # one rescaled term
+            for bad in wrong:
+                assert verdicts(Multivector(f.sig, bad)) == (False, False, False), (f, bad)
+
+
+def test_is_idempotent_reads_the_scalar_part(f6, monkeypatch):
+    rng = random.Random(1066)
+    idempotents = [_random_idempotent(Signature(p, n - p), rng) for n in range(1, 9)
+                   for p in range(0, n + 1, 2)]
+    others = [f.scale(s) for f in idempotents[:12] for s in (3, Fraction(-1, 2))]
+    others += [parse("1 + e1", Signature(1, 0)), parse("2 - 2*e12", Signature(1, 1)),
+               f6.scale(3)]
+    conjugates = [g for _, g in _conjugates(1066)]
+    products = []
+    product = algebra.geometric_product
+    monkeypatch.setattr(algebra, "geometric_product",
+                        lambda x, y: products.append(1) or product(x, y))
+    for want, xs in ((True, idempotents), (False, others)):
+        for x in xs:
+            assert ideals._f2_signs(x) is not None
+            assert is_idempotent(x) is want
+            assert not products  # read off len(x) <x>_0, with no product
+            assert (x * x == x) is want, x
+            products.clear()
+    for g in conjugates:
+        assert ideals._f2_signs(g) is None
+        assert is_idempotent(g) and len(products) == 1  # the product path
+        products.clear()
+    assert len(conjugates) >= 6
+    assert is_idempotent(Multivector.zero(f6.sig)) and products
+
+
+def test_certified_path_runs_no_elimination_and_no_product(monkeypatch):
+    rng = random.Random(1224)
+    cases = []
+    for n in range(2, 11):
+        for p in (0, n // 2):
+            f = _random_idempotent(Signature(p, n - p), rng)
+            order = [mask_indices(m) for m in blade_table(n).order]
+            queries = [Multivector(f.sig, {rng.randrange(1 << n): 1}) * f for _ in range(4)]
+            cases.append((f, order, _eliminated(f), _eliminated_cosets(f, order)[0], queries))
+
+    def forbidden(*args):
+        raise AssertionError("the certified path ran elimination or a product")
+
+    monkeypatch.setattr(RowBasis, "add", forbidden)
+    monkeypatch.setattr(RowBasis, "contains", forbidden)
+    monkeypatch.setattr(algebra, "geometric_product", forbidden)
+    for f, order, want, reps, queries in cases:
+        ideal = left_ideal_basis(f)
+        assert ideal == want and ideal.basis == want.basis
+        assert coset_basis(f, order) == reps
+        assert is_primitive(f) and is_idempotent(f)
+        assert all(ideal.contains(x) for x in queries + list(want.basis))
+        assert ideal.contains(Multivector.scalar(f.sig, 1)) == (len(f) == 1)
 
 
 # -- classification --------------------------------------------------------
