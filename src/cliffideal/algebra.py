@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, cached_property, total_ordering
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Iterator, Mapping, Union
 
 from .linalg import clear_denominators
@@ -161,16 +161,23 @@ def blade_mask(indices: Iterable[int], n: int) -> int:
     return mask
 
 
+def _index_table(first: int, bits: int, piece) -> list:
+    """Entry m joins the bytes or str piece(first + j) over the set bits j of m, in order."""
+    table = [piece(first)[:0]]
+    for i in range(first, first + bits):
+        one = piece(i)
+        table += [t + one for t in table]
+    return table
+
+
+# the indices of bits 0-7 and 8-11 of a mask, as bytes: 256 + 16 entries cover MAX_DIM
+_LOW_INDICES = _index_table(1, 8, lambda i: bytes((i,)))
+_HIGH_INDICES = _index_table(9, MAX_DIM - 8, lambda i: bytes((i,)))
+
+
 def mask_indices(mask: int) -> tuple[int, ...]:
-    """Unpack a bitmask into the strictly increasing index tuple."""
-    out = []
-    i = 1
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
+    """Unpack a bitmask below 1 << MAX_DIM into the strictly increasing index tuple."""
+    return tuple(_LOW_INDICES[mask & 255] + _HIGH_INDICES[mask >> 8])
 
 
 def grade_of(mask: int) -> int:
@@ -195,8 +202,9 @@ class BladeTable:
         self.n = n
         self.order = memoryview(bytearray(2 << n)).cast("H")
         self.rank = memoryview(bytearray(2 << n)).cast("H")
-        for r, c in enumerate(_by_grade(n)):
-            m = sum(1 << (i - 1) for i in c)
+        powers = [1 << i for i in range(n)]
+        masks = map(sum, chain.from_iterable(combinations(powers, k) for k in range(n + 1)))
+        for r, m in enumerate(masks):
             self.order[r] = m
             self.rank[m] = r
 

@@ -14,6 +14,14 @@ up to 12.  The printer uses the delimited form only for a blade with an
 index >= 10, so printed text for n <= 9 never contains it.  Like terms
 are combined on input, and the printer is the inverse of the parser on
 canonical output.
+
+JSON layout: to_json writes json.dumps(to_json_obj(x), separators=(", ", ": ")), i.e.::
+
+    {"signature": [p, q], "kind": "clifford", "terms": [{"blade": [1, 3], "coef": "-1/8"}, ...]}
+
+with [0, n] and "form" for a form, one term per nonzero coefficient in
+canonical order, increasing indices ([] for the scalar) and the reduced
+coef ("a", or "a/b" when b > 1).  The reader combines like terms in any order.
 """
 
 from __future__ import annotations
@@ -24,8 +32,8 @@ from fractions import Fraction
 from functools import cache
 from typing import Iterable, Iterator, Union
 
-from .algebra import (MAX_DIM, Multivector, Signature, _Record, blade_mask, blade_table,
-                      mask_indices)
+from .algebra import (MAX_DIM, Multivector, Signature, _index_table, _Record, blade_mask,
+                      blade_table, mask_indices)
 from .exterior import ExteriorForm
 
 Value = Union[Multivector, ExteriorForm]
@@ -56,20 +64,16 @@ class ExprTerm(_Record):
     indices: tuple[int, ...]
 
 
-# A term is a rational, optionally times a blade or '1', or a bare blade.  A
-# match stops where the grammar can no longer continue, and the groups say
-# which parts were present, so every error is raised from one match.
 _BLADE = r"e(?:\{([0-9,]*)(\}?)|([0-9]*))"
 
 
 @cache
-def _grammar() -> tuple[re.Pattern, re.Pattern]:
-    """The term and separator patterns, compiled on first use to keep them out of import."""
-    return (re.compile(rf"([0-9]+)(?:(/)([0-9]*))?(?:\s*(\*)\s*(?:{_BLADE}|(1))?)?|{_BLADE}"),
-            re.compile(r"\s*(?:([+-])\s*)?"))  # \s is str.isspace on every code point
-
-
-_ONE, _MINUS_ONE = Fraction(1), Fraction(-1)
+def _grammar() -> re.Pattern:
+    """One scan step, compiled on first use: groups 1 whitespace, 2 sign, 3-5 rational,
+    6 '*', 7-9 blade or 10 '1' after '*', 11-13 bare blade.  Every part is optional and the
+    groups say which matched, so each error comes from one match (\\s is str.isspace)."""
+    return re.compile(rf"(\s*)(?:([+-])\s*)?(?:([0-9]+)(?:(/)([0-9]*))?"
+                      rf"(?:\s*(\*)\s*(?:{_BLADE}|(1))?)?|{_BLADE})?")
 
 
 def _integer(digits: str, start: int) -> int:
@@ -89,12 +93,9 @@ def _check_index(i: int, prev: int, n: int, position: int) -> None:
 
 
 def _blade(m: re.Match, group: int, n: int) -> int:
-    """Mask of the blade in groups group..group+2 of a term match."""
+    """Mask of the delimited blade in groups group..group+2, or the undelimited one's fault."""
     braced, close, digits = m.group(group, group + 1, group + 2)
     if digits is not None:
-        mask = blade_table(n).digits.get(digits)
-        if mask is not None:
-            return mask
         start = m.start(group + 2)
         if not digits:
             raise ParseError("expected blade indices after 'e'", start)
@@ -119,67 +120,72 @@ def _blade(m: re.Match, group: int, n: int) -> int:
 
 def parse_blade(text: str, n: int) -> int:
     """Mask of a single blade written in the text grammar, e.g. 'e135' or 'e{1,10}'."""
-    m = _grammar()[0].match(text)
-    if m is None or m.group(1) is not None:  # not a bare blade
+    m = _grammar().match(text)
+    if m.end(1) or m.group(2) or m.group(11, 13) == (None, None):  # no bare blade at 0
         raise ParseError("expected a blade", 0)
-    mask = _blade(m, 9, n)
+    mask = blade_table(n).digits.get(m.group(13)) or _blade(m, 11, n)
     if m.end() != len(text):
         raise ParseError("unexpected text after the blade", m.end())
     return mask
 
 
-def _scan(text: str, n: int) -> Iterator[tuple[Fraction, int]]:
-    """(coefficient, blade mask) of each signed term, left to right."""
-    term, separator = _grammar()
+def _scan(text: str, n: int) -> Iterator[tuple[int, int, int]]:
+    """(numerator, denominator, blade mask) of each signed term, left to right."""
+    match = _grammar().match
+    digit_blades = blade_table(n).digits
     end = len(text)
-    sep = separator.match(text)
-    op = sep.group(1)
-    if op is None and sep.end() == end:
+    m = match(text)
+    if m.group(2) is None and m.end(1) == end:
         raise ParseError("empty expression", end)
-    if op == "+":
-        raise ParseError("expected a term", sep.start(1))
+    if m.group(2) == "+":
+        raise ParseError("expected a term", m.end(1))
     while True:
-        pos = sep.end()
-        m = term.match(text, pos)
-        if m is None:
-            raise ParseError("expected a term", pos)
-        num, slash, den, star, braced, _, digits, one = m.group(1, 2, 3, 4, 5, 6, 7, 8)
-        if num is None:
-            yield (_MINUS_ONE if op == "-" else _ONE), _blade(m, 9, n)
-        else:
-            num = _integer(num, pos)
-            if slash is None:
-                den = 1
-            elif not den:
-                raise ParseError("expected a denominator", m.start(3))
-            elif not (den := _integer(den, m.start(3))):
-                raise ParseError("zero denominator", m.start(3))
+        _, op, num, slash, den, star, braced, _, digits, one, bare_braced, _, bare = m.groups()
+        if num is not None:
+            try:
+                num, den = int(num), int(den) if slash else 1
+            except ValueError:  # an empty denominator, or an integer too long to convert
+                _integer(num, m.start(3))
+                if not den:
+                    raise ParseError("expected a denominator", m.start(5)) from None
+                _integer(den, m.start(5))
+            if not den:
+                raise ParseError("zero denominator", m.start(5))
             if star is None or one is not None:
                 mask = 0
             elif braced is None and digits is None:
                 raise ParseError("expected a blade after '*'", m.end())
             else:
-                mask = _blade(m, 5, n)
-            yield Fraction(-num if op == "-" else num, den), mask
-        sep = separator.match(text, m.end())
-        op = sep.group(1)
-        if op is None:
-            if sep.end() == end:
+                mask = digit_blades.get(digits) or _blade(m, 7, n)
+            yield (-num if op == "-" else num), den, mask
+        elif bare is not None or bare_braced is not None:
+            yield (-1 if op == "-" else 1), 1, digit_blades.get(bare) or _blade(m, 11, n)
+        else:
+            raise ParseError("expected a term", m.end())
+        m = match(text, m.end())
+        if m.group(2) is None:
+            if m.end(1) == end:
                 return
-            raise ParseError("expected '+' or '-'", sep.end())
+            raise ParseError("expected '+' or '-'", m.end(1))
 
 
 def parse_terms(text: str, n: int) -> list[ExprTerm]:
     """Parse the text grammar into a list of signed terms."""
-    return [ExprTerm(coef, mask_indices(mask)) for coef, mask in _scan(text, n)]
+    return [ExprTerm(Fraction(num, den), mask_indices(mask)) for num, den, mask in _scan(text, n)]
 
 
-def _combine(pairs: Iterable[tuple[Fraction, int]]) -> dict[int, Fraction]:
-    """Canonical term map of (coefficient, mask) pairs: like terms summed, zeros dropped."""
-    acc: dict[int, Fraction] = {}
-    for coef, mask in pairs:
-        acc[mask] = acc[mask] + coef if mask in acc else coef
-    return acc if all(acc.values()) else {m: c for m, c in acc.items() if c}
+def _combine(terms: Iterable[tuple[int, int, int]]) -> dict[int, Fraction]:
+    """Canonical term map of (numerator, denominator, mask) triples: like terms summed,
+    zero terms skipped, so only a repeated blade can leave a zero to drop."""
+    acc, repeated = {}, False
+    for num, den, mask in terms:
+        if num:
+            coef = Fraction(num) if den == 1 else Fraction(num, den)
+            if mask in acc:
+                coef += acc[mask]
+                repeated = True
+            acc[mask] = coef
+    return {m: c for m, c in acc.items() if c} if repeated else acc
 
 
 def _coerce_sig(sig, kind: str):
@@ -192,9 +198,11 @@ def _coerce_sig(sig, kind: str):
     if kind == "form":
         if isinstance(sig, Signature):
             return sig.n
-        if isinstance(sig, int):
-            return sig
-        raise ValueError("forms need a dimension n or a Signature")
+        if not isinstance(sig, int):
+            raise ValueError("forms need a dimension n or a Signature")
+        if isinstance(sig, bool) or not 1 <= sig <= MAX_DIM:
+            raise ValueError(f"dimension must be in 1..{MAX_DIM}, got {sig!r}")
+        return sig
     raise ValueError(f"unknown kind {kind!r} (expected 'clifford' or 'form')")
 
 
@@ -210,18 +218,17 @@ def parse(text: str, sig, kind: str = "clifford") -> Value:
 
 def print_canonical(x: Value) -> str:
     """Canonical text: terms by grade, then lexicographic blade order."""
-    text = blade_table(x.sig.n if isinstance(x, Multivector) else x.n).text
+    table = blade_table(x.sig.n if isinstance(x, Multivector) else x.n)
+    text, t = table.text, x._terms
     out = []
-    for mask, coef in x.terms():
-        num, den = coef.numerator, coef.denominator
-        out.append(" - " if num < 0 else " + ")
-        mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
-        if not mask:
-            out.append(mag)
-        elif mag == "1":
-            out.append(text[mask])
+    for mask in sorted(t, key=table.rank.__getitem__):
+        c = str(t[mask])
+        if c[0] == "-":
+            out.append(" - ")
+            c = c[1:]
         else:
-            out.append(f"{mag}*{text[mask]}")
+            out.append(" + ")
+        out.append(c if not mask else text[mask] if c == "1" else f"{c}*{text[mask]}")
     if not out:
         return "0"
     out[0] = "-" if out[0] == " - " else ""
@@ -234,25 +241,35 @@ def print_canonical(x: Value) -> str:
 _JSON_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
-def to_json_obj(x: Value) -> dict:
+def _space(x: Value) -> tuple[int, int, str]:
+    """(p, q, kind) of the JSON signature and kind fields."""
     if isinstance(x, Multivector):
-        signature = [x.sig.p, x.sig.q]
-        kind = "clifford"
-    elif isinstance(x, ExteriorForm):
-        signature = [0, x.n]
-        kind = "form"
-    else:
-        raise TypeError(f"cannot serialize {type(x).__name__}")
-    terms = [
-        {"blade": list(mask_indices(mask)), "coef": str(coef)}
-        for mask, coef in x.terms()
-    ]
-    return {"signature": signature, "kind": kind, "terms": terms}
+        return x.sig.p, x.sig.q, "clifford"
+    if isinstance(x, ExteriorForm):
+        return 0, x.n, "form"
+    raise TypeError(f"cannot serialize {type(x).__name__}")
+
+
+def to_json_obj(x: Value) -> dict:
+    p, q, kind = _space(x)
+    terms = [{"blade": list(mask_indices(mask)), "coef": str(coef)} for mask, coef in x.terms()]
+    return {"signature": [p, q], "kind": kind, "terms": terms}
+
+
+@cache
+def _json_indices() -> tuple[list[str], ...]:
+    """The indices of bits 0-3, 4-7 and 8-11 of a mask as JSON text, each followed by ', '."""
+    return tuple(_index_table(first, 4, "{}, ".format) for first in range(1, MAX_DIM, 4))
 
 
 def to_json(x: Value) -> str:
-    """Byte-stable JSON for a multivector or form."""
-    return json.dumps(to_json_obj(x), separators=(", ", ": "))
+    """Byte-stable JSON for a multivector or form, in the layout the module docstring gives."""
+    p, q, kind = _space(x)
+    low, mid, high = _json_indices()
+    terms = ", ".join([f'{{"blade": [{(low[m & 15] + mid[m >> 4 & 15] + high[m >> 8])[:-2]}], '
+                       f'"coef": "{x._terms[m]!s}"}}'
+                       for m in sorted(x._terms, key=blade_table(p + q).rank.__getitem__)])
+    return f'{{"signature": [{p}, {q}], "kind": "{kind}", "terms": [{terms}]}}'
 
 
 def _expect(cond: bool, message: str, path: str) -> None:
@@ -260,65 +277,77 @@ def _expect(cond: bool, message: str, path: str) -> None:
         raise SchemaError(message, path)
 
 
-def from_json_obj(obj, path: str = "") -> Value:
-    def sub(field: str) -> str:
-        return f"{path}.{field}" if path else field
-
-    _expect(isinstance(obj, dict), "expected an object", path)
-    _expect("signature" in obj, "missing field 'signature'", path)
-    _expect("kind" in obj, "missing field 'kind'", path)
-    _expect("terms" in obj, "missing field 'terms'", path)
-
-    sig = obj["signature"]
-    _expect(
-        isinstance(sig, list) and len(sig) == 2
-        and all(isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in sig),
-        "expected [p, q] with non-negative integers",
-        sub("signature"),
-    )
-    p, q = sig
-    _expect(1 <= p + q <= MAX_DIM, f"total dimension must be in 1..{MAX_DIM}", sub("signature"))
-    n = p + q
-
-    kind = obj["kind"]
-    _expect(kind in ("clifford", "form"), "expected 'clifford' or 'form'", sub("kind"))
-
-    raw_terms = obj["terms"]
-    _expect(isinstance(raw_terms, list), "expected a list", sub("terms"))
-
-    pairs = []
-    for i, item in enumerate(raw_terms):
-        tpath = f"{sub('terms')}[{i}]"
-        _expect(isinstance(item, dict), "expected an object", tpath)
-        _expect("blade" in item, "missing field 'blade'", tpath)
-        _expect("coef" in item, "missing field 'coef'", tpath)
-        blade = item["blade"]
-        _expect(
-            isinstance(blade, list)
+def _json_term(item, n: int, tpath: str) -> tuple[int, int, int]:
+    """(numerator, denominator, mask) of one term, checked field by field: names the
+    first fault of a term the cheap tests reject, or accepts a dict or int subclass."""
+    _expect(isinstance(item, dict), "expected an object", tpath)
+    _expect("blade" in item, "missing field 'blade'", tpath)
+    _expect("coef" in item, "missing field 'coef'", tpath)
+    blade = item["blade"]
+    _expect(isinstance(blade, list)
             and all(isinstance(v, int) and not isinstance(v, bool) for v in blade),
-            "expected a list of integers",
-            f"{tpath}.blade",
-        )
-        try:
-            mask = blade_mask(blade, n)
-        except ValueError as exc:
-            raise SchemaError(str(exc), f"{tpath}.blade") from None
-        coef = item["coef"]
-        _expect(isinstance(coef, str), "expected a string rational", f"{tpath}.coef")
-        _expect(_JSON_RATIONAL.fullmatch(coef) is not None,
-                "expected integer ['/' positive-integer]", f"{tpath}.coef")
-        num, _, den = coef.partition("/")
-        try:
-            value = Fraction(int(num), int(den or 1))
-        except ValueError:  # past the interpreter's limit on integer string length
-            raise SchemaError("integer literal too long", f"{tpath}.coef") from None
-        except ZeroDivisionError:
-            raise SchemaError("zero denominator", f"{tpath}.coef") from None
-        pairs.append((value, mask))
+            "expected a list of integers", f"{tpath}.blade")
+    try:
+        mask = blade_mask(blade, n)
+    except ValueError as exc:
+        raise SchemaError(str(exc), f"{tpath}.blade") from None
+    coef = item["coef"]
+    _expect(isinstance(coef, str), "expected a string rational", f"{tpath}.coef")
+    _expect(_JSON_RATIONAL.fullmatch(coef) is not None,
+            "expected integer ['/' positive-integer]", f"{tpath}.coef")
+    num, _, den = coef.partition("/")
+    try:
+        num, den = int(num), int(den or 1)
+    except ValueError:  # past the interpreter's limit on integer string length
+        raise SchemaError("integer literal too long", f"{tpath}.coef") from None
+    _expect(den != 0, "zero denominator", f"{tpath}.coef")
+    return num, den, mask
 
+
+def _json_terms(raw_terms: list, n: int, path: str) -> Iterator[tuple[int, int, int]]:
+    """(numerator, denominator, mask) of each term, in order.  The cheap tests: a dict, a
+    sorted blade of exact ints in 1..n whose mask (the sum of 2^i, halved) has a bit per
+    index, and a string rational coef with a nonzero denominator; else _json_term."""
+    for i, item in enumerate(raw_terms):
+        if (type(item) is dict and type(blade := item.get("blade")) is list
+                and type(coef := item.get("coef")) is str and set(map(type, blade)) <= {int}
+                and blade == sorted(blade) and (not blade or 0 < blade[0] and blade[-1] <= n)
+                and (mask := sum(map((1).__lshift__, blade)) >> 1).bit_count() == len(blade)
+                and _JSON_RATIONAL.fullmatch(coef)):
+            num, _, den = coef.partition("/")
+            try:
+                num, den = int(num), int(den or 1)
+            except ValueError:  # too long to convert: _json_term names it
+                den = 0
+            if den:
+                yield num, den, mask
+                continue
+        yield _json_term(item, n, f"{path}[{i}]")
+
+
+def from_json_obj(obj, path: str = "") -> Value:
+    prefix = f"{path}." if path else ""
+    if not isinstance(obj, dict):
+        raise SchemaError("expected an object", path)
+    for field in ("signature", "kind", "terms"):
+        if field not in obj:
+            raise SchemaError(f"missing field '{field}'", path)
+    sig, kind, raw_terms = obj["signature"], obj["kind"], obj["terms"]
+    if not (isinstance(sig, list) and len(sig) == 2
+            and all(isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in sig)):
+        raise SchemaError("expected [p, q] with non-negative integers", prefix + "signature")
+    p, q = sig
+    n = p + q
+    if not 1 <= n <= MAX_DIM:
+        raise SchemaError(f"total dimension must be in 1..{MAX_DIM}", prefix + "signature")
+    if kind not in ("clifford", "form"):
+        raise SchemaError("expected 'clifford' or 'form'", prefix + "kind")
+    if not isinstance(raw_terms, list):
+        raise SchemaError("expected a list", prefix + "terms")
+    terms = _combine(_json_terms(raw_terms, n, prefix + "terms"))
     if kind == "clifford":
-        return Multivector._from_canonical(Signature(p, q), _combine(pairs))
-    return ExteriorForm._from_canonical(n, _combine(pairs))
+        return Multivector._from_canonical(Signature(p, q), terms)
+    return ExteriorForm._from_canonical(n, terms)
 
 
 def from_json(text: str) -> Value:

@@ -333,14 +333,17 @@ def _in_cosets(sig: Signature, signs: dict[int, int], terms: dict[int, Fraction]
     return True
 
 
-def _first_per_coset(masks: Iterable[int], span: Iterable[int]) -> list[int]:
-    """The masks b met first in their coset b xor span, in order; span lists a subspace."""
+def _first_per_coset(masks: Iterable[int], span: Iterable[int], n: int) -> list[int]:
+    """The first mask met in each coset b xor span (a subspace), in order, until all are met."""
     span = list(span)
+    cosets = (1 << n) // len(span)
     seen: set[int] = set()
     kept = []
     for b in masks:
         if b not in seen:
             kept.append(b)
+            if len(kept) == cosets:
+                break
             seen.update([b ^ t for t in span])
     return kept
 
@@ -371,7 +374,7 @@ def left_ideal_basis(f: Multivector) -> IdealBasis:
     order = blade_table(sig.n).order
     signs = _f2_signs(f)
     if signs is not None:
-        kept = _first_per_coset(order, signs)
+        kept = _first_per_coset(order, signs, sig.n)
         rows: dict[int, int] | RowBasis = signs
     else:
         rows, kept = _eliminate(f, order)
@@ -409,7 +412,7 @@ def coset_basis(f: Multivector, candidates: Iterable[Iterable[int]]) -> list[tup
     certified = _f2_signs(f) is not None
     target = (1 << n) // len(f) if certified else _eliminate(f, blade_table(n).order)[0].rank
     masks = _candidate_masks(candidates, n)
-    kept = _first_per_coset(masks, f._terms) if certified else _eliminate(f, masks)[1]
+    kept = _first_per_coset(masks, f._terms, n) if certified else _eliminate(f, masks)[1]
     if len(kept) != target:
         raise ValueError(
             f"candidates insufficient to span the ideal (got rank {len(kept)} of {target})"

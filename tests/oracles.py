@@ -7,6 +7,7 @@ representation tricks with the package under test.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -439,3 +440,79 @@ def reference_parse_terms(text, n):
         sign = -1 if op == "-" else 1
         sc.pos += 1
         sc.skip_ws()
+
+
+class SchemaCheckError(ValueError):
+    """A JSON-schema error from reference_from_json_obj: message and field path."""
+
+    def __init__(self, message, path):
+        super().__init__(f"{path}: {message}" if path else message)
+        self.path = path
+
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def reference_from_json_obj(obj, max_dim=12):
+    """(kind, space, {indices: nonzero Fraction}) of a JSON payload, checked field by field.
+
+    space is (p, q) for kind 'clifford' and n for kind 'form'.  Every
+    field of every term is checked in turn, in the order exprio used
+    before its single-pass term reader, and the first fault is raised as
+    SchemaCheckError with exprio's message and path.
+    """
+    def fail(message, path):
+        raise SchemaCheckError(message, path)
+
+    if not isinstance(obj, dict):
+        fail("expected an object", "")
+    for field in ("signature", "kind", "terms"):
+        if field not in obj:
+            fail(f"missing field '{field}'", "")
+    sig = obj["signature"]
+    if not (isinstance(sig, list) and len(sig) == 2 and all(_is_int(v) and v >= 0 for v in sig)):
+        fail("expected [p, q] with non-negative integers", "signature")
+    p, q = sig
+    n = p + q
+    if not 1 <= n <= max_dim:
+        fail(f"total dimension must be in 1..{max_dim}", "signature")
+    kind = obj["kind"]
+    if kind not in ("clifford", "form"):
+        fail("expected 'clifford' or 'form'", "kind")
+    terms = obj["terms"]
+    if not isinstance(terms, list):
+        fail("expected a list", "terms")
+    out = {}
+    for i, item in enumerate(terms):
+        tpath = f"terms[{i}]"
+        if not isinstance(item, dict):
+            fail("expected an object", tpath)
+        for field in ("blade", "coef"):
+            if field not in item:
+                fail(f"missing field '{field}'", tpath)
+        blade = item["blade"]
+        if not (isinstance(blade, list) and all(_is_int(v) for v in blade)):
+            fail("expected a list of integers", f"{tpath}.blade")
+        prev = 0
+        for v in blade:
+            if v <= prev:
+                fail(f"blade indices must be strictly increasing, got index {v}", f"{tpath}.blade")
+            if v > n:
+                fail(f"blade index {v} exceeds dimension {n}", f"{tpath}.blade")
+            prev = v
+        coef = item["coef"]
+        if not isinstance(coef, str):
+            fail("expected a string rational", f"{tpath}.coef")
+        if re.fullmatch(r"-?[0-9]+(?:/[0-9]+)?", coef) is None:
+            fail("expected integer ['/' positive-integer]", f"{tpath}.coef")
+        num, _, den = coef.partition("/")
+        try:
+            value = Fraction(int(num), int(den or 1))
+        except ValueError:
+            fail("integer literal too long", f"{tpath}.coef")
+        except ZeroDivisionError:
+            fail("zero denominator", f"{tpath}.coef")
+        out[tuple(blade)] = out.get(tuple(blade), 0) + value
+    space = (p, q) if kind == "clifford" else n
+    return kind, space, {ind: c for ind, c in out.items() if c}

@@ -26,7 +26,8 @@ from cliffideal import (
     volume_element,
     wedge,
 )
-from cliffideal.algebra import blade_mask, blade_product_masks, blade_table, grade_of, mask_indices
+from cliffideal.algebra import (MAX_DIM, BladeTable, _by_grade, blade_mask, blade_product_masks,
+                               blade_table, grade_of, mask_indices)
 
 from conftest import multivectors, signatures
 from oracles import clifford_blade_product, multiply_dicts, wedge_dicts
@@ -331,3 +332,17 @@ def test_blade_table_order_rank_and_text():
         assert list(table.index) == [mask_indices(m) for m in table.order]
         assert all(blade_mask(ind, n) == m for ind, m in table.index.items())
     assert blade_table(12) is blade_table(12)
+
+
+def test_blade_table_columns_follow_by_grade_definition():
+    for n in range(1, MAX_DIM + 1):
+        table = BladeTable(n)  # a fresh build, not the cached table
+        want = [sum(1 << (i - 1) for i in ind) for ind in _by_grade(n)]
+        assert list(table.order) == want
+        assert [table.rank[m] for m in want] == list(range(1 << n))
+        assert len(table.rank) == 1 << n
+
+
+def test_mask_indices_lists_the_set_bits():
+    for m in range(1 << MAX_DIM):
+        assert mask_indices(m) == tuple(i + 1 for i in range(MAX_DIM) if m >> i & 1)

@@ -19,7 +19,8 @@ from cliffideal import (
     print_canonical,
     to_json,
 )
-from cliffideal.exprio import parse_terms
+from cliffideal.algebra import blade_table, mask_indices
+from cliffideal.exprio import parse_terms, to_json_obj
 
 import oracles
 from conftest import forms, multivectors, signatures
@@ -408,7 +409,15 @@ def _mutate(rng: random.Random, obj):
     return _set(obj, path, [node] if rng.random() < 0.5 else {"terms": node})
 
 
+def _space_and_terms(x):
+    """What reference_from_json_obj returns for a loaded value."""
+    if isinstance(x, Multivector):
+        return "clifford", (x.sig.p, x.sig.q), {mask_indices(m): c for m, c in x.terms()}
+    return "form", x.n, {mask_indices(m): c for m, c in x.terms()}
+
+
 def test_json_schema_fuzz_loads_and_round_trips_or_rejects():
+    """Each mutant loads to the oracle's value, or fails with its message and path."""
     rng = random.Random(5)
     loaded = rejected = 0
     for i in range(4000):
@@ -419,14 +428,72 @@ def test_json_schema_fuzz_loads_and_round_trips_or_rejects():
         if i % 50 == 0:
             text = text[:rng.randrange(len(text) + 1)]  # cut short
         try:
-            x = from_json(text)
-        except SchemaError:
+            want = oracles.reference_from_json_obj(json.loads(text))
+        except json.JSONDecodeError:
+            with pytest.raises(SchemaError, match="^invalid JSON: "):
+                from_json(text)
             rejected += 1
             continue
+        except oracles.SchemaCheckError as exc:
+            with pytest.raises(SchemaError) as err:
+                from_json(text)
+            assert (str(err.value), err.value.path) == (str(exc), exc.path), text
+            rejected += 1
+            continue
+        x = from_json(text)
+        assert _space_and_terms(x) == want, text
+        assert all(type(c) is Fraction and c for c in x.term_map().values()), text
         assert from_json(to_json(x)) == x, text
         assert to_json(from_json(to_json(x))) == to_json(x), text
         loaded += 1
     assert loaded > 500 and rejected > 500
+
+
+def test_to_json_is_json_dumps_of_to_json_obj():
+    rng = random.Random(41)
+    values = []
+    for n in range(1, 13):
+        p = rng.randint(0, n)
+        values += [Multivector.zero(Signature(p, n - p)), ExteriorForm.zero(n),
+                   Multivector.scalar(Signature(p, n - p), Fraction(-3, 7)),
+                   ExteriorForm(n, {0: 5})]
+    for _ in range(400):
+        n = rng.randint(1, 12)
+        p = rng.randint(0, n)
+        terms = {rng.randrange(1 << n): Fraction(rng.randint(-10**12, 10**12),
+                                                 rng.randint(1, 10**6))
+                 for _ in range(rng.randint(0, 12))}
+        values += [Multivector(Signature(p, n - p), terms), ExteriorForm(n, terms)]
+    for x in values:
+        assert to_json(x) == json.dumps(to_json_obj(x), separators=(", ", ": "))
+
+
+@pytest.mark.parametrize("text, want", [("0*e1 + e2", {0b10: 1}), ("0", {}), ("0*e1", {}),
+                                        ("-0/5*e12 + 3 - 0", {0: 3}), ("e1 + 0*e1", {0b1: 1})])
+def test_zero_terms_leave_no_entry(text, want, sig6):
+    for x in (parse(text, sig6), parse(text, 6, kind="form")):
+        assert x.term_map() == want
+        assert all(type(c) is Fraction for c in x.term_map().values())
+
+
+@pytest.mark.parametrize("coef", ["0", "-0", "0/5", "-00/7"])
+def test_json_zero_coefs_leave_no_entry(coef):
+    for kind in ("clifford", "form"):
+        alone = {"signature": [0, 6], "kind": kind, "terms": [{"blade": [1], "coef": coef}]}
+        assert from_json(json.dumps(alone)).is_zero()
+        alone["terms"].append({"blade": [2], "coef": "1"})
+        x = from_json(json.dumps(alone))
+        assert x.term_map() == {0b10: 1}
+        assert type(x.term_map()[0b10]) is Fraction
+
+
+@pytest.mark.parametrize("n", [0, 13, 14, 15, 16, 17, 30, -1, True])
+def test_parse_form_rejects_a_dimension_outside_1_to_12(n):
+    before = blade_table.cache_info().currsize
+    with pytest.raises(ValueError) as err:
+        parse("e1", n, kind="form")
+    assert str(err.value) == f"dimension must be in 1..12, got {n!r}"
+    assert blade_table.cache_info().currsize == before  # no table was built
 
 
 @pytest.mark.parametrize("text", [
