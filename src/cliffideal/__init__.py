@@ -6,6 +6,8 @@ and machine-verifies the documented identities.  All arithmetic is
 exact (fractions.Fraction); there are no floats anywhere.
 """
 
+from types import ModuleType as _ModuleType
+
 from .algebra import (
     Multivector,
     Signature,
@@ -86,70 +88,6 @@ from .verifier import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlgebraClass",
-    "Claim",
-    "ClaimResult",
-    "ExteriorForm",
-    "G2Structure",
-    "GeneratorError",
-    "GeneratorReport",
-    "HodgeConvention",
-    "IdealBasis",
-    "IdempotentSpec",
-    "Multivector",
-    "OrbitReport",
-    "ParseError",
-    "Report",
-    "SU3Structure",
-    "SchemaError",
-    "Signature",
-    "Spin7Structure",
-    "StructureError",
-    "blade_product",
-    "blade_square_sign",
-    "build_idempotent",
-    "classify",
-    "clifford_hodge",
-    "coset_basis",
-    "decompose_algebra",
-    "from_json",
-    "g2_idempotent",
-    "g2_metric",
-    "g2_recover",
-    "geometric_product",
-    "grade_project",
-    "hodge_star",
-    "interior_product",
-    "is_idempotent",
-    "is_orthogonal",
-    "is_primitive",
-    "is_sub_idempotent",
-    "left_ideal_basis",
-    "lift_idempotent_6_to_7",
-    "lift_su3_to_g2",
-    "list_claims",
-    "load_golden",
-    "model_g2",
-    "model_spin7",
-    "model_su3",
-    "parse",
-    "print_canonical",
-    "quantize",
-    "radon_hurwitz",
-    "reverse",
-    "run_all",
-    "run_claim",
-    "spin7_idempotent",
-    "spin7_recover",
-    "structure_from_json",
-    "structure_to_json",
-    "su3_idempotent",
-    "su3_recover",
-    "symbol",
-    "to_json",
-    "validate_generators",
-    "volume_element",
-    "volume_form",
-    "wedge",
-]
+# every public name imported above, so each is written once
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -400,7 +400,9 @@ class Multivector(_BladeMap):
     rational), == and grade projection.
     """
 
-    __slots__ = ()
+    # the F_2 certificate of ideals._f2_signs, unset until recorded or derived;
+    # ==, hash, copies and pickles leave it out
+    __slots__ = ("_f2",)
 
     def __init__(self, sig: Signature, terms: Mapping[int, Rational] | None = None):
         super().__init__(sig, terms)

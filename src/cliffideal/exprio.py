@@ -22,12 +22,18 @@ JSON layout: to_json writes json.dumps(to_json_obj(x), separators=(", ", ": ")),
 with [0, n] and "form" for a form, one term per nonzero coefficient in
 canonical order, increasing indices ([] for the scalar) and the reduced
 coef ("a", or "a/b" when b > 1).  The reader combines like terms in any order.
+
+Numerators and denominators are bounded by the interpreter's limit on integer
+string conversion (4,300 digits by default) both ways: the reader reports a
+longer literal by position or path, and the writers name the blade whose
+coefficient outgrew the bound.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 from functools import cache
 from typing import Iterable, Iterator, Union
@@ -53,6 +59,25 @@ class SchemaError(ValueError):
     def __init__(self, message: str, path: str):
         super().__init__(f"{path}: {message}" if path else message)
         self.path = path
+
+
+class _DigitLimitError(ValueError):
+    """A coefficient with a numerator or denominator too long for str() to write."""
+
+
+def _digit_limit(x: Value) -> _DigitLimitError:
+    """The writers' error, naming the first blade whose coefficient str() refuses.
+
+    Built only after a conversion failed, so writing pays no per-term test.
+    """
+    for mask, coef in x.terms():
+        try:
+            str(coef)
+        except ValueError:
+            break
+    name = blade_table(x._dim(x._space)).text[mask]
+    return _DigitLimitError(f"cannot write the coefficient of blade {name}: its numerator or "
+                            f"denominator has more than {sys.get_int_max_str_digits()} digits")
 
 
 class ExprTerm(_Record):
@@ -221,14 +246,17 @@ def print_canonical(x: Value) -> str:
     table = blade_table(x.sig.n if isinstance(x, Multivector) else x.n)
     text, t = table.text, x._terms
     out = []
-    for mask in sorted(t, key=table.rank.__getitem__):
-        c = str(t[mask])
-        if c[0] == "-":
-            out.append(" - ")
-            c = c[1:]
-        else:
-            out.append(" + ")
-        out.append(c if not mask else text[mask] if c == "1" else f"{c}*{text[mask]}")
+    try:
+        for mask in sorted(t, key=table.rank.__getitem__):
+            c = str(t[mask])
+            if c[0] == "-":
+                out.append(" - ")
+                c = c[1:]
+            else:
+                out.append(" + ")
+            out.append(c if not mask else text[mask] if c == "1" else f"{c}*{text[mask]}")
+    except ValueError:
+        raise _digit_limit(x) from None
     if not out:
         return "0"
     out[0] = "-" if out[0] == " - " else ""
@@ -252,7 +280,10 @@ def _space(x: Value) -> tuple[int, int, str]:
 
 def to_json_obj(x: Value) -> dict:
     p, q, kind = _space(x)
-    terms = [{"blade": list(mask_indices(mask)), "coef": str(coef)} for mask, coef in x.terms()]
+    try:
+        terms = [{"blade": list(mask_indices(mask)), "coef": str(coef)} for mask, coef in x.terms()]
+    except ValueError:
+        raise _digit_limit(x) from None
     return {"signature": [p, q], "kind": kind, "terms": terms}
 
 
@@ -266,9 +297,12 @@ def to_json(x: Value) -> str:
     """Byte-stable JSON for a multivector or form, in the layout the module docstring gives."""
     p, q, kind = _space(x)
     low, mid, high = _json_indices()
-    terms = ", ".join([f'{{"blade": [{(low[m & 15] + mid[m >> 4 & 15] + high[m >> 8])[:-2]}], '
-                       f'"coef": "{x._terms[m]!s}"}}'
-                       for m in sorted(x._terms, key=blade_table(p + q).rank.__getitem__)])
+    try:
+        terms = ", ".join([f'{{"blade": [{(low[m & 15] + mid[m >> 4 & 15] + high[m >> 8])[:-2]}], '
+                           f'"coef": "{x._terms[m]!s}"}}'
+                           for m in sorted(x._terms, key=blade_table(p + q).rank.__getitem__)])
+    except ValueError:
+        raise _digit_limit(x) from None
     return f'{{"signature": [{p}, {q}], "kind": "{kind}", "terms": [{terms}]}}'
 
 

@@ -20,7 +20,10 @@ Algebras and Spinors, 2nd ed., 2001; Ablamowicz, Comput. Phys. Commun.
 would keep, membership in A*f is a sign check coset by coset, and f*f is
 len(f) <f>_0 f.  Any other f goes through fraction-free integer
 elimination of the rows b*f, scaled to integers once, with no geometric
-product.
+product.  build_idempotent records the certificate, its group's signs, on
+the f it writes; any other element derives it once, on first use, and
+keeps it.  The basis elements of a certified f's ideal are built when
+IdealBasis.basis is first read.
 """
 
 from __future__ import annotations
@@ -124,11 +127,13 @@ def validate_generators(spec: IdempotentSpec) -> GeneratorReport:
     sig = spec.sig
     violations: list[str] = []
     masks = spec.masks()
-    name = blade_table(sig.n).text
+
+    def name(mask: int) -> str:  # the text column is built only to report a violation
+        return blade_table(sig.n).text[mask]
 
     for (_, t), mask in zip(spec.generators, masks):
         if blade_square_sign(t, sig) != 1:
-            violations.append(f"generator {name[mask]} squares to -1")
+            violations.append(f"generator {name(mask)} squares to -1")
 
     for i in range(len(masks)):
         for j in range(i + 1, len(masks)):
@@ -136,13 +141,13 @@ def validate_generators(spec: IdempotentSpec) -> GeneratorReport:
             sji, _ = blade_product_masks(masks[j], masks[i], sig)
             if sij != sji:
                 violations.append(
-                    f"generators {name[masks[i]]} and {name[masks[j]]} anticommute"
+                    f"generators {name(masks[i])} and {name(masks[j])} anticommute"
                 )
 
     dep = _f2_dependent(masks)
     if dep is not None:
         violations.append(
-            f"generator {name[masks[dep]]} is a product of earlier generators"
+            f"generator {name(masks[dep])} is a product of earlier generators"
         )
 
     expected = sig.q - radon_hurwitz(sig.q - sig.p)
@@ -175,7 +180,9 @@ def build_idempotent(spec: IdempotentSpec) -> Multivector:
                  for term in ((m, c), (m ^ t, c * s * blade_product_masks(m, t, sig)[0]))]
     plus = Fraction(1, 1 << len(spec.generators))
     minus = -plus
-    return Multivector._from_canonical(sig, {m: plus if c > 0 else minus for m, c in terms})
+    f = Multivector._from_canonical(sig, {m: plus if c > 0 else minus for m, c in terms})
+    object.__setattr__(f, "_f2", dict(terms))  # the signs _f2_signs would derive
+    return f
 
 
 def is_idempotent(x: Multivector) -> bool:
@@ -202,7 +209,11 @@ def is_sub_idempotent(f: Multivector, e: Multivector) -> bool:
 
 
 class IdealBasis(_Record):
-    """Basis of the left ideal Cl(p,q) * f, with what membership needs."""
+    """Basis of the left ideal Cl(p,q) * f, with what membership needs.
+
+    For a certified f, left_ideal_basis leaves basis unset; its first read
+    builds the elements b*f, b the first blade of each coset, and keeps them.
+    """
 
     __slots__ = ("idempotent", "dimension", "basis", "_rows")
 
@@ -221,6 +232,14 @@ class IdealBasis(_Record):
         if isinstance(self._rows, RowBasis):
             return self._rows.contains(x._terms)  # a Fraction row is cleared into a new dict
         return _in_cosets(sig, self._rows, x._terms)
+
+    def __getattr__(self, name: str):
+        if name != "basis":  # only an unset slot gets here
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        n = self.idempotent.sig.n
+        kept = _first_per_coset(blade_table(n).order, self._rows, n)
+        object.__setattr__(self, "basis", _products(self.idempotent, kept))
+        return self.basis
 
 
 def _require_multivector(x, caller: str) -> None:
@@ -268,6 +287,20 @@ def _blade_rows(f: Multivector, masks: Iterable[int]) -> tuple[int, Iterator[dic
 
 def _f2_signs(f: Multivector) -> dict[int, int] | None:
     """The signs s_t = f_t / <f>_0 over supp f when f passes the F_2 coset certificate, else None.
+
+    Read from f's certificate slot, which build_idempotent fills when it
+    writes f; otherwise derived once by _f2_certificate and recorded there.
+    """
+    try:
+        return f._f2
+    except AttributeError:
+        signs = _f2_certificate(f)
+        object.__setattr__(f, "_f2", signs)
+        return signs
+
+
+def _f2_certificate(f: Multivector) -> dict[int, int] | None:
+    """_f2_signs derived from f's coefficients.
 
     f passes when every coefficient is +-<f>_0, supp f is an F_2 subspace T
     (it holds 0, and its masks span exactly log2 len(f) dimensions), and
@@ -360,27 +393,30 @@ def _eliminate(f: Multivector, masks: Sequence[int]) -> tuple[RowBasis, list[int
     return echelon, kept
 
 
+def _products(f: Multivector, kept: Iterable[int]) -> tuple[Multivector, ...]:
+    """The elements e_b * f for b in kept, in order."""
+    return tuple(Multivector._from_canonical(f.sig, row)
+                 for row in _signed_rows(f.sig, f._terms.items(), kept))
+
+
 def left_ideal_basis(f: Multivector) -> IdealBasis:
     """Exact rank and basis of the left ideal generated by f.
 
     Runs every basis blade b, in canonical order, through b*f and keeps
     those that enlarge the row span: the first blade of each coset when f
     passes the F_2 coset certificate, by elimination otherwise.  The basis
-    elements are the products b*f of the kept blades.  For a primitive
-    idempotent the resulting dimension matches the classification minimum.
+    elements are the products b*f of the kept blades; for a certified f
+    the dimension is 2^n / len(f) and they are built on first read.  For a
+    primitive idempotent the dimension matches the classification minimum.
     """
     _require_generator(f, "left_ideal_basis")
-    sig = f.sig
-    order = blade_table(sig.n).order
     signs = _f2_signs(f)
-    if signs is not None:
-        kept = _first_per_coset(order, signs, sig.n)
-        rows: dict[int, int] | RowBasis = signs
-    else:
-        rows, kept = _eliminate(f, order)
-    elements = tuple(Multivector._from_canonical(sig, row)
-                     for row in _signed_rows(sig, f._terms.items(), kept))
-    return IdealBasis(idempotent=f, dimension=len(kept), basis=elements, _rows=rows)
+    if signs is None:
+        rows, kept = _eliminate(f, blade_table(f.sig.n).order)
+        return IdealBasis(idempotent=f, dimension=len(kept), basis=_products(f, kept), _rows=rows)
+    ideal = IdealBasis(f, (1 << f.sig.n) // len(f), None, signs)
+    object.__delattr__(ideal, "basis")  # left unset until IdealBasis.__getattr__ builds it
+    return ideal
 
 
 def _candidate_masks(candidates: Iterable[Iterable[int]], n: int) -> list[int]:

@@ -27,7 +27,7 @@ from .exterior import (
 )
 from .exprio import SchemaError, from_json_obj, to_json_obj
 from .ideals import is_idempotent, is_primitive
-from .linalg import det, leading_principal_minors
+from .linalg import leading_principal_minors
 
 _STAR = HodgeConvention.EXT_DUAL_FIRST
 
@@ -198,6 +198,7 @@ def su3_recover(x: Multivector) -> SU3Structure:
 def g2_metric(s: G2Structure) -> OrbitReport:
     """Bilinear form B with B_ij vol = (1/6) (i_i phi) ^ (i_j phi) ^ phi.
 
+    2-forms commute under ^, so B is symmetric and only i <= j is wedged.
     The orbit tag comes from an exact Sylvester test: definite when B or
     -B has all leading principal minors positive, degenerate when det B
     vanishes, split otherwise.
@@ -206,25 +207,20 @@ def g2_metric(s: G2Structure) -> OrbitReport:
     top = (1 << 7) - 1
     contractions = [interior_product(i, phi) for i in range(1, 8)]
     sixth = Fraction(1, 6)
-    rows = []
+    rows = [[Fraction(0)] * 7 for _ in range(7)]
     for i in range(7):
-        row = []
-        for j in range(7):
+        for j in range(i, 7):
             w = wedge(wedge(contractions[i], contractions[j]), phi)
-            row.append(sixth * w.term_map().get(top, Fraction(0)))
-        rows.append(tuple(row))
-    metric = tuple(rows)
-    d = det([list(r) for r in rows])
-    if not d:
+            rows[i][j] = rows[j][i] = sixth * w.term_map().get(top, Fraction(0))
+    # the last leading minor is det B; the k-th leading minor of -B is (-1)^k times that of B
+    minors = leading_principal_minors(rows)
+    if not minors[-1]:
         tag = "degenerate"
+    elif all(m > 0 for m in minors) or all((-1) ** k * m > 0 for k, m in enumerate(minors, 1)):
+        tag = "definite"
     else:
-        # the k-th leading minor of -B is (-1)^k times that of B
-        minors = leading_principal_minors([list(r) for r in rows])
-        if all(m > 0 for m in minors) or all((-1) ** k * m > 0 for k, m in enumerate(minors, 1)):
-            tag = "definite"
-        else:
-            tag = "split"
-    return OrbitReport(metric=metric, determinant=d, tag=tag)
+        tag = "split"
+    return OrbitReport(metric=tuple(map(tuple, rows)), determinant=minors[-1], tag=tag)
 
 
 def g2_idempotent(s: G2Structure) -> Multivector:
@@ -234,7 +230,12 @@ def g2_idempotent(s: G2Structure) -> Multivector:
     - q(phi ^ star phi)) under EXT_DUAL_FIRST and verifies idempotency.
     Degenerate phi (by the induced metric) is rejected up front.
     """
-    if g2_metric(s).tag == "degenerate":
+    return _g2_idempotent(s, g2_metric(s))
+
+
+def _g2_idempotent(s: G2Structure, metric: OrbitReport) -> Multivector:
+    """g2_idempotent with g2_metric(s) already computed."""
+    if metric.tag == "degenerate":
         raise StructureError("phi induces a degenerate metric")
     star_phi = hodge_star(s.phi, _STAR)
     w = quantize(wedge(s.phi, star_phi))

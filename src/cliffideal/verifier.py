@@ -48,7 +48,7 @@ from .ideals import (
     validate_generators,
 )
 from .structures import (
-    g2_idempotent,
+    _g2_idempotent,
     g2_metric,
     lift_su3_to_g2,
     model_g2,
@@ -338,8 +338,9 @@ def _build_catalog() -> tuple[Claim, ...]:
     # C17 ----------------------------------------------------------------
     def eval_c17(conv):
         lifted = lift_su3_to_g2(su3)
-        tag = g2_metric(lifted).tag
-        f = g2_idempotent(lifted)
+        metric = g2_metric(lifted)
+        tag = metric.tag
+        f = _g2_idempotent(lifted, metric)
         dim = left_ideal_basis(f).dimension
         ok = tag == "definite" and is_primitive(f) and dim == 8
         return ok, f"metric {tag}; primitive: {is_primitive(f)}; ideal dimension {dim}", ""

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,15 @@ def signatures(max_dim: int = 8):
     return st.integers(min_value=1, max_value=max_dim).flatmap(
         lambda n: st.integers(min_value=0, max_value=n).map(lambda p: Signature(p, n - p))
     )
+
+
+@pytest.fixture
+def digit_limit():
+    """The interpreter's default bound on integer string conversion, set for one test."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)
 
 
 @pytest.fixture(scope="session")

@@ -1,0 +1,176 @@
+"""Mutation gate: every fast path must fail a test when it is broken in a known way.
+
+    python3 tests/mutate.py    # from any directory
+
+Each entry of MUTANTS is (file under src/cliffideal, exact old text, new
+text, pytest selection).  First the union of the selections runs once
+against an unmutated copy of src/ and must pass, and that copy must be the
+package the tests import.  Then, for each entry in turn, src/ is copied to
+a temporary directory and the old text is replaced by the new text there.
+The old text must occur exactly once in its file; otherwise the entry is
+stale and fails the gate, so a refactor has to update its mutants.  The
+selection then runs with `pytest -x -q` and PYTHONPATH pointing at the
+copy.  The mutant is killed when that run fails, or when it outlasts
+TIMEOUT_S (a hang, which stops the process).  One pytest process runs
+at a time.  The gate prints a kill table and exits 1 on any survivor or
+stale entry.  The file name has no test_ prefix, so a plain pytest run
+does not collect it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+TIMEOUT_S = 60
+
+IDEALS = "tests/test_ideals.py::"
+CERTIFICATE = [IDEALS + "test_f2_signs_accepts_what_the_row_oracle_accepts",
+               IDEALS + "test_recorded_certificate_matches_the_derived_one"]
+
+MUTANTS: list[tuple[str, str, str, list[str]]] = [
+    # the F_2 certificate derived from the coefficients (ideals._f2_certificate)
+    ("ideals.py",  # no parity test: e_t * f = +-f is never checked
+     "    for t in basis:\n        sign_mask = _sign_mask(f.sig, t)\n",
+     "    for t in basis[:0]:\n        sign_mask = _sign_mask(f.sig, t)\n", CERTIFICATE),
+    ("ideals.py",  # no magnitude test: any coefficient passes as +-<f>_0
+     "        if ratio != plus and ratio != minus:\n            return None\n",
+     "        if False:\n            return None\n", CERTIFICATE),
+    ("ideals.py",  # no subspace test: supp f need not fill its span
+     "    if 1 << len(basis) != len(terms):", "    if False:", CERTIFICATE),
+    ("ideals.py",  # numerators compared without denominators
+     "        ratio = c.as_integer_ratio()\n", "        ratio = (c.numerator, plus[1])\n",
+     [IDEALS + "test_certificate_compares_whole_fractions"]),
+    # membership coset by coset, and idempotency from <f>_0
+    ("ideals.py",  # no sign(b, t) flip in membership
+     "                    s = -s\n", "                    pass\n",
+     [IDEALS + "test_coset_membership_matches_elimination_and_products"]),
+    ("ideals.py",  # membership compares numerators without denominators
+     "if ratios.pop(b ^ t, None) != (s * num, den):",
+     "if ratios.pop(b ^ t, (None, 0))[0] != s * num:",
+     [IDEALS + "test_coset_membership_matches_elimination_and_products"]),
+    ("ideals.py",  # >= 1 for idempotency
+     "return len(x) * x.scalar_part == 1", "return len(x) * x.scalar_part >= 1",
+     [IDEALS + "test_is_idempotent_reads_the_scalar_part"]),
+    # the certificate build_idempotent records, and the basis built on first read
+    ("ideals.py",  # one wrong sign in the recorded certificate
+     'object.__setattr__(f, "_f2", dict(terms))',
+     'object.__setattr__(f, "_f2", dict(terms[:-1] + [(terms[-1][0], -terms[-1][1])]))',
+     [IDEALS + "test_recorded_certificate_matches_the_derived_one"]),
+    ("ideals.py",  # the lazy basis built without the row sign
+     'object.__setattr__(self, "basis", _products(self.idempotent, kept))',
+     'object.__setattr__(self, "basis", tuple(Multivector._from_canonical('
+     'self.idempotent.sig, {b ^ m: c for m, c in self.idempotent._terms.items()}) for b in kept))',
+     [IDEALS + "test_left_ideal_basis_builds_elements_on_first_read"]),
+    ("ideals.py",  # the early coset stop off by one
+     "            if len(kept) == cosets:", "            if len(kept) == cosets - 1:",
+     [IDEALS + "test_certified_path_runs_no_elimination_and_no_product"]),
+    ("ideals.py",  # the row sign mask without the metric part
+     "    return _suffix_parity(b) ^ (b >> sig.p << sig.p)", "    return _suffix_parity(b)",
+     [IDEALS + "test_signed_permutation_rows_match_products"]),
+    ("ideals.py",  # a wrong Radon-Hurwitz step
+     "    return radon_hurwitz(i - 8) + 4", "    return radon_hurwitz(i - 8) + 3",
+     [IDEALS + "test_classification_consistent_with_radon_hurwitz"]),
+    # the L0 sign kernel
+    ("algebra.py",  # the suffix parity counts the blade's own bit
+     "    a >>= 1\n    a ^= a >> 1\n", "    a ^= a >> 1\n",
+     ["tests/test_algebra.py::test_blade_product_masks_all_pairs_against_oracle"]),
+    ("algebra.py",  # the suffix xor stops at 8 positions
+     "    a ^= a >> 8\n", "    a ^= a >> 16\n",
+     ["tests/test_algebra.py::test_blade_product_masks_all_pairs_against_oracle"]),
+    ("algebra.py",  # reorder_sign with its operands swapped
+     "return -1 if (_suffix_parity(a) & b).bit_count() & 1 else 1",
+     "return -1 if (_suffix_parity(b) & a).bit_count() & 1 else 1",
+     ["tests/test_algebra.py::test_blade_product_exhaustive_small_dims"]),
+    # exact linear algebra and the Hodge star
+    ("linalg.py",  # Bareiss without the swap sign
+     "            sign = -sign\n", "            sign = sign\n",
+     [IDEALS + "test_det_bareiss_matches_oracle"]),
+    ("linalg.py",  # RowBasis reduces the caller's integer row in place
+     "            row = dict(row)  # already cleared", "            row = row  # already cleared",
+     [IDEALS + "test_row_basis_integer_rows_and_caller_rows"]),
+    ("exterior.py",  # the two Hodge sign rules swapped
+     "sign = reorder_sign(comp, mask) if dual_first else reorder_sign(mask, comp)",
+     "sign = reorder_sign(mask, comp) if dual_first else reorder_sign(comp, mask)",
+     ["tests/test_exterior.py::test_hodge_star_both_exterior_conventions_exhaustive"]),
+    # the G2 metric from i <= j, and the writers' digit bound
+    ("structures.py",  # the lower triangle of B left at zero
+     "            rows[i][j] = rows[j][i] = sixth", "            rows[i][j] = sixth",
+     ["tests/test_structures.py::test_g2_metric_matches_oracle_off_the_diagonal"]),
+    ("exprio.py",  # the digit error names the last blade, not the one str() refused
+     "        except ValueError:\n            break\n", "        except ValueError:\n            continue\n",
+     ["tests/test_exprio.py::test_an_accepted_sum_that_outgrows_the_bound_is_named"]),
+]
+
+
+def _copy_src(into: Path) -> Path:
+    target = into / "src"
+    shutil.copytree(SRC, target, ignore=shutil.ignore_patterns("__pycache__"))
+    return target
+
+
+def _python(src: Path, *args: str) -> subprocess.CompletedProcess:
+    """python args, run from the checkout with the package imported from src."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env, capture_output=True,
+                          text=True, timeout=TIMEOUT_S)
+
+
+def _pytest(src: Path, selection: list[str]) -> subprocess.CompletedProcess:
+    return _python(src, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *selection)
+
+
+def _baseline() -> str | None:
+    """None when the selections pass on an unmutated copy that the tests import, else why not."""
+    selection = sorted({test for *_, tests in MUTANTS for test in tests})
+    with tempfile.TemporaryDirectory() as tmp:
+        src = _copy_src(Path(tmp))
+        where = _python(src, "-c", "import cliffideal; print(cliffideal.__file__)").stdout.strip()
+        if not where.startswith(str(src)):
+            return f"the tests import cliffideal from {where or '?'}, not from the copy"
+        run = _pytest(src, selection)
+        if run.returncode:
+            return "the selections fail without a mutant:\n" + run.stdout[-2000:]
+    return None
+
+
+def _run(file: str, old: str, new: str, selection: list[str]) -> str:
+    """'killed', 'SURVIVED' or 'STALE (...)' for one mutant."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _copy_src(Path(tmp)) / "cliffideal" / file
+        text = path.read_text()
+        count = text.count(old)
+        if count != 1:
+            return f"STALE (old text found {count} times)"
+        path.write_text(text.replace(old, new))
+        try:
+            return "killed" if _pytest(path.parent.parent, selection).returncode else "SURVIVED"
+        except subprocess.TimeoutExpired:
+            return "killed (hang)"
+
+
+def main() -> int:
+    start = time.perf_counter()
+    problem = _baseline()
+    if problem:
+        print(f"mutation gate: {problem}")
+        return 1
+    failed = 0
+    for i, (file, old, new, tests) in enumerate(MUTANTS, 1):
+        verdict = _run(file, old, new, tests)
+        failed += not verdict.startswith("killed")
+        print(f"{i:2d}  {verdict:<13} {file:<14} {old.strip().splitlines()[0][:60]}", flush=True)
+    print(f"mutation gate: {len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed "
+          f"in {time.perf_counter() - start:.0f} s")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

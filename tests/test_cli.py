@@ -83,6 +83,14 @@ def test_eval_overlong_literal_exit_2(capsys):
     assert "position 0" in err
 
 
+def test_eval_result_past_the_digit_bound_exit_1(capsys, digit_limit):
+    big = "9" * 3000 + "*e1"  # accepted; its square has 6,000 digits
+    code, out, err = run(capsys, "eval", "--sig", "0,6", "--op", "product", big, big)
+    assert code == 1 and out == ""
+    assert err == ("error: cannot write the coefficient of blade 1: its numerator or "
+                   "denominator has more than 4300 digits\n")
+
+
 def test_eval_unknown_op_exit_2(capsys):
     code, _, err = run(capsys, "eval", "--sig", "0,6", "e1", "--op", "frobnicate")
     assert code == 2

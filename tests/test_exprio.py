@@ -19,6 +19,7 @@ from cliffideal import (
     print_canonical,
     to_json,
 )
+from cliffideal import exprio
 from cliffideal.algebra import blade_table, mask_indices
 from cliffideal.exprio import parse_terms, to_json_obj
 
@@ -504,3 +505,51 @@ def test_parse_form_rejects_a_dimension_outside_1_to_12(n):
 def test_json_hostile_text_is_a_schema_error(text):
     with pytest.raises(SchemaError, match="invalid JSON"):
         from_json(text)
+
+
+# -- the writers' digit bound ---------------------------------------------------
+
+WRITERS = (print_canonical, to_json, to_json_obj)
+
+
+def _refused(x, blade: str):
+    """The error every writer raises for x, which must name blade and the bound."""
+    for write in WRITERS:
+        with pytest.raises(ValueError) as err:
+            write(x)
+        assert type(err.value) is exprio._DigitLimitError
+        assert str(err.value) == (f"cannot write the coefficient of blade {blade}: its numerator "
+                                  f"or denominator has more than 4300 digits")
+
+
+def test_an_accepted_sum_that_outgrows_the_bound_is_named(digit_limit, sig6):
+    rng = random.Random(4300)
+    dens = [rng.randrange(10 ** 1999, 10 ** 2000) for _ in range(3)]
+    x = parse(" + ".join(f"1/{d}*e1" for d in dens), sig6)  # every literal is accepted
+    assert x.coefficient((1,)).denominator >= 10 ** 4300  # more than 4,300 digits
+    _refused(x, "e1")
+    _refused(x + parse("e2 + 3*e12", sig6), "e1")  # the other terms are writable
+    _refused(ExteriorForm(6, {0: x.coefficient((1,))}), "1")
+
+
+@pytest.mark.parametrize("part", ["numerator", "denominator"])
+def test_digit_bound_edges_round_trip_or_fail_both_ways(digit_limit, part, sig6):
+    for digits in (4300, 4301):
+        big, big_text = 10 ** (digits - 1) + 7, "1" + "0" * (digits - 2) + "7"  # coprime to 3
+        coef, coef_text = ((Fraction(big, 3), big_text + "/3") if part == "numerator"
+                           else (Fraction(3, big), "3/" + big_text))
+        x = Multivector(sig6, {0b101: coef, 0: Fraction(1, 2)})
+        text = f"1/2 + {coef_text}*e13"
+        payload = json.dumps({"signature": [0, 6], "kind": "clifford",
+                              "terms": [{"blade": [], "coef": "1/2"},
+                                        {"blade": [1, 3], "coef": coef_text}]})
+        if digits == 4300:
+            assert print_canonical(x) == text and parse(text, sig6) == x
+            assert to_json(x) == payload and from_json(payload) == x
+            assert to_json_obj(x) == json.loads(payload)
+        else:
+            _refused(x, "e13")
+            with pytest.raises(ParseError, match="integer literal too long"):
+                parse(text, sig6)
+            with pytest.raises(SchemaError, match="integer literal too long"):
+                from_json(payload)

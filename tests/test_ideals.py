@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from enum import IntEnum
 from fractions import Fraction
@@ -151,6 +153,19 @@ def test_build_idempotent_all_three(f6, f7, f8):
 def test_build_idempotent_rejects_invalid(sig6):
     with pytest.raises(GeneratorError):
         build_idempotent(IdempotentSpec(sig6, ((1, (1, 2)),)))
+
+
+GENS_0_12 = ((-1, (1, 6, 11, 12)), (-1, (1, 2, 3, 7, 8, 9, 10, 11)), (1, (1, 2, 8, 11)),
+             (-1, (3, 4, 7, 8, 9, 10, 11, 12)), (-1, (3, 4, 5, 8, 9, 11, 12)))
+
+
+def test_valid_generators_build_no_blade_names():
+    blade_table.cache_clear()  # a cold n = 12 table, as in a fresh process
+    f = build_idempotent(IdempotentSpec(Signature(0, 12), GENS_0_12))
+    assert len(f) == 32 and "text" not in vars(blade_table(12))
+    report = validate_generators(IdempotentSpec(Signature(0, 12), GENS_0_12[:4] + GENS_0_12[:1]))
+    assert report.violations == ("generator e{1,6,11,12} is a product of earlier generators",)
+    assert "text" in vars(blade_table(12))
 
 
 def test_sub_idempotent_chain(f6, sig6):
@@ -630,6 +645,152 @@ def test_certified_path_runs_no_elimination_and_no_product(monkeypatch):
         assert is_primitive(f) and is_idempotent(f)
         assert all(ideal.contains(x) for x in queries + list(want.basis))
         assert ideal.contains(Multivector.scalar(f.sig, 1)) == (len(f) == 1)
+
+
+# -- the certificate recorded by build_idempotent, and the basis built on first read --
+
+def _fresh(f):
+    """f rebuilt from its term map: equal to f, with no recorded certificate."""
+    g = Multivector(f.sig, f.term_map())
+    assert g == f and not hasattr(g, "_f2")
+    return g
+
+
+def test_recorded_certificate_matches_the_derived_one():
+    rng = random.Random(1212)
+    pieces = 0
+    for n in range(2, 11):
+        for p in range(n + 1):
+            spec = _random_spec(Signature(p, n - p), rng)
+            order = [mask_indices(m) for m in blade_table(n).order]
+            for f in [build_idempotent(spec)] + decompose_algebra(spec):
+                g = _fresh(f)
+                assert f._f2 is not None and f._f2 == ideals._f2_signs(g) == g._f2, f
+                ideal, again = left_ideal_basis(f), left_ideal_basis(g)
+                assert ideal == again and ideal.basis == again.basis
+                assert coset_basis(f, order) == coset_basis(g, order)
+                assert is_primitive(f) and is_primitive(g)
+                x = Multivector(f.sig, {rng.randrange(1 << n): Fraction(2, 3)}) * f
+                y = x + Multivector(f.sig, {rng.randrange(1 << n): 1})
+                assert [ideal.contains(z) for z in (x, y)] == [again.contains(z) for z in (x, y)]
+                assert ideal.contains(x)
+                pieces += 1
+    assert pieces >= 63 * 2
+
+
+def test_certificate_compares_whole_fractions():
+    """A term at 2 <f>_0 has <f>_0's numerator and another denominator: not certified."""
+    rng = random.Random(1717)
+    for n in range(2, 9):
+        f = _random_idempotent(Signature(n // 2, n - n // 2), rng)
+        terms = f.term_map()
+        for m in [m for m in terms if m][:2]:
+            g = Multivector(f.sig, terms | {m: 2 * terms[m]})
+            assert abs(g.term_map()[m].numerator) == f.scalar_part.numerator
+            assert ideals._f2_signs(g) is None and not _certified(g)
+
+
+def test_certificate_is_derived_at_most_once_per_element(monkeypatch):
+    rng = random.Random(1313)
+    calls = []
+    derive = ideals._f2_certificate
+    monkeypatch.setattr(ideals, "_f2_certificate", lambda f: calls.append(f) or derive(f))
+    f, g = _conjugates(1313)[0]
+    for x in (_fresh(f), g):
+        order = [mask_indices(m) for m in blade_table(x.sig.n).order]
+        for _ in range(2):
+            left_ideal_basis(x)
+            coset_basis(x, order)
+            is_primitive(x)
+        assert calls == [x]
+        calls.clear()
+    assert g._f2 is None  # a conjugate is not certified, and that is recorded too
+    f = _random_idempotent(Signature(2, 5), rng)
+    left_ideal_basis(f)
+    is_primitive(f)
+    assert not calls  # build_idempotent recorded it
+
+
+def test_copies_and_pickles_carry_no_certificate():
+    f = build_idempotent(IdempotentSpec(Signature(0, 6), GENS6))
+    for g in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert g == f and hash(g) == hash(f) and g is not f
+        assert not hasattr(g, "_f2")
+        assert left_ideal_basis(g) == left_ideal_basis(f)
+        assert g._f2 == f._f2 and g._f2 is not f._f2
+
+
+def test_recorded_signs_cannot_be_changed_through_the_public_api():
+    f = build_idempotent(IdempotentSpec(Signature(0, 7), GENS7))
+    signs = dict(f._f2)
+    for value in ({}, None, {0: -1}):
+        with pytest.raises(AttributeError):
+            f._f2 = value
+        with pytest.raises(AttributeError):
+            setattr(f, "_f2", value)
+    with pytest.raises(AttributeError):
+        del f._f2
+    terms = f.term_map()
+    terms[0] = Fraction(-1)
+    terms.clear()
+    ideal = left_ideal_basis(f)
+    reps = coset_basis(f, [mask_indices(m) for m in blade_table(7).order])
+    reps.clear()
+    results = [-f, f.scale(2), f + f, f - f, f * f, f.reverse(), f.grade(0), *ideal.basis]
+    assert all(not hasattr(x, "_f2") for x in results)
+    assert f._f2 == signs and ideals._f2_signs(f) == signs
+    assert f == build_idempotent(IdempotentSpec(Signature(0, 7), GENS7))
+
+
+def test_built_idempotent_needs_no_derived_certificate(monkeypatch):
+    rng = random.Random(1414)
+    cases = []
+    for n in range(2, 11):
+        sig = Signature(n // 3, n - n // 3)
+        spec = _random_spec(sig, rng)
+        x = Multivector(sig, {rng.randrange(1 << n): Fraction(3, 2)})
+        cases.append((spec, x, _eliminated(build_idempotent(spec))))
+
+    def derive(f):
+        raise AssertionError("the certificate was derived from the coefficients")
+
+    monkeypatch.setattr(ideals, "_f2_certificate", derive)
+    for spec, x, want in cases:
+        for f in [build_idempotent(spec)] + decompose_algebra(spec)[-1:]:
+            n = f.sig.n
+            ideal = left_ideal_basis(f)
+            assert ideal.dimension == (1 << n) // len(f)
+            reps = coset_basis(f, [mask_indices(m) for m in blade_table(n).order])
+            assert len(reps) == ideal.dimension and is_primitive(f) and is_idempotent(f)
+            assert ideal.contains(x * f) and ideal.contains(f)
+            y = f + Multivector(f.sig, {(1 << n) - 1: 1})
+            assert ideal.contains(y) == (y * f == y)
+        assert left_ideal_basis(build_idempotent(spec)) == want
+
+
+def test_left_ideal_basis_builds_elements_on_first_read(monkeypatch):
+    rng = random.Random(1515)
+    rows = []
+    signed_rows = ideals._signed_rows
+    monkeypatch.setattr(ideals, "_signed_rows", lambda *args: rows.append(1) or signed_rows(*args))
+    certified = [_random_idempotent(Signature(p, n - p), rng) for n, p in ((3, 1), (6, 0), (8, 4))]
+    conjugated = [g for _, g in _conjugates(1515)]
+    for lazy, f in [(True, f) for f in certified] + [(False, g) for g in conjugated]:
+        want = _eliminated(f)  # the elements multiplied out by geometric products
+        rows.clear()
+        ideal = left_ideal_basis(f)
+        assert ideal.contains(want.basis[-1]) and ideal.dimension == want.dimension
+        assert (not rows) == lazy  # a certified f: nothing built until basis is read
+        rows.clear()
+        assert ideal.basis == want.basis and ideal.basis is ideal.basis
+        assert len(rows) == lazy  # built once, on the first read
+        assert ideal == want and hash(ideal) == hash(want) and repr(ideal) == repr(want)
+    want = _eliminated(certified[1])
+    for other in (copy.copy(left_ideal_basis(certified[1])),
+                  pickle.loads(pickle.dumps(left_ideal_basis(certified[1])))):
+        assert other == want and other.basis == want.basis
+    with pytest.raises(AttributeError, match="has no attribute 'bases'"):
+        left_ideal_basis(certified[0]).bases
 
 
 # -- classification --------------------------------------------------------

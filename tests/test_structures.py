@@ -26,6 +26,7 @@ from cliffideal import (
     model_spin7,
     model_su3,
     print_canonical,
+    run_claim,
     spin7_idempotent,
     spin7_recover,
     structure_from_json,
@@ -35,6 +36,7 @@ from cliffideal import (
     volume_form,
     wedge,
 )
+from cliffideal import structures, verifier
 from cliffideal.algebra import mask_indices
 
 from test_ideals import GENS6, GENS7, GENS8
@@ -150,6 +152,27 @@ def test_g2_metric_of_model_is_identity():
     assert report.tag == "definite"
 
 
+def test_g2_metric_wedges_each_pair_once(monkeypatch):
+    calls = []
+    lifted = lift_su3_to_g2(model_su3())
+    wedge_ = structures.wedge
+    monkeypatch.setattr(structures, "wedge", lambda a, b: calls.append(1) or wedge_(a, b))
+    report = g2_metric(lifted)
+    assert len(calls) == 2 * 28  # (i_i phi ^ i_j phi) ^ phi for i <= j only
+    assert all(report.metric[i][j] == report.metric[j][i] for i in range(7) for j in range(7))
+
+
+def test_c17_computes_the_g2_metric_once(monkeypatch):
+    calls = []
+    metric = structures.g2_metric
+    for module in (structures, verifier):
+        monkeypatch.setattr(module, "g2_metric", lambda s: calls.append(s) or metric(s))
+    result = run_claim("C17")
+    assert (result.status, result.computed) == (
+        "PASS", "metric definite; primitive: True; ideal dimension 8")
+    assert len(calls) == 1
+
+
 def test_g2_metric_orientation_reversal_still_definite():
     report = g2_metric(G2Structure(phi=model_g2().phi.scale(-1)))
     assert report.tag == "definite"
@@ -222,6 +245,20 @@ def test_g2_metric_matches_oracle_on_random_forms():
         phi_dict = {mask_indices(m): c for m, c in phi.terms()}
         rows = _oracle_g2_metric(phi_dict)
         assert [list(r) for r in report.metric] == rows
+        assert report.determinant == principal_minors(rows)[-1]
+        assert report.tag == _oracle_tag(rows)
+
+
+def test_g2_metric_matches_oracle_off_the_diagonal():
+    rng = random.Random(2828)
+    blades = [tuple(sorted(rng.sample(range(1, 8), 3))) for _ in range(40)]
+    for _ in range(3):
+        terms = {t: Fraction(rng.choice((-3, -1, 1, 2))) for t in blades}
+        phi = ExteriorForm.from_terms(7, [(c, t) for t, c in terms.items()])
+        report = g2_metric(G2Structure(phi=phi))
+        rows = _oracle_g2_metric({mask_indices(m): c for m, c in phi.terms()})
+        assert [list(r) for r in report.metric] == rows
+        assert any(rows[i][j] for i in range(7) for j in range(i + 1, 7))
         assert report.determinant == principal_minors(rows)[-1]
         assert report.tag == _oracle_tag(rows)
 
