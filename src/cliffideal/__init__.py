@@ -3,7 +3,8 @@
 Builds primitive idempotents and minimal left ideals of R_{p,q},
 translates between idempotents and SU(3)/G2/Spin(7) structure tensors,
 and machine-verifies the documented identities.  All arithmetic is
-exact (fractions.Fraction); there are no floats anywhere.
+exact (integers over a common denominator, fractions.Fraction at the API);
+there are no floats anywhere.
 """
 
 from types import ModuleType as _ModuleType

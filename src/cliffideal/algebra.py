@@ -6,9 +6,10 @@ definite case R_{0,n}.  Basis blades are strictly increasing index
 sets from {1..n}; internally a blade is an n-bit mask (bit i-1 set
 iff generator i occurs), which keeps products and sign bookkeeping
 to a few bit operations per blade pair.  Coefficients are
-fractions.Fraction at the API; the geometric product runs on integer
-numerators over one common denominator and builds a Fraction only for
-each output term.  No floats enter at any point.
+fractions.Fraction at the API only: an element stores one positive
+denominator and an integer numerator per blade (see _BladeMap), so every
+operation runs on ints and a Fraction is built only when a caller reads a
+coefficient.  No floats enter at any point.
 
 The package's immutable records (Signature here, the specs and reports
 elsewhere) derive from _Record, one slotted base whose methods read the
@@ -21,9 +22,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, cached_property, total_ordering
 from itertools import chain, combinations
+from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Union
-
-from .linalg import clear_denominators
 
 MAX_DIM = 12
 
@@ -224,8 +224,9 @@ class BladeTable:
 
     @cached_property
     def digits(self) -> dict[str, int]:
-        """Mask of each undelimited index string: 'e' + key is text[mask]."""
-        if self.n > 9:
+        """Mask of each undelimited index string at n = 9, one table every n reads:
+        'e' + key is text[mask] when mask < 2^n, and names a blade beyond n otherwise."""
+        if self.n != 9:
             return blade_table(9).digits
         return {t[1:]: m for m, t in enumerate(self.text) if m}
 
@@ -286,17 +287,18 @@ def blade_square_sign(a: Iterable[int], sig: Signature) -> int:
 
 
 class _BladeMap:
-    """Immutable sparse {blade mask: nonzero Fraction} over a space.
+    """Immutable sparse element: integer numerators _terms {blade mask: nonzero int} over _den.
 
-    The part Multivector and ExteriorForm share.  The space is a Signature
-    for one and a dimension n for the other; _dim reads n off it.  Instances
-    compare equal iff they have the same type, space and term map.
+    The part Multivector and ExteriorForm share, over a Signature or a
+    dimension n (_dim reads n off the space).  The form is canonical, _den > 0
+    and gcd(_den, *numerators) == 1 (zero is _den == 1, no terms), so == and
+    hash are value equality, and the readers build reduced Fractions.
     """
 
-    __slots__ = ("_space", "_terms")
+    __slots__ = ("_space", "_den", "_terms")
 
     def __init__(self, space, terms: Mapping[int, Rational] | None = None):
-        canon: dict[int, Fraction] = {}
+        coefs: dict[int, Fraction] = {}
         limit = 1 << self._dim(space)
         for mask, coef in (terms or {}).items():
             if not 0 <= mask < limit:
@@ -304,20 +306,30 @@ class _BladeMap:
             if type(coef) is not Fraction:
                 coef = Fraction(coef)
             if coef:
-                canon[mask] = coef
-        object.__setattr__(self, "_space", space)
-        object.__setattr__(self, "_terms", canon)
+                coefs[mask] = coef
+        # reduced fractions over the lcm of their denominators leave no common factor
+        den = lcm(*[c.denominator for c in coefs.values()])
+        _set_space(self, space)
+        _set_den(self, den)
+        _set_terms(self, {m: c.numerator * (den // c.denominator) for m, c in coefs.items()})
 
     @classmethod
-    def _from_canonical(cls, space, terms: dict[int, Fraction]):
-        """Wrap a term map that is already canonical, without copying it.
-
-        Every mask must be in range and every value a nonzero Fraction.
-        """
+    def _from_canonical(cls, space, den: int, terms: dict[int, int]):
+        """Wrap in-range masks, nonzero int numerators and den > 0 sharing no factor, uncopied:
+        true of a canonical element's terms with signs flipped or masks permuted."""
         x = object.__new__(cls)
-        object.__setattr__(x, "_space", space)
-        object.__setattr__(x, "_terms", terms)
+        _set_space(x, space)
+        _set_den(x, den)
+        _set_terms(x, terms)
         return x
+
+    @classmethod
+    def _reduced(cls, space, den: int, terms: dict[int, int]):
+        """_from_canonical after dividing den > 0 and the nonzero int numerators by their gcd."""
+        if den != 1 and (g := gcd(den, *terms.values())) != 1:
+            den //= g
+            terms = {m: c // g for m, c in terms.items()}
+        return cls._from_canonical(space, den, terms)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -326,19 +338,20 @@ class _BladeMap:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
-        return type(self), (self._space, self._terms)
+        return type(self), (self._space, self.term_map())
 
     def terms(self) -> Iterator[tuple[int, Fraction]]:
         """Iterate (mask, coefficient) in canonical order (grade, then lexicographic)."""
-        t = self._terms
+        t, den = self._terms, self._den
         rank = blade_table(self._dim(self._space)).rank
-        return iter([(m, t[m]) for m in sorted(t, key=rank.__getitem__)])
+        return iter([(m, Fraction(t[m], den)) for m in sorted(t, key=rank.__getitem__)])
 
     def coefficient(self, indices: Iterable[int]) -> Fraction:
-        return self._terms.get(blade_mask(indices, self._dim(self._space)), Fraction(0))
+        return Fraction(self._terms.get(blade_mask(indices, self._dim(self._space)), 0), self._den)
 
     def term_map(self) -> dict[int, Fraction]:
-        return dict(self._terms)
+        den = self._den
+        return {m: Fraction(c, den) for m, c in self._terms.items()}
 
     def grades(self) -> tuple[int, ...]:
         return tuple(sorted({grade_of(m) for m in self._terms}))
@@ -357,14 +370,14 @@ class _BladeMap:
         if not isinstance(other, type(self)):
             return NotImplemented
         self._check_space(other)
-        out = dict(self._terms)
+        den = lcm(self._den, other._den)
+        fx, fy = den // self._den, den // other._den
+        out = {m: c * fx for m, c in self._terms.items()}
         for mask, coef in other._terms.items():
-            c = out.pop(mask, None)
-            if c is None:
-                out[mask] = coef
-            elif c := c + coef:
+            c = out.pop(mask, 0) + coef * fy
+            if c:
                 out[mask] = c
-        return self._from_canonical(self._space, out)
+        return self._reduced(self._space, den, out)
 
     def __sub__(self, other):
         if not isinstance(other, type(self)):
@@ -372,20 +385,21 @@ class _BladeMap:
         return self + (-other)
 
     def __neg__(self):
-        return self._from_canonical(self._space, {m: -c for m, c in self._terms.items()})
+        return self._from_canonical(self._space, self._den, {m: -c for m, c in self._terms.items()})
 
     def scale(self, value: Rational):
         c = Fraction(value)
-        return self._from_canonical(self._space, {m: c * v for m, v in self._terms.items()}
-                                    if c else {})
+        return self._reduced(self._space, self._den * c.denominator,
+                             {m: v * c.numerator for m, v in self._terms.items()} if c else {})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, type(self)):
             return NotImplemented
-        return self._space == other._space and self._terms == other._terms
+        return (self._space == other._space and self._den == other._den
+                and self._terms == other._terms)
 
     def __hash__(self) -> int:
-        return hash((self._space, frozenset(self._terms.items())))
+        return hash((self._space, self._den, frozenset(self._terms.items())))
 
     def __repr__(self) -> str:
         text = blade_table(self._dim(self._space)).text
@@ -393,8 +407,12 @@ class _BladeMap:
         return f"{type(self).__name__}({self._repr_space(self._space)}, {inside or '0'})"
 
 
+# the slots' own setters, which skip the __setattr__ that makes elements immutable
+_set_space, _set_den, _set_terms = (_BladeMap.__dict__[name].__set__ for name in _BladeMap.__slots__)
+
+
 class Multivector(_BladeMap):
-    """Immutable sparse multivector of R_{p,q}: {blade mask: nonzero Fraction}.
+    """Immutable sparse multivector of R_{p,q}, stored as _BladeMap describes.
 
     Supports +, -, unary -, * (geometric product, or scaling by a
     rational), == and grade projection.
@@ -430,7 +448,7 @@ class Multivector(_BladeMap):
 
     @property
     def scalar_part(self) -> Fraction:
-        return self._terms.get(0, Fraction(0))
+        return Fraction(self._terms.get(0, 0), self._den)
 
     def __mul__(self, other) -> "Multivector":
         if isinstance(other, (int, Fraction)):
@@ -454,21 +472,18 @@ class Multivector(_BladeMap):
 def geometric_product(x: Multivector, y: Multivector) -> Multivector:
     """Bilinear extension of the blade product.
 
-    Each operand's denominators are cleared once, the integer numerators
-    are accumulated per output blade, and only the sums are divided by
-    the common denominator.  The sign of e_a * e_b is the parity of
-    b & m for m = _suffix_parity(a) ^ (a & negative generators), so m is
-    computed once per term of x.
+    The integer numerators are accumulated per output blade over the
+    product of the two denominators, and the result is reduced once.  The
+    sign of e_a * e_b is the parity of b & m for m = _suffix_parity(a) ^
+    (a & negative generators), so m is computed once per term of x.
     """
     x._check_space(y)
     sig = x.sig
-    dx, xs = clear_denominators(x._terms)
-    dy, ys = clear_denominators(y._terms)
     negative = (1 << sig.n) - (1 << sig.p)
-    y_terms = list(ys.items())
+    y_terms = list(y._terms.items())
     acc: dict[int, int] = {}
     get = acc.get
-    for a, ca in xs.items():
+    for a, ca in x._terms.items():
         sign_mask = _suffix_parity(a) ^ (a & negative)
         for b, cb in y_terms:
             mask = a ^ b
@@ -476,24 +491,23 @@ def geometric_product(x: Multivector, y: Multivector) -> Multivector:
                 acc[mask] = get(mask, 0) - ca * cb
             else:
                 acc[mask] = get(mask, 0) + ca * cb
-    den = dx * dy
-    return Multivector._from_canonical(sig, {m: Fraction(c, den) for m, c in acc.items() if c})
+    return Multivector._reduced(sig, x._den * y._den, {m: c for m, c in acc.items() if c})
 
 
 def grade_project(x: Multivector, k: int) -> Multivector:
     if not 0 <= k <= x.sig.n:
         raise ValueError(f"grade {k} out of range 0..{x.sig.n}")
-    return Multivector._from_canonical(x.sig, {m: c for m, c in x._terms.items()
-                                               if m.bit_count() == k})
+    return Multivector._reduced(x.sig, x._den, {m: c for m, c in x._terms.items()
+                                                if m.bit_count() == k})
 
 
 def volume_element(sig: Signature) -> Multivector:
     """The top blade e_1...e_n with coefficient 1."""
-    return Multivector(sig, {(1 << sig.n) - 1: Fraction(1)})
+    return Multivector._from_canonical(sig, 1, {(1 << sig.n) - 1: 1})
 
 
 def reverse(x: Multivector) -> Multivector:
     """Reverse anti-automorphism: grade k picks up (-1)^{k(k-1)/2}."""
     # (-1)^{k(k-1)/2} is -1 exactly for k = 2, 3 (mod 4)
-    return Multivector._from_canonical(x.sig, {m: -c if m.bit_count() & 2 else c
-                                               for m, c in x._terms.items()})
+    return Multivector._from_canonical(x.sig, x._den, {m: -c if m.bit_count() & 2 else c
+                                                       for m, c in x._terms.items()})

@@ -56,7 +56,7 @@ from .structures import (
     su3_idempotent,
     su3_recover,
 )
-from .verifier import load_golden, run_all, run_claim, _claim_by_id
+from .verifier import Report, load_golden, run_all, run_claim, _claim_by_id
 
 EXIT_OK = 0
 EXIT_SEMANTIC = 1
@@ -120,20 +120,14 @@ def _cmd_eval(args) -> int:
         if len(exprs) != count:
             raise _usage(f"--op {op} expects exactly {count} expression(s), got {len(exprs)}")
 
-    if op == "product":
+    if op in ("product", "wedge"):
         if not exprs:
-            raise _usage("--op product expects at least one expression")
-        acc = parse(exprs[0], sig)
+            raise _usage(f"--op {op} expects at least one expression")
+        kind = "clifford" if op == "product" else "form"
+        result = parse(exprs[0], sig, kind=kind)
         for text in exprs[1:]:
-            acc = acc * parse(text, sig)
-        result = acc
-    elif op == "wedge":
-        if not exprs:
-            raise _usage("--op wedge expects at least one expression")
-        acc = parse(exprs[0], sig, kind="form")
-        for text in exprs[1:]:
-            acc = wedge(acc, parse(text, sig, kind="form"))
-        result = acc
+            x = parse(text, sig, kind=kind)
+            result = result * x if op == "product" else wedge(result, x)
     elif op.startswith("star="):
         need(1)
         conv = HodgeConvention.from_token(op[len("star="):])
@@ -208,14 +202,8 @@ def _cmd_idempotent(args) -> int:
     pieces = decompose_algebra(spec)
     for i, piece in enumerate(pieces, start=1):
         print(f"piece {i}: {print_canonical(piece)}")
-    orthogonal = all(
-        is_orthogonal(pieces[i], pieces[j])
-        for i in range(len(pieces))
-        for j in range(i + 1, len(pieces))
-    )
-    total = Multivector.zero(sig)
-    for piece in pieces:
-        total = total + piece
+    orthogonal = all(is_orthogonal(a, b) for i, a in enumerate(pieces) for b in pieces[i + 1:])
+    total = sum(pieces, Multivector.zero(sig))
     print(f"pairwise orthogonal: {_bool(orthogonal)}")
     print(f"sum to 1: {_bool(total == Multivector.scalar(sig, 1))}")
     return EXIT_OK
@@ -278,11 +266,7 @@ def _cmd_structure(args) -> int:
             s, _ = g2_recover(x)
         else:
             s = spin7_recover(x)
-        if args.json:
-            print(structure_to_json(s))
-        else:
-            for line in _structure_lines(s):
-                print(line)
+        print(structure_to_json(s) if args.json else "\n".join(_structure_lines(s)))
         return EXIT_OK
 
     s = _MODELS[kind]() if args.input is None else _load_structure(kind, args.input)
@@ -362,13 +346,8 @@ def _cmd_verify_paper(args) -> int:
             result = run_claim(args.claim)
         except KeyError as exc:
             raise _usage(str(exc.args[0])) from None
-        if args.format == "json":
-            payload = {"claims": [{"id": result.id, "status": result.status,
-                                   "computed": result.computed, "paper": result.paper,
-                                   "note": result.note}]}
-            print(json.dumps(payload, separators=(", ", ": ")))
-        else:
-            print(_single_claim_text(result))
+        print(Report(results=(result,)).to_json() if args.format == "json"
+              else _single_claim_text(result))
         expected = golden.get(result.id)
         if result.status != expected:
             print(f"status drift: {result.id} expected {expected}, got {result.status}",

@@ -36,6 +36,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import cache
+from math import gcd, lcm
 from typing import Iterable, Iterator, Union
 
 from .algebra import (MAX_DIM, Multivector, Signature, _index_table, _Record, blade_mask,
@@ -148,7 +149,8 @@ def parse_blade(text: str, n: int) -> int:
     m = _grammar().match(text)
     if m.end(1) or m.group(2) or m.group(11, 13) == (None, None):  # no bare blade at 0
         raise ParseError("expected a blade", 0)
-    mask = blade_table(n).digits.get(m.group(13)) or _blade(m, 11, n)
+    if (mask := blade_table(n).digits.get(m.group(13), 1 << n)) >> n:  # not a blade of n digits
+        mask = _blade(m, 11, n)
     if m.end() != len(text):
         raise ParseError("unexpected text after the blade", m.end())
     return mask
@@ -157,7 +159,7 @@ def parse_blade(text: str, n: int) -> int:
 def _scan(text: str, n: int) -> Iterator[tuple[int, int, int]]:
     """(numerator, denominator, blade mask) of each signed term, left to right."""
     match = _grammar().match
-    digit_blades = blade_table(n).digits
+    digit_blades = blade_table(n).digits  # a mask at or past 1 << n is no blade of dimension n
     end = len(text)
     m = match(text)
     if m.group(2) is None and m.end(1) == end:
@@ -180,11 +182,13 @@ def _scan(text: str, n: int) -> Iterator[tuple[int, int, int]]:
                 mask = 0
             elif braced is None and digits is None:
                 raise ParseError("expected a blade after '*'", m.end())
-            else:
-                mask = digit_blades.get(digits) or _blade(m, 7, n)
+            elif (mask := digit_blades.get(digits, 1 << n)) >> n:
+                mask = _blade(m, 7, n)
             yield (-num if op == "-" else num), den, mask
         elif bare is not None or bare_braced is not None:
-            yield (-1 if op == "-" else 1), 1, digit_blades.get(bare) or _blade(m, 11, n)
+            if (mask := digit_blades.get(bare, 1 << n)) >> n:
+                mask = _blade(m, 11, n)
+            yield (-1 if op == "-" else 1), 1, mask
         else:
             raise ParseError("expected a term", m.end())
         m = match(text, m.end())
@@ -199,18 +203,21 @@ def parse_terms(text: str, n: int) -> list[ExprTerm]:
     return [ExprTerm(Fraction(num, den), mask_indices(mask)) for num, den, mask in _scan(text, n)]
 
 
-def _combine(terms: Iterable[tuple[int, int, int]]) -> dict[int, Fraction]:
-    """Canonical term map of (numerator, denominator, mask) triples: like terms summed,
-    zero terms skipped, so only a repeated blade can leave a zero to drop."""
+def _combine(terms: Iterable[tuple[int, int, int]], kind: str, space) -> Value:
+    """The element of (numerator, denominator, mask) triples: numerators over the lcm of the
+    denominators, like terms summed, zero terms skipped, so only a repeat leaves a zero."""
+    terms = list(terms)
+    den = lcm(*[d for _, d, _ in terms])
     acc, repeated = {}, False
-    for num, den, mask in terms:
+    for num, d, mask in terms:
         if num:
-            coef = Fraction(num) if den == 1 else Fraction(num, den)
+            num *= den // d
             if mask in acc:
-                coef += acc[mask]
+                num += acc[mask]
                 repeated = True
-            acc[mask] = coef
-    return {m: c for m, c in acc.items() if c} if repeated else acc
+            acc[mask] = num
+    return (Multivector if kind == "clifford" else ExteriorForm)._reduced(
+        space, den, {m: c for m, c in acc.items() if c} if repeated else acc)
 
 
 def _coerce_sig(sig, kind: str):
@@ -235,20 +242,25 @@ def parse(text: str, sig, kind: str = "clifford") -> Value:
     """Parse text into a Multivector (kind='clifford') or ExteriorForm (kind='form')."""
     target = _coerce_sig(sig, kind)
     n = target.n if isinstance(target, Signature) else target
-    terms = _combine(_scan(text, n))
-    if kind == "clifford":
-        return Multivector._from_canonical(target, terms)
-    return ExteriorForm._from_canonical(n, terms)
+    return _combine(_scan(text, n), kind, target)
+
+
+def _ratio(num: int, den: int) -> str:
+    """num/den as the writers print it, reduced: "a", or "a/b" when b > 1."""
+    if den == 1:
+        return str(num)
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
 def print_canonical(x: Value) -> str:
     """Canonical text: terms by grade, then lexicographic blade order."""
     table = blade_table(x.sig.n if isinstance(x, Multivector) else x.n)
-    text, t = table.text, x._terms
+    text, t, den = table.text, x._terms, x._den
     out = []
     try:
         for mask in sorted(t, key=table.rank.__getitem__):
-            c = str(t[mask])
+            c = _ratio(t[mask], den)
             if c[0] == "-":
                 out.append(" - ")
                 c = c[1:]
@@ -297,10 +309,11 @@ def to_json(x: Value) -> str:
     """Byte-stable JSON for a multivector or form, in the layout the module docstring gives."""
     p, q, kind = _space(x)
     low, mid, high = _json_indices()
+    t, den = x._terms, x._den
     try:
         terms = ", ".join([f'{{"blade": [{(low[m & 15] + mid[m >> 4 & 15] + high[m >> 8])[:-2]}], '
-                           f'"coef": "{x._terms[m]!s}"}}'
-                           for m in sorted(x._terms, key=blade_table(p + q).rank.__getitem__)])
+                           f'"coef": "{_ratio(t[m], den)}"}}'
+                           for m in sorted(t, key=blade_table(p + q).rank.__getitem__)])
     except ValueError:
         raise _digit_limit(x) from None
     return f'{{"signature": [{p}, {q}], "kind": "{kind}", "terms": [{terms}]}}'
@@ -378,10 +391,8 @@ def from_json_obj(obj, path: str = "") -> Value:
         raise SchemaError("expected 'clifford' or 'form'", prefix + "kind")
     if not isinstance(raw_terms, list):
         raise SchemaError("expected a list", prefix + "terms")
-    terms = _combine(_json_terms(raw_terms, n, prefix + "terms"))
-    if kind == "clifford":
-        return Multivector._from_canonical(Signature(p, q), terms)
-    return ExteriorForm._from_canonical(n, terms)
+    return _combine(_json_terms(raw_terms, n, prefix + "terms"), kind,
+                    Signature(p, q) if kind == "clifford" else n)
 
 
 def from_json(text: str) -> Value:

@@ -38,7 +38,6 @@ from .algebra import (
     reorder_sign,
     volume_element,
 )
-from .linalg import clear_denominators
 
 
 class HodgeConvention(enum.Enum):
@@ -61,7 +60,7 @@ class HodgeConvention(enum.Enum):
 
 
 class ExteriorForm(_BladeMap):
-    """Immutable sparse form on (R^n)*: {blade mask: nonzero Fraction}."""
+    """Immutable sparse form on (R^n)*, stored as _BladeMap describes."""
 
     __slots__ = ()
 
@@ -108,33 +107,31 @@ class ExteriorForm(_BladeMap):
     def grade(self, k: int) -> "ExteriorForm":
         if not 0 <= k <= self.n:
             raise ValueError(f"grade {k} out of range 0..{self.n}")
-        return ExteriorForm._from_canonical(self.n, {m: c for m, c in self._terms.items()
-                                                     if m.bit_count() == k})
+        return ExteriorForm._reduced(self.n, self._den, {m: c for m, c in self._terms.items()
+                                                         if m.bit_count() == k})
 
     def embed(self, n: int) -> "ExteriorForm":
         """Reinterpret in a larger ambient dimension (same index meaning)."""
         if n < self.n:
             raise ValueError(f"cannot embed dimension {self.n} form into dimension {n}")
-        return ExteriorForm._from_canonical(n, dict(self._terms))
+        return ExteriorForm._from_canonical(n, self._den, self._terms)
 
 
 def volume_form(n: int) -> ExteriorForm:
-    return ExteriorForm(n, {(1 << n) - 1: Fraction(1)})
+    return ExteriorForm._from_canonical(n, 1, {(1 << n) - 1: 1})
 
 
 def wedge(a: ExteriorForm, b: ExteriorForm) -> ExteriorForm:
     """Exterior product; blades sharing an index annihilate.
 
     As in the geometric product, integer numerators are accumulated over
-    the operands' common denominators and divided out once per output term.
+    the product of the denominators, and the result is reduced once.
     """
     a._check_space(b)
-    da, xs = clear_denominators(a._terms)
-    db, ys = clear_denominators(b._terms)
-    y_terms = list(ys.items())
+    y_terms = list(b._terms.items())
     acc: dict[int, int] = {}
     get = acc.get
-    for am, ac in xs.items():
+    for am, ac in a._terms.items():
         parity = _suffix_parity(am)
         for bm, bc in y_terms:
             if am & bm:
@@ -143,8 +140,7 @@ def wedge(a: ExteriorForm, b: ExteriorForm) -> ExteriorForm:
                 acc[am | bm] = get(am | bm, 0) - ac * bc
             else:
                 acc[am | bm] = get(am | bm, 0) + ac * bc
-    den = da * db
-    return ExteriorForm._from_canonical(a.n, {m: Fraction(c, den) for m, c in acc.items() if c})
+    return ExteriorForm._reduced(a.n, a._den * b._den, {m: c for m, c in acc.items() if c})
 
 
 def interior_product(i: int, a: ExteriorForm) -> ExteriorForm:
@@ -156,10 +152,11 @@ def interior_product(i: int, a: ExteriorForm) -> ExteriorForm:
     if not 1 <= i <= a.n:
         raise ValueError(f"generator index {i} out of range 1..{a.n}")
     bit = 1 << (i - 1)
-    # distinct masks stay distinct after dropping the bit, and signs keep coefficients nonzero
+    # distinct masks stay distinct after dropping the bit, and signs keep coefficients
+    # nonzero; the dropped terms may leave a common factor
     out = {mask ^ bit: -coef if (mask & (bit - 1)).bit_count() & 1 else coef
            for mask, coef in a._terms.items() if mask & bit}
-    return ExteriorForm._from_canonical(a.n, out)
+    return ExteriorForm._reduced(a.n, a._den, out)
 
 
 def hodge_star(a: ExteriorForm, c: HodgeConvention = HodgeConvention.EXT_DUAL_FIRST) -> ExteriorForm:
@@ -173,12 +170,12 @@ def hodge_star(a: ExteriorForm, c: HodgeConvention = HodgeConvention.EXT_DUAL_FI
         raise ValueError(f"hodge_star on forms supports only the EXT conventions, got {c.value}")
     full = (1 << a.n) - 1
     dual_first = c is HodgeConvention.EXT_DUAL_FIRST
-    out: dict[int, Fraction] = {}
+    out: dict[int, int] = {}
     for mask, coef in a._terms.items():  # complements are distinct: no like terms
         comp = full ^ mask
         sign = reorder_sign(comp, mask) if dual_first else reorder_sign(mask, comp)
         out[comp] = coef if sign > 0 else -coef
-    return ExteriorForm._from_canonical(a.n, out)
+    return ExteriorForm._from_canonical(a.n, a._den, out)
 
 
 def quantize(a: ExteriorForm, sig: Signature | None = None) -> Multivector:
@@ -191,12 +188,12 @@ def quantize(a: ExteriorForm, sig: Signature | None = None) -> Multivector:
         sig = Signature(0, a.n)
     elif sig.n != a.n:
         raise ValueError(f"signature dimension {sig.n} does not match form dimension {a.n}")
-    return Multivector._from_canonical(sig, dict(a._terms))
+    return Multivector._from_canonical(sig, a._den, a._terms)
 
 
 def symbol(x: Multivector) -> ExteriorForm:
     """Inverse of quantize: e_I -> e^I, coefficients preserved."""
-    return ExteriorForm._from_canonical(x.sig.n, x.term_map())
+    return ExteriorForm._from_canonical(x.sig.n, x._den, x._terms)
 
 
 def clifford_hodge(x: Multivector, c: HodgeConvention = HodgeConvention.EXT_DUAL_FIRST) -> Multivector:

@@ -28,7 +28,6 @@ IdealBasis.basis is first read.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain, product as _iterproduct
 from typing import Iterable, Iterator, Sequence
 
@@ -43,7 +42,7 @@ from .algebra import (
     blade_table,
     mask_indices,
 )
-from .linalg import RowBasis, clear_denominators
+from .linalg import RowBasis
 
 _RH_BASE = (0, 1, 2, 2, 3, 3, 3, 3)
 
@@ -173,15 +172,17 @@ def build_idempotent(spec: IdempotentSpec) -> Multivector:
     report = validate_generators(spec)
     if not report.ok:
         raise GeneratorError("; ".join(report.violations))
-    sig = spec.sig
+    return _expand(spec.sig, [s for s, _ in spec.generators], spec.masks())
+
+
+def _expand(sig: Signature, signs: Iterable[int], masks: Sequence[int]) -> Multivector:
+    """build_idempotent's expansion of already validated generators: numerators +-1 over 2^k."""
     terms = [(0, 1)]
-    for (s, _), t in zip(spec.generators, spec.masks()):
+    for s, t in zip(signs, masks):
         terms = [term for m, c in terms
                  for term in ((m, c), (m ^ t, c * s * blade_product_masks(m, t, sig)[0]))]
-    plus = Fraction(1, 1 << len(spec.generators))
-    minus = -plus
-    f = Multivector._from_canonical(sig, {m: plus if c > 0 else minus for m, c in terms})
-    object.__setattr__(f, "_f2", dict(terms))  # the signs _f2_signs would derive
+    f = Multivector._from_canonical(sig, 1 << len(masks), dict(terms))
+    object.__setattr__(f, "_f2", f._terms)  # the signs _f2_signs would derive
     return f
 
 
@@ -229,8 +230,8 @@ class IdealBasis(_Record):
         sig = self.idempotent.sig
         if x.sig != sig:
             raise ValueError(f"signature mismatch: {x.sig} vs {sig}")
-        if isinstance(self._rows, RowBasis):
-            return self._rows.contains(x._terms)  # a Fraction row is cleared into a new dict
+        if isinstance(self._rows, RowBasis):  # the span holds x iff it holds x's numerators
+            return self._rows.contains(x._terms)
         return _in_cosets(sig, self._rows, x._terms)
 
     def __getattr__(self, name: str):
@@ -262,8 +263,8 @@ def _sign_mask(sig: Signature, b: int) -> int:
     return _suffix_parity(b) ^ (b >> sig.p << sig.p)
 
 
-def _signed_rows(sig: Signature, terms: Iterable[tuple[int, int | Fraction]],
-                 masks: Iterable[int]) -> Iterator[dict[int, int | Fraction]]:
+def _signed_rows(sig: Signature, terms: Iterable[tuple[int, int]],
+                 masks: Iterable[int]) -> Iterator[dict[int, int]]:
     """The term maps of e_b * x for b in masks, x given by its (mask, coefficient) terms.
 
     e_b * x maps each term c e_m of x to sign(b, m) c e_{b xor m}, so every
@@ -272,7 +273,7 @@ def _signed_rows(sig: Signature, terms: Iterable[tuple[int, int | Fraction]],
     """
     signed = [(m, c, -c) for m, c in terms]
 
-    def row(b: int) -> dict[int, int | Fraction]:
+    def row(b: int) -> dict[int, int]:
         sign_mask = _sign_mask(sig, b)
         return {b ^ m: neg if (sign_mask & m).bit_count() & 1 else c for m, c, neg in signed}
 
@@ -280,9 +281,8 @@ def _signed_rows(sig: Signature, terms: Iterable[tuple[int, int | Fraction]],
 
 
 def _blade_rows(f: Multivector, masks: Iterable[int]) -> tuple[int, Iterator[dict[int, int]]]:
-    """D, the lcm of f's denominators, and the integer rows D * (e_b * f), b in masks."""
-    den, scaled = clear_denominators(f.term_map())
-    return den, _signed_rows(f.sig, list(scaled.items()), masks)
+    """D, f's denominator, and the integer rows D * (e_b * f), b in masks."""
+    return f._den, _signed_rows(f.sig, list(f._terms.items()), masks)
 
 
 def _f2_signs(f: Multivector) -> dict[int, int] | None:
@@ -312,18 +312,15 @@ def _f2_certificate(f: Multivector) -> dict[int, int] | None:
     supports: the rank is 2^n / |T|, and elimination in any order keeps
     exactly the first candidate of each coset.  Idempotency is not needed.
     """
-    terms = f._terms
+    terms = f._terms  # numerators over one denominator: compared as they are
     c0 = terms.get(0)
     if c0 is None:  # implied by the count below; a cheap early out
         return None
-    plus = c0.as_integer_ratio()
-    minus = (-plus[0], plus[1])
     signs = {}
     for m, c in terms.items():
-        ratio = c.as_integer_ratio()
-        if ratio != plus and ratio != minus:
+        if c != c0 and c != -c0:
             return None
-        signs[m] = 1 if ratio == plus else -1
+        signs[m] = 1 if c == c0 else -1
     basis: list[int] = []
     for mask in terms:
         m = _f2_reduce(mask, basis)
@@ -342,26 +339,26 @@ def _f2_certificate(f: Multivector) -> dict[int, int] | None:
     return signs
 
 
-def _in_cosets(sig: Signature, signs: dict[int, int], terms: dict[int, Fraction]) -> bool:
-    """True iff the element with these terms lies in A*f, for f with these _f2_signs.
+def _in_cosets(sig: Signature, signs: dict[int, int], terms: dict[int, int]) -> bool:
+    """True iff the element with these numerators lies in A*f, for f with these _f2_signs.
 
     A*f is spanned by the rows e_b * f / <f>_0 = sum_t sign(b, t) s_t e_{b xor t},
     one per coset b xor T, with disjoint supports.  So x lies in A*f exactly
     when, for any term b of x, x_{b xor t} = x_b sign(b, t) s_t for every t
-    in T; each coset is checked, and its terms taken off, once.  Each
-    coefficient is read once, as an exact (numerator, denominator) pair.
+    in T; each coset is checked, and its terms taken off, once.  x's terms
+    share one denominator, so its numerators are compared as they are.
     """
     if len(terms) % len(signs):  # supp x must be a union of cosets
         return False
-    ratios = {m: c.as_integer_ratio() for m, c in terms.items()}
-    while ratios:
-        b, (num, den) = ratios.popitem()
+    nums = dict(terms)
+    while nums:
+        b, num = nums.popitem()
         sign_mask = _sign_mask(sig, b)
         for t, s in signs.items():
             if t:
                 if (sign_mask & t).bit_count() & 1:
                     s = -s
-                if ratios.pop(b ^ t, None) != (s * num, den):
+                if nums.pop(b ^ t, None) != s * num:
                     return False
     return True
 
@@ -395,7 +392,7 @@ def _eliminate(f: Multivector, masks: Sequence[int]) -> tuple[RowBasis, list[int
 
 def _products(f: Multivector, kept: Iterable[int]) -> tuple[Multivector, ...]:
     """The elements e_b * f for b in kept, in order."""
-    return tuple(Multivector._from_canonical(f.sig, row)
+    return tuple(Multivector._from_canonical(f.sig, f._den, row)
                  for row in _signed_rows(f.sig, f._terms.items(), kept))
 
 
@@ -516,8 +513,5 @@ def decompose_algebra(spec: IdempotentSpec) -> list[Multivector]:
     report = validate_generators(spec)
     if not report.ok:
         raise GeneratorError("; ".join(report.violations))
-    blades = tuple(t for _, t in spec.generators)
-    out = []
-    for signs in _iterproduct((1, -1), repeat=len(blades)):
-        out.append(build_idempotent(IdempotentSpec(spec.sig, tuple(zip(signs, blades)))))
-    return out
+    masks = spec.masks()
+    return [_expand(spec.sig, signs, masks) for signs in _iterproduct((1, -1), repeat=len(masks))]

@@ -34,6 +34,8 @@ TIMEOUT_S = 60
 IDEALS = "tests/test_ideals.py::"
 CERTIFICATE = [IDEALS + "test_f2_signs_accepts_what_the_row_oracle_accepts",
                IDEALS + "test_recorded_certificate_matches_the_derived_one"]
+CANONICAL = ["tests/test_algebra.py::test_equal_values_by_different_routes_are_equal_and_hash_alike",
+             "tests/test_algebra.py::test_every_result_is_stored_canonical"]
 
 MUTANTS: list[tuple[str, str, str, list[str]]] = [
     # the F_2 certificate derived from the coefficients (ideals._f2_certificate)
@@ -41,33 +43,34 @@ MUTANTS: list[tuple[str, str, str, list[str]]] = [
      "    for t in basis:\n        sign_mask = _sign_mask(f.sig, t)\n",
      "    for t in basis[:0]:\n        sign_mask = _sign_mask(f.sig, t)\n", CERTIFICATE),
     ("ideals.py",  # no magnitude test: any coefficient passes as +-<f>_0
-     "        if ratio != plus and ratio != minus:\n            return None\n",
+     "        if c != c0 and c != -c0:\n            return None\n",
      "        if False:\n            return None\n", CERTIFICATE),
     ("ideals.py",  # no subspace test: supp f need not fill its span
      "    if 1 << len(basis) != len(terms):", "    if False:", CERTIFICATE),
-    ("ideals.py",  # numerators compared without denominators
-     "        ratio = c.as_integer_ratio()\n", "        ratio = (c.numerator, plus[1])\n",
+    ("ideals.py",  # numerators compared without denominators: each term's own reduced one
+     "    terms = f._terms  # numerators over one denominator",
+     "    terms = {m: c.numerator for m, c in f.term_map().items()}  #",
      [IDEALS + "test_certificate_compares_whole_fractions"]),
     # membership coset by coset, and idempotency from <f>_0
     ("ideals.py",  # no sign(b, t) flip in membership
      "                    s = -s\n", "                    pass\n",
      [IDEALS + "test_coset_membership_matches_elimination_and_products"]),
-    ("ideals.py",  # membership compares numerators without denominators
-     "if ratios.pop(b ^ t, None) != (s * num, den):",
-     "if ratios.pop(b ^ t, (None, 0))[0] != s * num:",
+    ("ideals.py",  # membership compares numerators without denominators: each term's own
+     "return _in_cosets(sig, self._rows, x._terms)",
+     "return _in_cosets(sig, self._rows, {m: c.numerator for m, c in x.term_map().items()})",
      [IDEALS + "test_coset_membership_matches_elimination_and_products"]),
     ("ideals.py",  # >= 1 for idempotency
      "return len(x) * x.scalar_part == 1", "return len(x) * x.scalar_part >= 1",
      [IDEALS + "test_is_idempotent_reads_the_scalar_part"]),
     # the certificate build_idempotent records, and the basis built on first read
     ("ideals.py",  # one wrong sign in the recorded certificate
-     'object.__setattr__(f, "_f2", dict(terms))',
+     'object.__setattr__(f, "_f2", f._terms)',
      'object.__setattr__(f, "_f2", dict(terms[:-1] + [(terms[-1][0], -terms[-1][1])]))',
      [IDEALS + "test_recorded_certificate_matches_the_derived_one"]),
     ("ideals.py",  # the lazy basis built without the row sign
      'object.__setattr__(self, "basis", _products(self.idempotent, kept))',
-     'object.__setattr__(self, "basis", tuple(Multivector._from_canonical('
-     'self.idempotent.sig, {b ^ m: c for m, c in self.idempotent._terms.items()}) for b in kept))',
+     'object.__setattr__(self, "basis", tuple(Multivector._from_canonical(self.idempotent.sig, '
+     'self.idempotent._den, {b ^ m: c for m, c in self.idempotent._terms.items()}) for b in kept))',
      [IDEALS + "test_left_ideal_basis_builds_elements_on_first_read"]),
     ("ideals.py",  # the early coset stop off by one
      "            if len(kept) == cosets:", "            if len(kept) == cosets - 1:",
@@ -78,6 +81,34 @@ MUTANTS: list[tuple[str, str, str, list[str]]] = [
     ("ideals.py",  # a wrong Radon-Hurwitz step
      "    return radon_hurwitz(i - 8) + 4", "    return radon_hurwitz(i - 8) + 3",
      [IDEALS + "test_classification_consistent_with_radon_hurwitz"]),
+    ("ideals.py",  # decompose_algebra validates once more per sign choice
+     "    return [_expand(spec.sig, signs, masks) for signs",
+     "    return [build_idempotent(IdempotentSpec(spec.sig, tuple(zip(signs, (t for _, t in "
+     "spec.generators))))) for signs",
+     [IDEALS + "test_decompose_validates_the_generators_once"]),
+    # the stored form: one positive denominator over coprime integer numerators
+    ("algebra.py",  # no final gcd
+     "        if den != 1 and (g := gcd(den, *terms.values())) != 1:\n",
+     "        if den != 1 and (g := gcd(den, *terms.values())) != 1 and False:\n",
+     CANONICAL),
+    ("algebra.py",  # negation flips the denominator, which is left negative
+     "return self._from_canonical(self._space, self._den, {m: -c for m, c in self._terms.items()})",
+     "return self._from_canonical(self._space, -self._den, self._terms)", CANONICAL),
+    ("algebra.py",  # grade without renormalising
+     "    return Multivector._reduced(x.sig, x._den, {m: c for m, c in x._terms.items()",
+     "    return Multivector._from_canonical(x.sig, x._den, {m: c for m, c in x._terms.items()",
+     CANONICAL),
+    ("exterior.py",  # interior_product without renormalising
+     "    return ExteriorForm._reduced(a.n, a._den, out)",
+     "    return ExteriorForm._from_canonical(a.n, a._den, out)", CANONICAL),
+    ("exprio.py",  # a writer that skips the per-term reduction
+     "    g = gcd(num, den)\n", "    g = 1\n", CANONICAL),
+    ("exprio.py",  # _combine over the first term's denominator instead of the lcm
+     "    den = lcm(*[d for _, d, _ in terms])", "    den = terms[0][1] if terms else 1", CANONICAL),
+    ("exprio.py",  # a blade beyond n read from the shared digit table
+     "            elif (mask := digit_blades.get(digits, 1 << n)) >> n:",
+     "            elif not (mask := digit_blades.get(digits, 0)):",
+     ["tests/test_algebra.py::test_blade_table_order_rank_and_text"]),
     # the L0 sign kernel
     ("algebra.py",  # the suffix parity counts the blade's own bit
      "    a >>= 1\n    a ^= a >> 1\n", "    a ^= a >> 1\n",

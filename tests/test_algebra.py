@@ -1,6 +1,9 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -13,10 +16,12 @@ from cliffideal import (
     Signature,
     blade_product,
     blade_square_sign,
+    clifford_hodge,
     from_json,
     geometric_product,
     grade_project,
     hodge_star,
+    interior_product,
     parse,
     print_canonical,
     quantize,
@@ -28,8 +33,9 @@ from cliffideal import (
 )
 from cliffideal.algebra import (MAX_DIM, BladeTable, _by_grade, blade_mask, blade_product_masks,
                                blade_table, grade_of, mask_indices)
+from cliffideal.exprio import ParseError, parse_blade, to_json_obj
 
-from conftest import multivectors, signatures
+from conftest import coefficients, multivectors, signatures
 from oracles import clifford_blade_product, multiply_dicts, wedge_dicts
 
 
@@ -313,6 +319,80 @@ def test_element_operations_are_canonical_by_construction():
                                       {mask_indices(m): c for m, c in b.term_map().items()})
 
 
+# -- the stored form: one positive denominator over coprime integer numerators ----------
+
+def _assert_stored_canonical(v):
+    """den > 0, nonzero int numerators, gcd(den, *numerators) == 1, reduced Fractions read."""
+    den, nums = v._den, v._terms
+    assert type(den) is int and den > 0, v
+    assert all(type(c) is int and c for c in nums.values()), v
+    assert gcd(den, *nums.values()) == 1, v
+    for m, c in v.terms():
+        assert type(c) is Fraction and c == Fraction(nums[m], den)
+    assert v.term_map() == dict(v.terms())
+
+
+def _same(a, b):
+    assert a == b and hash(a) == hash(b), (a, b)
+    _assert_stored_canonical(a)
+    _assert_stored_canonical(b)
+
+
+def test_equal_values_by_different_routes_are_equal_and_hash_alike(sig6):
+    half = Multivector(sig6, {0b1: Fraction(1, 2)})
+    _same(parse("2/4*e1", sig6), half)
+    _same(parse("1/4*e1 + 1/4*e1", sig6), half)
+    _same(parse("1/2*e1 + 0/3*e2", sig6), half)
+    _same(from_json('{"signature": [0, 6], "kind": "clifford", '
+                    '"terms": [{"blade": [1], "coef": "3/6"}]}'), half)
+    x = parse("1/2*e1 - 2/3*e23 + 5/6*e456", sig6)
+    y = parse("1/6*e1 + 1/3*e23 - 7/10", sig6)
+    assert x._den == 6 and x._terms == {0b1: 3, 0b110: -4, 0b111000: 5}
+    _same(x + y - y, x)
+    _same(x - y + y, x)
+    _same(-(-x), x)
+    for k in (3, -1, Fraction(-2, 7), Fraction(6, 5)):
+        _same(x.scale(k).scale(1 / Fraction(k)), x)
+    _same(x.grade(1), half)
+    _same(x.grade(2), parse("-2/3*e23", sig6))
+    _same(symbol(x).grade(3), parse("5/6*e456", 6, kind="form"))
+    _same(interior_product(1, symbol(x)), ExteriorForm(6, {0: Fraction(1, 2)}))
+    _same(x * Multivector.scalar(sig6, Fraction(6, 5)), parse("3/5*e1 - 4/5*e23 + e456", sig6))
+    assert print_canonical(x) == "1/2*e1 - 2/3*e23 + 5/6*e456"
+    assert [t["coef"] for t in to_json_obj(x)["terms"]] == ["1/2", "-2/3", "5/6"]
+    assert '"coef": "-2/3"' in to_json(x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_every_result_is_stored_canonical(data):
+    sig = data.draw(signatures(6))
+    n = sig.n
+    x, y = data.draw(multivectors(sig, 6)), data.draw(multivectors(sig, 6))
+    a, b = symbol(x), symbol(y)
+    k = data.draw(st.integers(min_value=0, max_value=n))
+    c = data.draw(coefficients)
+    # the same value written with unreduced coefficients and in another term order
+    spread = data.draw(st.integers(min_value=1, max_value=12))
+    text = "0" + "".join(f" {'-' if v < 0 else '+'} {spread * abs(v.numerator)}/"
+                         f"{spread * v.denominator}*{blade_table(n).text[m]}"
+                         for m, v in reversed(list(x.terms())))
+    ext, cliff = HodgeConvention.EXT_ALPHA_FIRST, HodgeConvention
+    results = [x * y, wedge(a, b), hodge_star(a), hodge_star(a, ext),
+               clifford_hodge(x), clifford_hodge(x, cliff.CLIFF_LEFT),
+               clifford_hodge(x, cliff.CLIFF_RIGHT), x.grade(k), a.grade(k), x + y, x - y, a + b,
+               -x, -a, x.scale(c), a.scale(c), reverse(x), interior_product(max(k, 1), a),
+               parse(print_canonical(x), sig), parse(print_canonical(a), n, kind="form"),
+               from_json(to_json(x)), from_json(to_json(a))]
+    for v in results:
+        _assert_stored_canonical(v)
+    _same(parse(text, sig), x)
+    for v in (x, a):
+        for w in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+            _same(w, v)
+            assert (w._den, w._terms) == (v._den, v._terms)
+
+
 def test_blade_table_order_rank_and_text():
     for n in (1, 4, 9, 10, 12):
         table = blade_table(n)
@@ -327,7 +407,17 @@ def test_blade_table_order_rank_and_text():
             else:
                 assert table.text[m] == "e{" + ",".join(map(str, ind)) + "}"
         assert table.text[0] == "1"
-        assert len(table.digits) == (1 << min(n, 9)) - 1
+        # one digit table for every n; a blade beyond n is rejected at its first index > n
+        assert table.digits is blade_table(9).digits
+        for key, m in table.digits.items():
+            if m >> n:
+                first = next(i for i, ch in enumerate(key) if int(ch) > n)
+                for text, at in ((f"e{key}", 1), (f"-3/4*e{key}", 6), (f"1 + 2*e{key}", 7)):
+                    with pytest.raises(ParseError, match=rf"blade index {key[first]} exceeds "
+                                       rf"dimension {n} \(at position {at + first}\)$"):
+                        parse(text, Signature(0, n))
+                with pytest.raises(ParseError, match=rf"\(at position {1 + first}\)$"):
+                    parse_blade(f"e{key}", n)
         # the index-tuple map: keys in canonical order, each the tuple blade_mask packs
         assert list(table.index) == [mask_indices(m) for m in table.order]
         assert all(blade_mask(ind, n) == m for ind, m in table.index.items())

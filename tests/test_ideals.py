@@ -883,6 +883,21 @@ def test_decompose_rejects_invalid(sig6):
         decompose_algebra(IdempotentSpec(sig6, ((1, (1, 2)),)))
 
 
+def test_decompose_validates_the_generators_once(sig8, monkeypatch):
+    calls = []
+    validate = ideals.validate_generators
+    monkeypatch.setattr(ideals, "validate_generators", lambda spec: calls.append(spec) or validate(spec))
+    spec = IdempotentSpec(sig8, GENS8)
+    pieces = decompose_algebra(spec)
+    assert calls == [spec]
+    blades = [t for _, t in GENS8]
+    for signs, piece in zip(product((1, -1), repeat=len(blades)), pieces, strict=True):
+        assert piece == build_idempotent(IdempotentSpec(sig8, tuple(zip(signs, blades))))
+        assert piece._f2 == ideals._f2_certificate(piece)  # recorded, as build_idempotent does
+    with pytest.raises(GeneratorError):
+        decompose_algebra(IdempotentSpec(sig8, GENS8[:3]))
+
+
 # -- exact linear algebra helpers --------------------------------------------
 
 def test_det_known_values():
