@@ -38,25 +38,19 @@ from .ideals import (
     validate_generators,
 )
 from .structures import (
-    G2Structure,
+    _IDEMPOTENT_OF,
+    _KINDS,
+    _RECOVER_OF,
     SU3Structure,
-    Spin7Structure,
     StructureError,
     g2_idempotent,
     g2_metric,
-    g2_recover,
     lift_su3_to_g2,
-    model_g2,
-    model_spin7,
-    model_su3,
     spin7_idempotent,
-    spin7_recover,
     structure_from_json,
     structure_to_json,
-    su3_idempotent,
-    su3_recover,
 )
-from .verifier import Report, load_golden, run_all, run_claim, _claim_by_id
+from .verifier import Report, _claim_by_id, _detail_lines, load_golden, run_all, run_claim
 
 EXIT_OK = 0
 EXIT_SEMANTIC = 1
@@ -211,11 +205,6 @@ def _cmd_idempotent(args) -> int:
 
 # -- structure -----------------------------------------------------------
 
-_MODELS = {"su3": model_su3, "g2": model_g2, "spin7": model_spin7}
-_STRUCT_TYPES = {"su3": SU3Structure, "g2": G2Structure, "spin7": Spin7Structure}
-_IDEMPOTENT_OF = {"su3": su3_idempotent, "g2": g2_idempotent, "spin7": spin7_idempotent}
-
-
 def _read_file(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -226,7 +215,7 @@ def _read_file(path: str) -> str:
 
 def _load_structure(kind: str, path: str):
     s = structure_from_json(_read_file(path))
-    if not isinstance(s, _STRUCT_TYPES[kind]):
+    if not isinstance(s, _KINDS[kind][0]):
         raise _semantic(f"{path} holds a {type(s).__name__}, not a {kind} structure")
     return s
 
@@ -240,66 +229,32 @@ def _print_idempotent_report(f: Multivector, json_out: bool) -> None:
         print(f"primitive: {_bool(is_primitive(f))}, ideal dim {dim}")
 
 
-def _structure_lines(s) -> list[str]:
-    if isinstance(s, SU3Structure):
-        return [
-            f"omega: {print_canonical(s.omega)}",
-            f"psi+: {print_canonical(s.psi_plus)}",
-            f"psi-: {print_canonical(s.psi_minus)}",
-        ]
-    if isinstance(s, G2Structure):
-        return [f"phi: {print_canonical(s.phi)}"]
-    return [f"cayley: {print_canonical(s.cayley)}"]
+def _validate_su3(s) -> int:
+    ww = wedge(s.psi_plus, s.psi_minus)
+    w3 = wedge(wedge(s.omega, s.omega), s.omega)
+    vol_coef = ww.coefficient(tuple(range(1, 7)))
+    compatible = (
+        wedge(s.omega, s.psi_plus).is_zero()
+        and wedge(s.omega, s.psi_minus).is_zero()
+        and ww == ExteriorForm.blade(6, tuple(range(1, 7))).scale(vol_coef)
+        and vol_coef > 0
+        and not w3.is_zero()
+    )
+    print(f"psi+ ^ psi-: {print_canonical(ww)}")
+    print(f"omega^3: {print_canonical(w3)}")
+    print(f"compatible: {_bool(compatible)}")
+    return EXIT_OK if compatible else EXIT_SEMANTIC
 
 
-def _cmd_structure(args) -> int:
-    kind = args.kind
-    if args.mode == "recover":
-        if args.input is None:
-            raise _usage("--recover needs --input with a JSON multivector")
-        x = from_json(_read_file(args.input))
-        if not isinstance(x, Multivector):
-            raise _semantic("--recover expects a Clifford value, not a form")
-        if kind == "su3":
-            s = su3_recover(x)
-        elif kind == "g2":
-            s, _ = g2_recover(x)
-        else:
-            s = spin7_recover(x)
-        print(structure_to_json(s) if args.json else "\n".join(_structure_lines(s)))
-        return EXIT_OK
+def _validate_g2(s) -> int:
+    report = g2_metric(s)
+    identity = all(report.metric[i][j] == (1 if i == j else 0) for i in range(7) for j in range(7))
+    metric_text = "identity" if identity else "nonidentity"
+    print(f"metric: {metric_text}; orbit: {report.tag}")
+    return EXIT_OK if report.tag == "definite" else EXIT_SEMANTIC
 
-    s = _MODELS[kind]() if args.input is None else _load_structure(kind, args.input)
 
-    if args.mode == "to-idempotent":
-        _print_idempotent_report(_IDEMPOTENT_OF[kind](s), args.json)
-        return EXIT_OK
-
-    # validate
-    if kind == "su3":
-        ww = wedge(s.psi_plus, s.psi_minus)
-        w3 = wedge(wedge(s.omega, s.omega), s.omega)
-        vol_coef = ww.coefficient(tuple(range(1, 7)))
-        compatible = (
-            wedge(s.omega, s.psi_plus).is_zero()
-            and wedge(s.omega, s.psi_minus).is_zero()
-            and ww == ExteriorForm.blade(6, tuple(range(1, 7))).scale(vol_coef)
-            and vol_coef > 0
-            and not w3.is_zero()
-        )
-        print(f"psi+ ^ psi-: {print_canonical(ww)}")
-        print(f"omega^3: {print_canonical(w3)}")
-        print(f"compatible: {_bool(compatible)}")
-        return EXIT_OK if compatible else EXIT_SEMANTIC
-    if kind == "g2":
-        report = g2_metric(s)
-        identity = all(
-            report.metric[i][j] == (1 if i == j else 0) for i in range(7) for j in range(7)
-        )
-        metric_text = "identity" if identity else "nonidentity"
-        print(f"metric: {metric_text}; orbit: {report.tag}")
-        return EXIT_OK if report.tag == "definite" else EXIT_SEMANTIC
-    # spin7
+def _validate_spin7(s) -> int:
     star = hodge_star(s.cayley)
     self_dual = star == s.cayley
     square = wedge(s.cayley, s.cayley)
@@ -311,6 +266,30 @@ def _cmd_structure(args) -> int:
     dim = left_ideal_basis(f).dimension
     print(f"idempotent: primitive {_bool(is_primitive(f))}, ideal dim {dim}")
     return EXIT_OK
+
+
+_VALIDATE = {"su3": _validate_su3, "g2": _validate_g2, "spin7": _validate_spin7}
+
+
+def _cmd_structure(args) -> int:
+    kind = args.kind
+    _, model, _, fields = _KINDS[kind]
+    if args.mode == "recover":
+        if args.input is None:
+            raise _usage("--recover needs --input with a JSON multivector")
+        x = from_json(_read_file(args.input))
+        if not isinstance(x, Multivector):
+            raise _semantic("--recover expects a Clifford value, not a form")
+        s = _RECOVER_OF[kind](x)
+        print(structure_to_json(s) if args.json else
+              "\n".join(f"{label}: {print_canonical(getattr(s, field))}" for field, label in fields))
+        return EXIT_OK
+
+    s = model() if args.input is None else _load_structure(kind, args.input)
+    if args.mode == "to-idempotent":
+        _print_idempotent_report(_IDEMPOTENT_OF[kind](s), args.json)
+        return EXIT_OK
+    return _VALIDATE[kind](s)
 
 
 # -- classify ------------------------------------------------------------
@@ -327,18 +306,6 @@ def _cmd_classify(args) -> int:
 
 # -- verify-paper --------------------------------------------------------
 
-def _single_claim_text(result) -> str:
-    claim = _claim_by_id(result.id)
-    lines = [
-        f"{result.id} {result.status} [{claim.category}] {claim.statement}",
-        f"  paper:    {result.paper}",
-        f"  computed: {result.computed}",
-    ]
-    if result.note:
-        lines.append(f"  note:     {result.note}")
-    return "\n".join(lines)
-
-
 def _cmd_verify_paper(args) -> int:
     golden = load_golden()
     if args.claim is not None:
@@ -346,8 +313,9 @@ def _cmd_verify_paper(args) -> int:
             result = run_claim(args.claim)
         except KeyError as exc:
             raise _usage(str(exc.args[0])) from None
-        print(Report(results=(result,)).to_json() if args.format == "json"
-              else _single_claim_text(result))
+        claim = _claim_by_id(result.id)
+        print(Report(results=(result,)).to_json() if args.format == "json" else "\n".join(
+            [f"{result.id} {result.status} [{claim.category}] {claim.statement}", *_detail_lines(result)]))
         expected = golden.get(result.id)
         if result.status != expected:
             print(f"status drift: {result.id} expected {expected}, got {result.status}",

@@ -395,12 +395,16 @@ def from_json_obj(obj, path: str = "") -> Value:
                     Signature(p, q) if kind == "clifford" else n)
 
 
-def from_json(text: str) -> Value:
+def _decode(text: str):
+    """json.loads, with every refusal of the text raised as a SchemaError."""
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except (ValueError, RecursionError) as exc:
         # besides JSONDecodeError (a ValueError), json raises a plain ValueError for an
         # integer past the interpreter's string-length limit and RecursionError for
         # arrays or objects nested too deep
         raise SchemaError(f"invalid JSON: {exc}", "") from None
-    return from_json_obj(obj)
+
+
+def from_json(text: str) -> Value:
+    return from_json_obj(_decode(text))

@@ -6,7 +6,9 @@ determines a primitive idempotent through quantization and Hodge duals
 graded pieces of W = f / <f>_0 recover the structure tensors through
 the symbol map.  All recoveries are exact; every constructor formula
 is checked for idempotency at runtime so that scaled or degenerate
-inputs are rejected instead of silently producing garbage.
+inputs are rejected instead of silently producing garbage.  Each formula is
+written once, as a private function of a Hodge convention and its constants;
+the verifier runs the source text's displayed constants through the same ones.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .exterior import (
     symbol,
     wedge,
 )
-from .exprio import SchemaError, from_json_obj, to_json_obj
+from .exprio import SchemaError, _decode, from_json_obj, to_json_obj
 from .ideals import is_idempotent, is_primitive
 from .linalg import leading_principal_minors
 
@@ -153,7 +155,26 @@ def _volume_constant(w: ExteriorForm, name: str) -> Fraction:
     return c
 
 
+def _normalized(x: Multivector, sig: Signature) -> Multivector:
+    """W = x / <x>_0 for x in the algebra of sig."""
+    if x.sig != sig:
+        raise StructureError(f"expected an element of {sig}, got {x.sig}")
+    c = x.scalar_part
+    if not c:
+        raise StructureError("cannot recover a structure: zero scalar part")
+    return x.scale(1 / c)
+
+
 # -- SU(3), dimension 6 --------------------------------------------------
+
+def _su3_formula(s: SU3Structure, conv: HodgeConvention, omega_coef: int) -> Multivector:
+    """(1/32) (star q(psi+ ^ psi-) + 4 q(psi+) + omega_coef star q(omega)), stars under conv."""
+    return (
+        clifford_hodge(quantize(wedge(s.psi_plus, s.psi_minus)), conv)
+        + quantize(s.psi_plus).scale(4)
+        + clifford_hodge(quantize(s.omega), conv).scale(omega_coef)
+    ).scale(Fraction(1, 32))
+
 
 def su3_idempotent(s: SU3Structure) -> Multivector:
     """Idempotent of R_{0,6} attached to a normalized SU(3) structure.
@@ -163,14 +184,21 @@ def su3_idempotent(s: SU3Structure) -> Multivector:
     idempotency; unnormalized inputs fail that check and are rejected.
     """
     _volume_constant(wedge(s.psi_plus, s.psi_minus), "psi+ ^ psi-")
-    f = (
-        clifford_hodge(quantize(wedge(s.psi_plus, s.psi_minus)), _STAR)
-        + quantize(s.psi_plus).scale(4)
-        - clifford_hodge(quantize(s.omega), _STAR).scale(4)
-    ).scale(Fraction(1, 32))
+    f = _su3_formula(s, _STAR, -4)
     if not is_idempotent(f):
         raise StructureError("input does not induce an idempotent (not a normalized SU(3) structure)")
     return f
+
+
+def _su3_recover(x: Multivector, conv: HodgeConvention, sign: int) -> SU3Structure:
+    """psi+ = symbol(<W>_3), psi- = sign symbol(star <W>_3), omega = sign symbol(star <W>_4)."""
+    w = _normalized(x, Signature(0, 6))
+    w3 = w.grade(3)
+    return SU3Structure(
+        omega=symbol(clifford_hodge(w.grade(4), conv)).scale(sign),
+        psi_plus=symbol(w3),
+        psi_minus=symbol(clifford_hodge(w3, conv)).scale(sign),
+    )
 
 
 def su3_recover(x: Multivector) -> SU3Structure:
@@ -179,18 +207,7 @@ def su3_recover(x: Multivector) -> SU3Structure:
     With W = x / <x>_0: psi+ = symbol(<W>_3), psi- = -symbol(star <W>_3)
     and omega = -symbol(star <W>_4), stars under EXT_DUAL_FIRST.
     """
-    if x.sig != Signature(0, 6):
-        raise StructureError(f"expected an element of R_{{0,6}}, got {x.sig}")
-    c = x.scalar_part
-    if not c:
-        raise StructureError("cannot recover a structure: zero scalar part")
-    w = x.scale(1 / c)
-    w3 = w.grade(3)
-    return SU3Structure(
-        omega=-symbol(clifford_hodge(w.grade(4), _STAR)),
-        psi_plus=symbol(w3),
-        psi_minus=-symbol(clifford_hodge(w3, _STAR)),
-    )
+    return _su3_recover(x, _STAR, -1)
 
 
 # -- G2, dimension 7 -----------------------------------------------------
@@ -233,18 +250,26 @@ def g2_idempotent(s: G2Structure) -> Multivector:
     return _g2_idempotent(s, g2_metric(s))
 
 
+def _g2_formula(phi: ExteriorForm, conv: HodgeConvention) -> Multivector:
+    """(1/112) (star q(phi ^ star phi) + 7 q(phi) - 7 q(star phi) - q(phi ^ star phi)).
+
+    The Clifford dual is taken under conv, the exterior one under EXT_DUAL_FIRST.
+    """
+    star_phi = hodge_star(phi, _STAR)
+    w = quantize(wedge(phi, star_phi))
+    return (
+        clifford_hodge(w, conv)
+        + quantize(phi).scale(7)
+        - quantize(star_phi).scale(7)
+        - w
+    ).scale(Fraction(1, 112))
+
+
 def _g2_idempotent(s: G2Structure, metric: OrbitReport) -> Multivector:
     """g2_idempotent with g2_metric(s) already computed."""
     if metric.tag == "degenerate":
         raise StructureError("phi induces a degenerate metric")
-    star_phi = hodge_star(s.phi, _STAR)
-    w = quantize(wedge(s.phi, star_phi))
-    f = (
-        clifford_hodge(w, _STAR)
-        + quantize(s.phi).scale(7)
-        - quantize(star_phi).scale(7)
-        - w
-    ).scale(Fraction(1, 112))
+    f = _g2_formula(s.phi, _STAR)
     if not is_idempotent(f):
         raise StructureError("input does not induce an idempotent (not a normalized G2 structure)")
     return f
@@ -257,12 +282,7 @@ def g2_recover(x: Multivector) -> tuple[G2Structure, ExteriorForm]:
     -symbol(<W>_4); for W coming from a G2 structure the 4-form equals
     hodge_star(phi) under EXT_DUAL_FIRST.
     """
-    if x.sig != Signature(0, 7):
-        raise StructureError(f"expected an element of R_{{0,7}}, got {x.sig}")
-    c = x.scalar_part
-    if not c:
-        raise StructureError("cannot recover a structure: zero scalar part")
-    w = x.scale(1 / c)
+    w = _normalized(x, Signature(0, 7))
     phi = symbol(w.grade(3))
     if phi.is_zero():
         raise StructureError("cannot recover a structure: no grade-3 part")
@@ -270,6 +290,12 @@ def g2_recover(x: Multivector) -> tuple[G2Structure, ExteriorForm]:
 
 
 # -- Spin(7), dimension 8 ------------------------------------------------
+
+def _spin7_formula(omega: ExteriorForm, conv: HodgeConvention, a: Fraction) -> Multivector:
+    """a star q(Omega ^ Omega) - (1/16) q(Omega) + a q(Omega ^ Omega), star under conv."""
+    w = quantize(wedge(omega, omega))
+    return (clifford_hodge(w, conv) + w).scale(a) - quantize(omega).scale(Fraction(1, 16))
+
 
 def spin7_idempotent(s: Spin7Structure) -> Multivector:
     """Idempotent of R_{0,8} attached to a self-dual Cayley form.
@@ -282,14 +308,8 @@ def spin7_idempotent(s: Spin7Structure) -> Multivector:
     omega = s.cayley
     if hodge_star(omega, _STAR) != omega:
         raise StructureError("the 4-form is not self-dual")
-    w = wedge(omega, omega)
-    c = _volume_constant(w, "Omega ^ Omega")
-    qw = quantize(w)
-    f = (
-        clifford_hodge(qw, _STAR).scale(Fraction(1, 16 * c))
-        - quantize(omega).scale(Fraction(1, 16))
-        + qw.scale(Fraction(1, 16 * c))
-    )
+    c = _volume_constant(wedge(omega, omega), "Omega ^ Omega")
+    f = _spin7_formula(omega, _STAR, Fraction(1, 16 * c))
     if not is_idempotent(f):
         raise StructureError("input does not induce an idempotent (not a normalized Cayley form)")
     return f
@@ -300,13 +320,7 @@ def spin7_recover(x: Multivector) -> Spin7Structure:
 
     The output must be self-dual; anything else is rejected.
     """
-    if x.sig != Signature(0, 8):
-        raise StructureError(f"expected an element of R_{{0,8}}, got {x.sig}")
-    c = x.scalar_part
-    if not c:
-        raise StructureError("cannot recover a structure: zero scalar part")
-    w = x.scale(1 / c)
-    omega = -symbol(w.grade(4))
+    omega = -symbol(_normalized(x, Signature(0, 8)).grade(4))
     if hodge_star(omega, _STAR) != omega:
         raise StructureError("recovered 4-form is not self-dual")
     return Spin7Structure(cayley=omega)
@@ -333,24 +347,24 @@ def lift_idempotent_6_to_7(f6: Multivector) -> Multivector:
     return g2_idempotent(lift_su3_to_g2(su3_recover(f6)))
 
 
-# -- JSON wrapping -------------------------------------------------------
+# -- the structure kinds ------------------------------------------------
 
-_FIELDS = {"su3": ("omega", "psi_plus", "psi_minus"), "g2": ("phi",), "spin7": ("cayley",)}
-_DIMS = {"su3": 6, "g2": 7, "spin7": 8}
+# kind -> (class, model, dimension, (JSON field, text label) per tensor)
+_KINDS = {
+    "su3": (SU3Structure, model_su3, 6, (("omega", "omega"), ("psi_plus", "psi+"), ("psi_minus", "psi-"))),
+    "g2": (G2Structure, model_g2, 7, (("phi", "phi"),)),
+    "spin7": (Spin7Structure, model_spin7, 8, (("cayley", "cayley"),)),
+}
+# the function columns of the same table, as plain kind -> function dicts, so that
+# whoever wraps a module's functions (perfbench/tracer.py) finds them here too
+_IDEMPOTENT_OF = {"su3": su3_idempotent, "g2": g2_idempotent, "spin7": spin7_idempotent}
+_RECOVER_OF = {"su3": su3_recover, "g2": lambda x: g2_recover(x)[0], "spin7": spin7_recover}
 
 
 def structure_to_json_obj(s) -> dict:
-    if isinstance(s, SU3Structure):
-        return {
-            "structure": "su3",
-            "omega": to_json_obj(s.omega),
-            "psi_plus": to_json_obj(s.psi_plus),
-            "psi_minus": to_json_obj(s.psi_minus),
-        }
-    if isinstance(s, G2Structure):
-        return {"structure": "g2", "phi": to_json_obj(s.phi)}
-    if isinstance(s, Spin7Structure):
-        return {"structure": "spin7", "cayley": to_json_obj(s.cayley)}
+    for kind, (cls, _, _, fields) in _KINDS.items():
+        if isinstance(s, cls):
+            return {"structure": kind, **{field: to_json_obj(getattr(s, field)) for field, _ in fields}}
     raise TypeError(f"cannot serialize {type(s).__name__}")
 
 
@@ -362,31 +376,24 @@ def structure_from_json_obj(obj):
     if not isinstance(obj, dict):
         raise SchemaError("expected an object", "")
     kind = obj.get("structure")
-    if kind not in _FIELDS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise SchemaError("expected 'su3', 'g2' or 'spin7'", "structure")
+    cls, _, n, fields = _KINDS[kind]
     forms = {}
-    for field in _FIELDS[kind]:
+    for field, _ in fields:
         if field not in obj:
             raise SchemaError(f"missing field '{field}'", field)
         value = from_json_obj(obj[field], path=field)
         if not isinstance(value, ExteriorForm):
             raise SchemaError("expected kind 'form'", f"{field}.kind")
-        if value.n != _DIMS[kind]:
-            raise SchemaError(f"expected a form on (R^{_DIMS[kind]})*", f"{field}.signature")
+        if value.n != n:
+            raise SchemaError(f"expected a form on (R^{n})*", f"{field}.signature")
         forms[field] = value
     try:
-        if kind == "su3":
-            return SU3Structure(**forms)
-        if kind == "g2":
-            return G2Structure(**forms)
-        return Spin7Structure(**forms)
+        return cls(**forms)
     except StructureError as exc:
         raise SchemaError(str(exc), "") from None
 
 
 def structure_from_json(text: str):
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON: {exc}", "") from None
-    return structure_from_json_obj(obj)
+    return structure_from_json_obj(_decode(text))

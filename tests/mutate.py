@@ -131,6 +131,23 @@ MUTANTS: list[tuple[str, str, str, list[str]]] = [
      "sign = reorder_sign(comp, mask) if dual_first else reorder_sign(mask, comp)",
      "sign = reorder_sign(mask, comp) if dual_first else reorder_sign(comp, mask)",
      ["tests/test_exterior.py::test_hodge_star_both_exterior_conventions_exhaustive"]),
+    # one formula per structure, and one table of structure kinds
+    ("verifier.py",  # C6 run with the corrected omega sign instead of the displayed +4
+     "lambda conv: _su3_formula(su3, conv, 4),", "lambda conv: _su3_formula(su3, conv, -4),",
+     ["tests/test_verifier.py::test_report_statuses_frozen"]),
+    ("structures.py",  # the library's Spin(7) constant replaced by the displayed 1/128
+     "f = _spin7_formula(omega, _STAR, Fraction(1, 16 * c))", "f = _spin7_formula(omega, _STAR, Fraction(1, 128))",
+     ["tests/test_structures.py::test_spin7_idempotent_is_factored_f"]),
+    ("structures.py",  # the SU(3) recovery with its psi- sign flipped
+     "psi_minus=symbol(clifford_hodge(w3, conv)).scale(sign),",
+     "psi_minus=symbol(clifford_hodge(w3, conv)).scale(-sign),",
+     ["tests/test_structures.py::test_su3_recover_model_tensors"]),
+    ("structures.py",  # two kinds swapped in the structure table
+     '    "g2": (G2Structure, model_g2, 7, (("phi", "phi"),)),\n'
+     '    "spin7": (Spin7Structure, model_spin7, 8, (("cayley", "cayley"),)),\n',
+     '    "spin7": (G2Structure, model_g2, 7, (("phi", "phi"),)),\n'
+     '    "g2": (Spin7Structure, model_spin7, 8, (("cayley", "cayley"),)),\n',
+     ["tests/test_cli.py::test_structure_recover_gives_back_the_model"]),
     # the G2 metric from i <= j, and the writers' digit bound
     ("structures.py",  # the lower triangle of B left at zero
      "            rows[i][j] = rows[j][i] = sixth", "            rows[i][j] = sixth",

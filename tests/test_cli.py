@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from cliffideal import from_json, model_su3, structure_to_json
+from cliffideal import (SchemaError, from_json, model_g2, model_spin7, model_su3, print_canonical,
+                        structure_from_json, structure_to_json)
 from cliffideal.cli import main
 
 PSI_PLUS = "e135 - e146 - e236 - e245"
@@ -261,6 +262,50 @@ def test_structure_malformed_json_exit_2(capsys, tmp_path):
     path.write_text("{not json", encoding="utf-8")
     code, _, err = run(capsys, "structure", "su3", "--input", str(path), "--to-idempotent")
     assert code == 2
+
+
+# the text labels are written out here, not read from the structure-kind table
+MODELS = {"su3": model_su3, "g2": model_g2, "spin7": model_spin7}
+LABELS = {"su3": (("omega", "omega"), ("psi+", "psi_plus"), ("psi-", "psi_minus")),
+          "g2": (("phi", "phi"),), "spin7": (("cayley", "cayley"),)}
+
+
+@pytest.mark.parametrize("kind", MODELS)
+def test_structure_recover_gives_back_the_model(capsys, tmp_path, kind):
+    code, out, _ = run(capsys, "structure", kind, "--model", "--to-idempotent", "--json")
+    assert code == 0
+    path = tmp_path / "f.json"
+    path.write_text(out.strip(), encoding="utf-8")
+    model = MODELS[kind]()
+    code, out, _ = run(capsys, "structure", kind, "--input", str(path), "--recover")
+    assert code == 0
+    assert out.splitlines() == [f"{label}: {print_canonical(getattr(model, field))}"
+                                for label, field in LABELS[kind]]
+    code, out, _ = run(capsys, "structure", kind, "--input", str(path), "--recover", "--json")
+    assert (code, out) == (0, structure_to_json(model) + "\n")
+
+
+@pytest.mark.parametrize("mode", ["--to-idempotent", "--validate"])
+@pytest.mark.parametrize("kind", MODELS)
+def test_structure_input_of_the_model_prints_what_model_prints(capsys, tmp_path, kind, mode):
+    path = tmp_path / f"{kind}.json"
+    path.write_text(structure_to_json(MODELS[kind]()), encoding="utf-8")
+    for extra in ([], ["--json"]) if mode == "--to-idempotent" else ([],):
+        from_model = run(capsys, "structure", kind, "--model", mode, *extra)
+        assert run(capsys, "structure", kind, "--input", str(path), mode, *extra) == from_model
+        assert from_model[0] == 0 and from_model[1]
+
+
+@pytest.mark.parametrize("kind", [["su3"], {}], ids=["list", "dict"])
+def test_structure_kind_that_is_not_a_name_is_a_schema_error(capsys, tmp_path, kind):
+    text = json.dumps({"structure": kind})
+    with pytest.raises(SchemaError) as err:
+        structure_from_json(text)
+    assert (err.value.path, str(err.value)) == ("structure", "structure: expected 'su3', 'g2' or 'spin7'")
+    path = tmp_path / "bad.json"
+    path.write_text(text, encoding="utf-8")
+    for argv in (["structure", "g2", "--input", str(path), "--validate"], ["lift", "--from", str(path)]):
+        assert run(capsys, *argv) == (2, "", "error: structure: expected 'su3', 'g2' or 'spin7'\n")
 
 
 # -- classify ---------------------------------------------------------------------

@@ -17,6 +17,7 @@ from cliffideal import (
     model_su3,
     parse,
     print_canonical,
+    structure_from_json,
     to_json,
 )
 from cliffideal import exprio
@@ -503,8 +504,9 @@ def test_parse_form_rejects_a_dimension_outside_1_to_12(n):
     '{"signature": [0, 1' + "0" * 5000 + '], "kind": "form", "terms": []}',
 ], ids=["deep-root", "deep-terms", "long-integer"])
 def test_json_hostile_text_is_a_schema_error(text):
-    with pytest.raises(SchemaError, match="invalid JSON"):
-        from_json(text)
+    for read in (from_json, structure_from_json):  # both readers share one decode step
+        with pytest.raises(SchemaError, match="invalid JSON"):
+            read(text)
 
 
 # -- the writers' digit bound ---------------------------------------------------
