@@ -9,7 +9,6 @@ usage error, 141 the reader of stdout went away (128 + SIGPIPE).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -221,12 +220,11 @@ def _load_structure(kind: str, path: str):
 
 
 def _print_idempotent_report(f: Multivector, json_out: bool) -> None:
-    dim = left_ideal_basis(f).dimension
     if json_out:
         print(to_json(f))
     else:
         print(print_canonical(f))
-        print(f"primitive: {_bool(is_primitive(f))}, ideal dim {dim}")
+        print(f"primitive: {_bool(is_primitive(f))}, ideal dim {left_ideal_basis(f).dimension}")
 
 
 def _validate_su3(s) -> int:
@@ -323,7 +321,7 @@ def _cmd_verify_paper(args) -> int:
             return EXIT_SEMANTIC
         return EXIT_OK
 
-    report = run_all(args.format)
+    report = run_all()
     print(report.to_json() if args.format == "json" else report.to_text())
     deviations = report.golden_deviations()
     if deviations:
@@ -341,15 +339,12 @@ def _cmd_lift(args) -> int:
         raise _semantic(f"lift expects an su3 structure, got {type(s).__name__}")
     phi = lift_su3_to_g2(s)
     f = g2_idempotent(phi)
-    dim = left_ideal_basis(f).dimension
     if args.json:
-        print(json.dumps(
-            {"phi": json.loads(to_json(phi.phi)), "idempotent": json.loads(to_json(f))},
-            separators=(", ", ": ")))
+        print(f'{{"phi": {to_json(phi.phi)}, "idempotent": {to_json(f)}}}')
     else:
         print(f"phi: {print_canonical(phi.phi)}")
         print(f"idempotent: {print_canonical(f)}")
-        print(f"primitive: {_bool(is_primitive(f))}, ideal dim {dim}")
+        print(f"primitive: {_bool(is_primitive(f))}, ideal dim {left_ideal_basis(f).dimension}")
     return EXIT_OK
 
 

@@ -15,13 +15,14 @@ index >= 10, so printed text for n <= 9 never contains it.  Like terms
 are combined on input, and the printer is the inverse of the parser on
 canonical output.
 
-JSON layout: to_json writes json.dumps(to_json_obj(x), separators=(", ", ": ")), i.e.::
+JSON layout: to_json, the package's only JSON writer, writes one line::
 
     {"signature": [p, q], "kind": "clifford", "terms": [{"blade": [1, 3], "coef": "-1/8"}, ...]}
 
 with [0, n] and "form" for a form, one term per nonzero coefficient in
 canonical order, increasing indices ([] for the scalar) and the reduced
-coef ("a", or "a/b" when b > 1).  The reader combines like terms in any order.
+coef ("a", or "a/b" when b > 1); structure_to_json splices it into
+{"structure": kind, field: value, ...}.  The reader combines like terms in any order.
 
 Numerators and denominators are bounded by the interpreter's limit on integer
 string conversion (4,300 digits by default) both ways: the reader reports a
@@ -224,8 +225,6 @@ def _coerce_sig(sig, kind: str):
     if kind == "clifford":
         if isinstance(sig, Signature):
             return sig
-        if isinstance(sig, (tuple, list)) and len(sig) == 2:
-            return Signature(*sig)
         raise ValueError("clifford values need a Signature (p, q)")
     if kind == "form":
         if isinstance(sig, Signature):
@@ -288,15 +287,6 @@ def _space(x: Value) -> tuple[int, int, str]:
     if isinstance(x, ExteriorForm):
         return 0, x.n, "form"
     raise TypeError(f"cannot serialize {type(x).__name__}")
-
-
-def to_json_obj(x: Value) -> dict:
-    p, q, kind = _space(x)
-    try:
-        terms = [{"blade": list(mask_indices(mask)), "coef": str(coef)} for mask, coef in x.terms()]
-    except ValueError:
-        raise _digit_limit(x) from None
-    return {"signature": [p, q], "kind": kind, "terms": terms}
 
 
 @cache

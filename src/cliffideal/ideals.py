@@ -195,7 +195,7 @@ def is_idempotent(x: Multivector) -> bool:
     Any other x is multiplied out.
     """
     if isinstance(x, Multivector) and _f2_signs(x) is not None:
-        return len(x) * x.scalar_part == 1
+        return len(x) * x._terms.get(0, 0) == x._den
     return x * x == x
 
 
@@ -278,11 +278,6 @@ def _signed_rows(sig: Signature, terms: Iterable[tuple[int, int]],
         return {b ^ m: neg if (sign_mask & m).bit_count() & 1 else c for m, c, neg in signed}
 
     return map(row, masks)
-
-
-def _blade_rows(f: Multivector, masks: Iterable[int]) -> tuple[int, Iterator[dict[int, int]]]:
-    """D, f's denominator, and the integer rows D * (e_b * f), b in masks."""
-    return f._den, _signed_rows(f.sig, list(f._terms.items()), masks)
 
 
 def _f2_signs(f: Multivector) -> dict[int, int] | None:
@@ -379,12 +374,12 @@ def _first_per_coset(masks: Iterable[int], span: Iterable[int], n: int) -> list[
 
 
 def _eliminate(f: Multivector, masks: Sequence[int]) -> tuple[RowBasis, list[int]]:
-    """Integer elimination of the rows D * (e_b * f), b in masks, in order.
+    """Integer elimination of the rows D * (e_b * f), b in masks, in order, D f's denominator.
 
     Returns the echelon of the accepted rows and the masks b whose rows
     enlarged the span.
     """
-    _, rows = _blade_rows(f, masks)
+    rows = _signed_rows(f.sig, f._terms.items(), masks)
     echelon = RowBasis()
     kept = [b for b, row in zip(masks, rows) if echelon.add(row)]
     return echelon, kept
@@ -500,7 +495,7 @@ def is_primitive(f: Multivector) -> bool:
     """
     if f.is_zero() or not is_idempotent(f):
         return False
-    return (1 << f.sig.n) * f.scalar_part == classify(f.sig).minimal_ideal_dim
+    return (1 << f.sig.n) * f._terms.get(0, 0) == classify(f.sig).minimal_ideal_dim * f._den
 
 
 def decompose_algebra(spec: IdempotentSpec) -> list[Multivector]:

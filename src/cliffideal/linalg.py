@@ -1,35 +1,25 @@
-"""Small exact linear algebra helpers.
+"""Small exact linear algebra over the integers.
 
-Rows are sparse dicts {column key: nonzero rational}; column keys are
-ints ordered naturally.  Nothing here knows about blades — callers map
-blade masks to columns.
+Rows are sparse dicts {column key: nonzero int}; column keys are ints
+ordered naturally.  Matrices are lists of int rows.  Callers with rational
+entries clear the denominators first.  Nothing here knows about blades —
+callers map blade masks to columns.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, lcm
-
-
-def clear_denominators(row: dict[int, int | Fraction]) -> tuple[int, dict[int, int]]:
-    """(D, D * row) for D the lcm of the row's denominators; zero entries dropped."""
-    # A list, not a generator: *-unpacking a generator builds an oversized
-    # tuple and shrinks it, and CPython's tuple free lists then keep each
-    # shrunk tuple, which over many products pins an extra allocator arena.
-    den = lcm(*[v.denominator for v in row.values()])
-    return den, {k: v.numerator * (den // v.denominator) for k, v in row.items() if v}
+from math import gcd
 
 
 class RowBasis:
-    """Incremental row-echelon basis for sparse rational vectors.
+    """Incremental row-echelon basis for sparse integer vectors.
 
-    Elimination is fraction-free, as in Bareiss, Math. Comp. 22 (1968),
-    but keeps entries small by primitive parts instead of exact division:
-    rows are cleared of denominators on entry (a row of nonzero ints is
-    only copied), each pivot row is kept primitive (content 1, positive
-    leading entry), and a row is reduced against a pivot by integer
-    cross-multiplication scaled down by the gcd of the two leading
-    entries.
+    Rows are {column: nonzero int}; callers clear denominators.  Elimination
+    is fraction-free, as in Bareiss, Math. Comp. 22 (1968), but keeps entries
+    small by primitive parts instead of exact division: each pivot row is
+    kept primitive (content 1, positive leading entry), and a row is reduced
+    against a pivot by integer cross-multiplication scaled down by the gcd
+    of the two leading entries.
     """
 
     def __init__(self) -> None:
@@ -39,12 +29,8 @@ class RowBasis:
     def rank(self) -> int:
         return len(self._pivots)
 
-    def _reduce(self, row: dict[int, int | Fraction]) -> dict[int, int]:
-        vals = row.values()
-        if set(map(type, vals)) <= {int} and 0 not in vals:  # == 0 on a Fraction runs Python code
-            row = dict(row)  # already cleared; the copy keeps the caller's row intact
-        else:
-            _, row = clear_denominators(row)
+    def _reduce(self, row: dict[int, int]) -> dict[int, int]:
+        row = dict(row)  # the copy keeps the caller's row intact
         while row:
             lead = min(row)
             pivot = self._pivots.get(lead)
@@ -69,7 +55,7 @@ class RowBasis:
                     row = {k: v // content for k, v in row.items()}
         return row
 
-    def add(self, row: dict[int, int | Fraction]) -> bool:
+    def add(self, row: dict[int, int]) -> bool:
         """Insert a vector; True iff it enlarged the span."""
         residue = self._reduce(row)
         if not residue:
@@ -81,33 +67,26 @@ class RowBasis:
         self._pivots[lead] = {k: v // content for k, v in residue.items()}
         return True
 
-    def contains(self, row: dict[int, int | Fraction]) -> bool:
+    def contains(self, row: dict[int, int]) -> bool:
         return not self._reduce(row)
 
 
-def det(matrix: list[list[int | Fraction]]) -> Fraction:
-    """Determinant by fraction-free Bareiss elimination with row pivoting.
+def det(matrix: list[list[int]]) -> int:
+    """Determinant of an integer matrix by fraction-free Bareiss elimination with row pivoting.
 
-    Each row is cleared of denominators once; the integer determinant is
-    divided by the product of the row denominators at the end.  Every
-    division inside the elimination is exact (Bareiss, Math. Comp. 22,
+    Every division inside the elimination is exact (Bareiss, Math. Comp. 22,
     1968).
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix must be square")
-    den = 1
-    m = []
-    for row in matrix:
-        d, ints = clear_denominators(dict(enumerate(row)))
-        den *= d
-        m.append([ints.get(c, 0) for c in range(n)])
+    m = [list(row) for row in matrix]
     sign = 1
     prev = 1
     for i in range(n):
         pivot_row = next((r for r in range(i, n) if m[r][i]), None)
         if pivot_row is None:
-            return Fraction(0)
+            return 0
         if pivot_row != i:
             m[i], m[pivot_row] = m[pivot_row], m[i]
             sign = -sign
@@ -119,10 +98,10 @@ def det(matrix: list[list[int | Fraction]]) -> Fraction:
             for c in range(i + 1, n):
                 row[c] = (lead * row[c] - factor * top[c]) // prev
         prev = lead
-    return Fraction(sign * prev, den)
+    return sign * prev
 
 
-def leading_principal_minors(matrix: list[list[int | Fraction]]) -> list[Fraction]:
+def leading_principal_minors(matrix: list[list[int]]) -> list[int]:
     """Determinants of the upper-left k x k blocks, k = 1..n."""
     n = len(matrix)
     return [det([row[: k + 1] for row in matrix[: k + 1]]) for k in range(n)]

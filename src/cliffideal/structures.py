@@ -13,8 +13,8 @@ the verifier runs the source text's displayed constants through the same ones.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
+from math import lcm
 
 from .algebra import Multivector, Signature, _Record
 from .exterior import (
@@ -27,7 +27,7 @@ from .exterior import (
     symbol,
     wedge,
 )
-from .exprio import SchemaError, _decode, from_json_obj, to_json_obj
+from .exprio import SchemaError, _decode, from_json_obj, to_json
 from .ideals import is_idempotent, is_primitive
 from .linalg import leading_principal_minors
 
@@ -167,10 +167,12 @@ def _normalized(x: Multivector, sig: Signature) -> Multivector:
 
 # -- SU(3), dimension 6 --------------------------------------------------
 
-def _su3_formula(s: SU3Structure, conv: HodgeConvention, omega_coef: int) -> Multivector:
-    """(1/32) (star q(psi+ ^ psi-) + 4 q(psi+) + omega_coef star q(omega)), stars under conv."""
+def _su3_formula(s: SU3Structure, conv: HodgeConvention, omega_coef: int,
+                 square: ExteriorForm) -> Multivector:
+    """(1/32) (star q(psi+ ^ psi-) + 4 q(psi+) + omega_coef star q(omega)), stars under conv;
+    square is psi+ ^ psi-, which every caller has already wedged."""
     return (
-        clifford_hodge(quantize(wedge(s.psi_plus, s.psi_minus)), conv)
+        clifford_hodge(quantize(square), conv)
         + quantize(s.psi_plus).scale(4)
         + clifford_hodge(quantize(s.omega), conv).scale(omega_coef)
     ).scale(Fraction(1, 32))
@@ -183,8 +185,9 @@ def su3_idempotent(s: SU3Structure) -> Multivector:
     with the Clifford Hodge dual taken under EXT_DUAL_FIRST, and verifies
     idempotency; unnormalized inputs fail that check and are rejected.
     """
-    _volume_constant(wedge(s.psi_plus, s.psi_minus), "psi+ ^ psi-")
-    f = _su3_formula(s, _STAR, -4)
+    square = wedge(s.psi_plus, s.psi_minus)
+    _volume_constant(square, "psi+ ^ psi-")
+    f = _su3_formula(s, _STAR, -4, square)
     if not is_idempotent(f):
         raise StructureError("input does not induce an idempotent (not a normalized SU(3) structure)")
     return f
@@ -216,28 +219,30 @@ def g2_metric(s: G2Structure) -> OrbitReport:
     """Bilinear form B with B_ij vol = (1/6) (i_i phi) ^ (i_j phi) ^ phi.
 
     2-forms commute under ^, so B is symmetric and only i <= j is wedged.
-    The orbit tag comes from an exact Sylvester test: definite when B or
-    -B has all leading principal minors positive, degenerate when det B
-    vanishes, split otherwise.
+    With D the lcm of the 28 wedges' denominators, M = 6 D B is an integer
+    matrix whose leading principal minors have B's signs.  The orbit tag comes
+    from an exact Sylvester test: definite when B or -B has all leading
+    principal minors positive, degenerate when det B vanishes, split otherwise.
     """
     phi = s.phi
     top = (1 << 7) - 1
     contractions = [interior_product(i, phi) for i in range(1, 8)]
-    sixth = Fraction(1, 6)
-    rows = [[Fraction(0)] * 7 for _ in range(7)]
-    for i in range(7):
-        for j in range(i, 7):
-            w = wedge(wedge(contractions[i], contractions[j]), phi)
-            rows[i][j] = rows[j][i] = sixth * w.term_map().get(top, Fraction(0))
-    # the last leading minor is det B; the k-th leading minor of -B is (-1)^k times that of B
-    minors = leading_principal_minors(rows)
+    pairs = [(i, j) for i in range(7) for j in range(i, 7)]
+    wedges = [wedge(wedge(contractions[i], contractions[j]), phi) for i, j in pairs]
+    den = lcm(*[w._den for w in wedges])
+    m = [[0] * 7 for _ in range(7)]
+    for (i, j), w in zip(pairs, wedges):
+        m[i][j] = m[j][i] = w._terms.get(top, 0) * (den // w._den)
+    # the last leading minor is det M; the k-th leading minor of -M is (-1)^k times that of M
+    minors = leading_principal_minors(m)
     if not minors[-1]:
         tag = "degenerate"
-    elif all(m > 0 for m in minors) or all((-1) ** k * m > 0 for k, m in enumerate(minors, 1)):
+    elif all(v > 0 for v in minors) or all((-1) ** k * v > 0 for k, v in enumerate(minors, 1)):
         tag = "definite"
     else:
         tag = "split"
-    return OrbitReport(metric=tuple(map(tuple, rows)), determinant=minors[-1], tag=tag)
+    return OrbitReport(metric=tuple(tuple(Fraction(v, 6 * den) for v in row) for row in m),
+                       determinant=Fraction(minors[-1], (6 * den) ** 7), tag=tag)
 
 
 def g2_idempotent(s: G2Structure) -> Multivector:
@@ -291,9 +296,11 @@ def g2_recover(x: Multivector) -> tuple[G2Structure, ExteriorForm]:
 
 # -- Spin(7), dimension 8 ------------------------------------------------
 
-def _spin7_formula(omega: ExteriorForm, conv: HodgeConvention, a: Fraction) -> Multivector:
-    """a star q(Omega ^ Omega) - (1/16) q(Omega) + a q(Omega ^ Omega), star under conv."""
-    w = quantize(wedge(omega, omega))
+def _spin7_formula(omega: ExteriorForm, conv: HodgeConvention, a: Fraction,
+                   square: ExteriorForm) -> Multivector:
+    """a star q(Omega ^ Omega) - (1/16) q(Omega) + a q(Omega ^ Omega), star under conv;
+    square is Omega ^ Omega, which every caller has already wedged."""
+    w = quantize(square)
     return (clifford_hodge(w, conv) + w).scale(a) - quantize(omega).scale(Fraction(1, 16))
 
 
@@ -308,8 +315,9 @@ def spin7_idempotent(s: Spin7Structure) -> Multivector:
     omega = s.cayley
     if hodge_star(omega, _STAR) != omega:
         raise StructureError("the 4-form is not self-dual")
-    c = _volume_constant(wedge(omega, omega), "Omega ^ Omega")
-    f = _spin7_formula(omega, _STAR, Fraction(1, 16 * c))
+    square = wedge(omega, omega)
+    c = _volume_constant(square, "Omega ^ Omega")
+    f = _spin7_formula(omega, _STAR, Fraction(1, 16 * c), square)
     if not is_idempotent(f):
         raise StructureError("input does not induce an idempotent (not a normalized Cayley form)")
     return f
@@ -361,15 +369,13 @@ _IDEMPOTENT_OF = {"su3": su3_idempotent, "g2": g2_idempotent, "spin7": spin7_ide
 _RECOVER_OF = {"su3": su3_recover, "g2": lambda x: g2_recover(x)[0], "spin7": spin7_recover}
 
 
-def structure_to_json_obj(s) -> dict:
+def structure_to_json(s) -> str:
+    """{"structure": kind, field: to_json(tensor), ...}, in the exprio writer's layout."""
     for kind, (cls, _, _, fields) in _KINDS.items():
         if isinstance(s, cls):
-            return {"structure": kind, **{field: to_json_obj(getattr(s, field)) for field, _ in fields}}
+            return "".join([f'{{"structure": "{kind}"',
+                            *[f', "{field}": {to_json(getattr(s, field))}' for field, _ in fields], "}"])
     raise TypeError(f"cannot serialize {type(s).__name__}")
-
-
-def structure_to_json(s) -> str:
-    return json.dumps(structure_to_json_obj(s), separators=(", ", ": "))
 
 
 def structure_from_json_obj(obj):

@@ -131,6 +131,8 @@ def _catalog() -> tuple[Claim, ...]:
     su3 = model_su3()
     g2 = model_g2()
     spin7 = model_spin7()
+    su3_square = wedge(su3.psi_plus, su3.psi_minus)
+    spin7_square = wedge(spin7.cayley, spin7.cayley)
     claims: list[Claim] = []
 
     def add(id, paper_ref, category, statement, paper_value, uses_star, evaluate):
@@ -197,7 +199,7 @@ def _catalog() -> tuple[Claim, ...]:
 
     formula("C6", "Prop 4.2: f = (1/32)(star q(psi+ ^ psi-) + 4 q(psi+) + 4 star q(omega))",
             "(1/32)(star q(psi+ ^ psi-) + 4 q(psi+) + 4 star q(omega))", 6,
-            lambda conv: _su3_formula(su3, conv, 4),
+            lambda conv: _su3_formula(su3, conv, 4, su3_square),
             "negating the omega term yields the factored idempotent exactly")
 
     display("C7", "S5.1: W = 16f, displayed with sixteen terms",
@@ -231,7 +233,7 @@ def _catalog() -> tuple[Claim, ...]:
 
     formula("C12", "Prop 6.1: f_Omega = (1/128)(star q(Omega ^ Omega) - 8 q(Omega) + q(Omega ^ Omega))",
             "(1/16)(1-e1234)(1-e1256)(1-e1278)(1-e1357)", 8,
-            lambda conv: _spin7_formula(spin7.cayley, conv, Fraction(1, 128)),
+            lambda conv: _spin7_formula(spin7.cayley, conv, Fraction(1, 128), spin7_square),
             "Omega ^ Omega is 14 vol, so the normalization must be "
             "(1/16)(1 - q(Omega) + q(vol)) instead of the displayed constants")
 
@@ -319,7 +321,7 @@ def _catalog() -> tuple[Claim, ...]:
 
     unit_dual("C22", "S4.2: (1/4) star q*(psi+ ^ psi-) = 1",
               "a quarter of the dual of the quantized wedge square is the unit scalar",
-              quantize(wedge(su3.psi_plus, su3.psi_minus)).scale(Fraction(1, 4)))
+              quantize(su3_square).scale(Fraction(1, 4)))
 
     unit_dual("C23", "S5.1: star e_{1234567} = 1",
               "the dual of the volume element of R_(0,7) is the unit scalar", volume_element(_SIG7))
@@ -456,14 +458,8 @@ class Report(_Record):
         return not self.golden_deviations()
 
 
-def run_all(fmt: str = "text") -> Report:
-    """Evaluate the whole catalog in id order.
-
-    fmt is accepted for interface symmetry; rendering is chosen by the
-    caller via Report.to_text / Report.to_json.
-    """
-    if fmt not in ("text", "json"):
-        raise ValueError(f"unknown format {fmt!r} (expected 'text' or 'json')")
+def run_all() -> Report:
+    """Evaluate the whole catalog in id order; Report.to_text and Report.to_json render it."""
     return Report(results=tuple(run_claim(c.id) for c in _catalog()))
 
 

@@ -60,8 +60,11 @@ MUTANTS: list[tuple[str, str, str, list[str]]] = [
      "return _in_cosets(sig, self._rows, {m: c.numerator for m, c in x.term_map().items()})",
      [IDEALS + "test_coset_membership_matches_elimination_and_products"]),
     ("ideals.py",  # >= 1 for idempotency
-     "return len(x) * x.scalar_part == 1", "return len(x) * x.scalar_part >= 1",
+     "return len(x) * x._terms.get(0, 0) == x._den", "return len(x) * x._terms.get(0, 0) >= x._den",
      [IDEALS + "test_is_idempotent_reads_the_scalar_part"]),
+    ("ideals.py",  # the primitivity trace compared without the denominator
+     "== classify(f.sig).minimal_ideal_dim * f._den", "== classify(f.sig).minimal_ideal_dim",
+     [IDEALS + "test_is_primitive_trace_identity_matches_elimination"]),
     # the certificate build_idempotent records, and the basis built on first read
     ("ideals.py",  # one wrong sign in the recorded certificate
      'object.__setattr__(f, "_f2", f._terms)',
@@ -124,8 +127,8 @@ MUTANTS: list[tuple[str, str, str, list[str]]] = [
     ("linalg.py",  # Bareiss without the swap sign
      "            sign = -sign\n", "            sign = sign\n",
      [IDEALS + "test_det_bareiss_matches_oracle"]),
-    ("linalg.py",  # RowBasis reduces the caller's integer row in place
-     "            row = dict(row)  # already cleared", "            row = row  # already cleared",
+    ("linalg.py",  # RowBasis reduces the caller's row in place
+     "        row = dict(row)  # the copy", "        row = row  # the copy",
      [IDEALS + "test_row_basis_integer_rows_and_caller_rows"]),
     ("exterior.py",  # the two Hodge sign rules swapped
      "sign = reorder_sign(comp, mask) if dual_first else reorder_sign(mask, comp)",
@@ -133,10 +136,12 @@ MUTANTS: list[tuple[str, str, str, list[str]]] = [
      ["tests/test_exterior.py::test_hodge_star_both_exterior_conventions_exhaustive"]),
     # one formula per structure, and one table of structure kinds
     ("verifier.py",  # C6 run with the corrected omega sign instead of the displayed +4
-     "lambda conv: _su3_formula(su3, conv, 4),", "lambda conv: _su3_formula(su3, conv, -4),",
+     "lambda conv: _su3_formula(su3, conv, 4, su3_square),",
+     "lambda conv: _su3_formula(su3, conv, -4, su3_square),",
      ["tests/test_verifier.py::test_report_statuses_frozen"]),
     ("structures.py",  # the library's Spin(7) constant replaced by the displayed 1/128
-     "f = _spin7_formula(omega, _STAR, Fraction(1, 16 * c))", "f = _spin7_formula(omega, _STAR, Fraction(1, 128))",
+     "f = _spin7_formula(omega, _STAR, Fraction(1, 16 * c), square)",
+     "f = _spin7_formula(omega, _STAR, Fraction(1, 128), square)",
      ["tests/test_structures.py::test_spin7_idempotent_is_factored_f"]),
     ("structures.py",  # the SU(3) recovery with its psi- sign flipped
      "psi_minus=symbol(clifford_hodge(w3, conv)).scale(sign),",
@@ -148,10 +153,16 @@ MUTANTS: list[tuple[str, str, str, list[str]]] = [
      '    "spin7": (G2Structure, model_g2, 7, (("phi", "phi"),)),\n'
      '    "g2": (Spin7Structure, model_spin7, 8, (("cayley", "cayley"),)),\n',
      ["tests/test_cli.py::test_structure_recover_gives_back_the_model"]),
-    # the G2 metric from i <= j, and the writers' digit bound
-    ("structures.py",  # the lower triangle of B left at zero
-     "            rows[i][j] = rows[j][i] = sixth", "            rows[i][j] = sixth",
+    # the G2 metric from i <= j over one lcm, and the writers
+    ("structures.py",  # the lower triangle of M left at zero
+     "        m[i][j] = m[j][i] = w._terms", "        m[i][j] = w._terms",
      ["tests/test_structures.py::test_g2_metric_matches_oracle_off_the_diagonal"]),
+    ("structures.py",  # each entry of M over its own wedge's denominator, not the lcm
+     "m[j][i] = w._terms.get(top, 0) * (den // w._den)", "m[j][i] = w._terms.get(top, 0)",
+     ["tests/test_structures.py::test_g2_metric_matches_oracle_on_random_forms"]),
+    ("structures.py",  # structure_to_json without the space of its field separator
+     """*[f', "{field}": {to_json""", """*[f',"{field}": {to_json""",
+     ["tests/test_exprio.py::test_structure_to_json_is_json_dumps_of_the_reference_object"]),
     ("exprio.py",  # the digit error names the last blade, not the one str() refused
      "        except ValueError:\n            break\n", "        except ValueError:\n            continue\n",
      ["tests/test_exprio.py::test_an_accepted_sum_that_outgrows_the_bound_is_named"]),

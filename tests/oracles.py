@@ -516,3 +516,19 @@ def reference_from_json_obj(obj, max_dim=12):
         out[tuple(blade)] = out.get(tuple(blade), 0) + value
     space = (p, q) if kind == "clifford" else n
     return kind, space, {ind: c for ind, c in out.items() if c}
+
+
+def reference_to_json_obj(x):
+    """The JSON object exprio.to_json writes for a multivector or form, built from term_map().
+
+    Terms by grade, then by their index lists; each coef is str() of the reduced Fraction.
+    """
+    if hasattr(x, "sig"):
+        p, q, kind = x.sig.p, x.sig.q, "clifford"
+    else:
+        p, q, kind = 0, x.n, "form"
+    terms = [([i + 1 for i in range(p + q) if mask >> i & 1], Fraction(c))
+             for mask, c in x.term_map().items()]
+    terms.sort(key=lambda t: (len(t[0]), t[0]))
+    return {"signature": [p, q], "kind": kind,
+            "terms": [{"blade": ind, "coef": str(c)} for ind, c in terms]}

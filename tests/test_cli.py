@@ -10,6 +10,7 @@ import pytest
 
 from cliffideal import (SchemaError, from_json, model_g2, model_spin7, model_su3, print_canonical,
                         structure_from_json, structure_to_json)
+from cliffideal import cli
 from cliffideal.cli import main
 
 PSI_PLUS = "e135 - e146 - e236 - e245"
@@ -362,6 +363,13 @@ def test_verify_paper_json_format(capsys):
     assert {entry["id"] for entry in payload["claims"]} >= {"C1", "C18"}
 
 
+def test_verify_paper_unknown_format_exit_2(capsys):
+    with pytest.raises(SystemExit) as exc:  # argparse's choices reject it before run_all
+        main(["verify-paper", "--format", "yaml"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'yaml'" in capsys.readouterr().err
+
+
 def test_verify_paper_single_claim_json(capsys):
     code, out, _ = run(capsys, "verify-paper", "--claim", "C3", "--format", "json")
     assert code == 0
@@ -410,6 +418,22 @@ def test_lift_json_output(capsys, tmp_path):
     payload = json.loads(out)
     assert set(payload) == {"phi", "idempotent"}
     assert payload["idempotent"]["kind"] == "clifford"
+
+
+def test_left_ideal_is_built_only_where_its_dimension_is_printed(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "su3.json"
+    path.write_text(structure_to_json(model_su3()), encoding="utf-8")
+    calls = []
+    left_ideal_basis = cli.left_ideal_basis
+    monkeypatch.setattr(cli, "left_ideal_basis", lambda f: calls.append(f) or left_ideal_basis(f))
+    for argv, want in ((["structure", "su3", "--model", "--to-idempotent", "--json"], 0),
+                       (["lift", "--from", str(path), "--json"], 0),
+                       (["structure", "su3", "--model", "--to-idempotent"], 1),
+                       (["lift", "--from", str(path)], 1)):
+        calls.clear()
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and len(calls) == want, argv
+        assert ("ideal dim" in out) == bool(want)
 
 
 # -- the README commands, against the transcript of their output ---------------------

@@ -1,0 +1,170 @@
+"""The CLI's structure, lift and verify-paper commands, replayed against a byte transcript.
+
+tests/data/cli/transcript.json holds the argv, stdout, stderr and exit code of
+each command in COMMANDS, captured through cliffideal.cli.main from the input
+files beside it.  It covers what perfbench/data/paper_cli_transcript.json does
+not: every structure kind and mode from --model and --input, in text and
+--json; recovery of each model idempotent; lift in both formats; each single
+claim; stderr; and the error paths (wrong kind, missing or malformed input,
+unnormalized, degenerate and non-self-dual tensors, unknown claims, usage
+errors).  To rewrite it from the current code, after a deliberate change of
+output:
+
+    PYTHONPATH=src python3 tests/test_cli_transcript.py --capture
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from cliffideal import (ExteriorForm, G2Structure, SU3Structure, Spin7Structure, g2_idempotent,
+                        model_g2, model_spin7, model_su3, spin7_idempotent, structure_to_json,
+                        su3_idempotent, to_json)
+from cliffideal.cli import main
+
+DATA = Path(__file__).resolve().parent / "data" / "cli"
+TRANSCRIPT = DATA / "transcript.json"
+KINDS = ("su3", "g2", "spin7")
+
+
+def _commands() -> list[list[str]]:
+    out = []
+    for kind in KINDS:
+        for source in (["--model"], ["--input", f"{kind}.json"]):
+            out += [["structure", kind, *source, "--to-idempotent"],
+                    ["structure", kind, *source, "--to-idempotent", "--json"],
+                    ["structure", kind, *source, "--validate"]]
+        out += [["structure", kind, "--recover", "--input", f"{kind}_idem.json"],
+                ["structure", kind, "--recover", "--input", f"{kind}_idem.json", "--json"]]
+    out += [["lift", "--from", "su3.json"], ["lift", "--from", "su3.json", "--json"],
+            ["verify-paper", "--format", "json"]]
+    for i in range(1, 27):
+        out += [["verify-paper", "--claim", f"C{i}"],
+                ["verify-paper", "--claim", f"C{i}", "--format", "json"]]
+    # inputs the library refuses, or reads with rational coefficients
+    for kind, name in [("su3", "su3_scaled"), ("su3", "su3_no_volume"), ("g2", "g2_half"),
+                       ("g2", "g2_thirds"), ("g2", "g2_degenerate"), ("g2", "g2_split"),
+                       ("spin7", "spin7_scaled"), ("spin7", "spin7_not_self_dual")]:
+        out += [["structure", kind, "--input", f"{name}.json", "--to-idempotent"],
+                ["structure", kind, "--input", f"{name}.json", "--to-idempotent", "--json"],
+                ["structure", kind, "--input", f"{name}.json", "--validate"]]
+    out += [["lift", "--from", "su3_scaled.json"], ["lift", "--from", "su3_scaled.json", "--json"]]
+    # error paths
+    out += [
+        ["structure", "su3", "--input", "g2.json", "--to-idempotent"],
+        ["structure", "g2", "--input", "su3.json", "--validate"],
+        ["structure", "spin7", "--input", "g2.json", "--to-idempotent", "--json"],
+        ["structure", "su3", "--recover"],
+        ["structure", "su3", "--recover", "--json"],
+        ["structure", "su3", "--model", "--recover"],
+        ["structure", "su3", "--model", "--input", "su3.json", "--validate"],
+        ["structure", "g2", "--validate"],
+        ["structure", "g2", "--model"],
+        ["structure", "su4", "--model", "--validate"],
+        ["structure", "g2", "--recover", "--input", "su3_idem.json"],
+        ["structure", "spin7", "--recover", "--input", "g2_idem.json", "--json"],
+        ["structure", "su3", "--recover", "--input", "spin7_idem.json"],
+        ["structure", "su3", "--recover", "--input", "su3.json"],
+        ["structure", "su3", "--recover", "--input", "form.json"],
+        ["structure", "su3", "--recover", "--input", "bad.json"],
+        ["structure", "su3", "--input", "kind_list.json", "--validate"],
+        ["structure", "su3", "--input", "bad.json", "--validate"],
+        ["structure", "su3", "--input", "missing.json", "--validate"],
+        ["structure", "g2", "--input", "su3_idem.json", "--to-idempotent"],
+        ["lift", "--from", "g2.json"],
+        ["lift", "--from", "g2.json", "--json"],
+        ["lift", "--from", "missing.json"],
+        ["lift", "--from", "bad.json"],
+        ["lift", "--from", "su3_idem.json"],
+        ["lift", "--from", "kind_list.json", "--json"],
+        ["lift"],
+        ["verify-paper", "--claim", "C99"],
+        ["verify-paper", "--claim", "C99", "--format", "json"],
+        ["verify-paper", "--format", "xml"],
+        ["verify-paper", "--claim", "C1", "--format", "yaml"],
+    ]
+    return out
+
+
+def _inputs() -> dict[str, str]:
+    """File name -> text of every input file the commands read."""
+    su3, g2, spin7 = model_su3(), model_g2(), model_spin7()
+    files = {f"{kind}.json": structure_to_json(s) for kind, s in zip(KINDS, (su3, g2, spin7))}
+    files.update({"su3_idem.json": to_json(su3_idempotent(su3)),
+                  "g2_idem.json": to_json(g2_idempotent(g2)),
+                  "spin7_idem.json": to_json(spin7_idempotent(spin7)),
+                  "form.json": to_json(su3.omega),
+                  "kind_list.json": '{"structure": ["su3"]}',
+                  "bad.json": '{"structure": "su3", '})
+    phi = g2.phi.term_map()
+    weights = [Fraction(1, 3), Fraction(2, 7), Fraction(1, 2), Fraction(3, 7), 1, Fraction(5, 3), 2]
+    flipped = {m: (-c if i in (0, 3) else c) for i, (m, c) in enumerate(sorted(phi.items()))}
+    cayley = spin7.cayley.term_map()
+    structures = {
+        "su3_scaled": SU3Structure(omega=su3.omega, psi_plus=su3.psi_plus.scale(2),
+                                   psi_minus=su3.psi_minus.scale(2)),
+        "su3_no_volume": SU3Structure(omega=su3.omega, psi_plus=su3.psi_plus,
+                                      psi_minus=ExteriorForm.zero(6)),
+        "g2_half": G2Structure(phi=g2.phi.scale(Fraction(1, 2))),
+        "g2_thirds": G2Structure(phi=ExteriorForm(7, {m: c * w for (m, c), w
+                                                      in zip(sorted(phi.items()), weights)})),
+        "g2_degenerate": G2Structure(phi=ExteriorForm.blade(7, (1, 2, 3))),
+        "g2_split": G2Structure(phi=ExteriorForm(7, flipped)),
+        "spin7_scaled": Spin7Structure(cayley=spin7.cayley.scale(2)),
+        "spin7_not_self_dual": Spin7Structure(cayley=ExteriorForm(8, dict(sorted(cayley.items())[1:]))),
+    }
+    files.update({f"{name}.json": structure_to_json(s) for name, s in structures.items()})
+    return files
+
+
+def replay(argv: list[str]) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of cliffideal.cli.main(argv), usage errors included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _capture() -> None:
+    DATA.mkdir(parents=True, exist_ok=True)
+    for name, text in _inputs().items():
+        (DATA / name).write_text(text + "\n", encoding="utf-8")
+    os.chdir(DATA)
+    os.environ["COLUMNS"] = "80"  # argparse wraps its usage line to the terminal width
+    entries = []
+    for argv in _commands():
+        code, out, err = replay(argv)
+        entries.append({"argv": argv, "exit": code, "stdout": out, "stderr": err})
+    TRANSCRIPT.write_text(json.dumps(entries, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
+
+
+def _entries() -> list[dict]:
+    return json.loads(TRANSCRIPT.read_text(encoding="utf-8")) if TRANSCRIPT.exists() else []
+
+
+@pytest.mark.parametrize("entry", _entries(), ids=lambda entry: " ".join(entry["argv"]))
+def test_cli_transcript(monkeypatch, entry):
+    monkeypatch.chdir(DATA)
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = replay(entry["argv"])
+    assert (code, out.encode("utf-8"), err.encode("utf-8")) == (
+        entry["exit"], entry["stdout"].encode("utf-8"), entry["stderr"].encode("utf-8"))
+
+
+def test_transcript_lists_every_command():
+    assert [entry["argv"] for entry in _entries()] == _commands()
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--capture"]:
+    _capture()

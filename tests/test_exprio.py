@@ -9,20 +9,26 @@ from hypothesis import strategies as st
 
 from cliffideal import (
     ExteriorForm,
+    G2Structure,
     Multivector,
     ParseError,
     SchemaError,
     Signature,
+    Spin7Structure,
+    SU3Structure,
     from_json,
+    model_g2,
+    model_spin7,
     model_su3,
     parse,
     print_canonical,
     structure_from_json,
+    structure_to_json,
     to_json,
 )
 from cliffideal import exprio
 from cliffideal.algebra import blade_table, mask_indices
-from cliffideal.exprio import parse_terms, to_json_obj
+from cliffideal.exprio import parse_terms
 
 import oracles
 from conftest import forms, multivectors, signatures
@@ -467,7 +473,28 @@ def test_to_json_is_json_dumps_of_to_json_obj():
                  for _ in range(rng.randint(0, 12))}
         values += [Multivector(Signature(p, n - p), terms), ExteriorForm(n, terms)]
     for x in values:
-        assert to_json(x) == json.dumps(to_json_obj(x), separators=(", ", ": "))
+        assert to_json(x) == json.dumps(oracles.reference_to_json_obj(x), separators=(", ", ": "))
+
+
+def test_structure_to_json_is_json_dumps_of_the_reference_object():
+    rng = random.Random(4207)
+    structures = [model_su3(), model_g2(), model_spin7()]
+
+    def form(n, k):
+        terms = {sum(1 << i for i in rng.sample(range(n), k)):
+                 Fraction(rng.randint(-10**9, 10**9), rng.choice((1, 2, 3, 7, 10**6)))
+                 for _ in range(rng.randint(0, 9))}
+        return ExteriorForm(n, terms)
+
+    for _ in range(30):
+        structures += [SU3Structure(omega=form(6, 2), psi_plus=form(6, 3), psi_minus=form(6, 3)),
+                       G2Structure(phi=form(7, 3)), Spin7Structure(cayley=form(8, 4))]
+    for s in structures:
+        kind, fields = {SU3Structure: ("su3", ("omega", "psi_plus", "psi_minus")),
+                        G2Structure: ("g2", ("phi",)), Spin7Structure: ("spin7", ("cayley",))}[type(s)]
+        want = {"structure": kind,
+                **{field: oracles.reference_to_json_obj(getattr(s, field)) for field in fields}}
+        assert structure_to_json(s) == json.dumps(want, separators=(", ", ": "))
 
 
 @pytest.mark.parametrize("text, want", [("0*e1 + e2", {0b10: 1}), ("0", {}), ("0*e1", {}),
@@ -511,7 +538,15 @@ def test_json_hostile_text_is_a_schema_error(text):
 
 # -- the writers' digit bound ---------------------------------------------------
 
-WRITERS = (print_canonical, to_json, to_json_obj)
+def _as_structure_tensor(x) -> str:
+    """structure_to_json of a G2 structure whose one tensor is x, set without _validate:
+    the writer checks nothing, so any value shows what it does with x's coefficients."""
+    s = object.__new__(G2Structure)
+    object.__setattr__(s, "phi", x)
+    return structure_to_json(s)
+
+
+WRITERS = (print_canonical, to_json, _as_structure_tensor)
 
 
 def _refused(x, blade: str):
@@ -548,7 +583,7 @@ def test_digit_bound_edges_round_trip_or_fail_both_ways(digit_limit, part, sig6)
         if digits == 4300:
             assert print_canonical(x) == text and parse(text, sig6) == x
             assert to_json(x) == payload and from_json(payload) == x
-            assert to_json_obj(x) == json.loads(payload)
+            assert oracles.reference_to_json_obj(x) == json.loads(payload)
         else:
             _refused(x, "e13")
             with pytest.raises(ParseError, match="integer literal too long"):

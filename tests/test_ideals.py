@@ -248,7 +248,7 @@ def test_signed_permutation_rows_match_products(f6, f7, f8):
         idempotents.append(_random_idempotent(Signature(p, n - p), rng))
     for f in idempotents:
         n = f.sig.n
-        den, rows = ideals._blade_rows(f, range(1 << n))
+        den, rows = f._den, ideals._signed_rows(f.sig, f._terms.items(), range(1 << n))
         assert den == lcm(*(c.denominator for c in f.term_map().values()))
         for mask, row in zip(range(1 << n), rows):
             product = Multivector(f.sig, {mask: 1}) * f
@@ -899,11 +899,49 @@ def test_decompose_validates_the_generators_once(sig8, monkeypatch):
 
 
 # -- exact linear algebra helpers --------------------------------------------
+#
+# linalg works over Z: each rational row is scaled by the lcm of its
+# denominators before it goes in, so a k x k leading minor comes out scaled
+# by the product of the first k row lcms.
+
+def _row_lcm(row) -> int:
+    return lcm(*[Fraction(v).denominator for v in row])
+
+
+def _integer_matrix(matrix):
+    """(the rows scaled by their lcms, as ints; the k-th leading minor's scale, k = 1..n)."""
+    rows = [[int(v * _row_lcm(row)) for v in row] for row in matrix]
+    scales, acc = [], 1
+    for row in matrix:
+        acc *= _row_lcm(row)
+        scales.append(acc)
+    return rows, scales
+
+
+def _integer_row(row: dict) -> dict:
+    """A sparse rational row scaled by its lcm, zero entries dropped: what RowBasis takes."""
+    den = _row_lcm(row.values())
+    return {k: int(v * den) for k, v in row.items() if v}
+
+
+def _check_minors(matrix):
+    """linalg's leading minors and det of the scaled matrix against the rational oracle."""
+    ints, scales = _integer_matrix(matrix)
+    want = [m * s for m, s in zip(principal_minors([row[:] for row in matrix]), scales)]
+    got = leading_principal_minors(ints)
+    assert got == want and all(type(m) is int for m in got)
+    if matrix:
+        assert det(ints) == want[-1] and type(det(ints)) is int
+    return want
+
 
 def test_det_known_values():
-    assert det([[Fraction(2), Fraction(0)], [Fraction(1), Fraction(3)]]) == 6
-    assert det([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]) == 0
-    assert det([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]) == -1
+    for matrix, want in (([[Fraction(2), Fraction(0)], [Fraction(1), Fraction(3)]], 6),
+                         ([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]], 0),
+                         ([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]], -1),
+                         ([[Fraction(1, 2), Fraction(0)], [Fraction(1, 3), Fraction(3, 4)]],
+                          Fraction(3, 8))):
+        assert _check_minors(matrix)[-1] == want * _integer_matrix(matrix)[1][-1]
 
 
 def test_leading_principal_minors_match_oracle():
@@ -912,7 +950,7 @@ def test_leading_principal_minors_match_oracle():
         size = rng.randint(1, 5)
         matrix = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(size)]
                   for _ in range(size)]
-        assert leading_principal_minors(matrix) == principal_minors(matrix)
+        _check_minors(matrix)
 
 
 def test_det_bareiss_matches_oracle():
@@ -927,9 +965,7 @@ def test_det_bareiss_matches_oracle():
             if trial % 3 == 2 and size > 1:  # singular: one row a multiple of another
                 i, j = rng.sample(range(size), 2)
                 matrix[i] = [Fraction(-5, 3) * v for v in matrix[j]]
-            want = principal_minors([row[:] for row in matrix])
-            assert leading_principal_minors(matrix) == want
-            assert det(matrix) == want[-1]
+            want = _check_minors(matrix)
             if trial % 3 == 2 and size > 1:
                 assert want[-1] == 0
     assert det([]) == 1
@@ -941,12 +977,14 @@ def test_det_bareiss_matches_oracle():
 def test_row_basis_integer_rows_and_caller_rows():
     rows = [{0: 0, 2: 5, 4: -10}, {0: 2, 3: 0, 5: 4}, {0: Fraction(1, 3), 5: Fraction(2, 3)},
             {0: 3, 1: 1, 5: 6}, {0: 0}, {}, {2: -1, 4: 2}]
+    rows = [_integer_row(row) for row in rows]
     copies = [dict(row) for row in rows]
     basis = RowBasis()
     assert [basis.add(row) for row in rows] == [True, True, False, True, False, False, False]
     assert basis._pivots == {0: {0: 1, 5: 2}, 1: {1: 1}, 2: {2: 1, 4: -2}}
     queries = [{0: 6, 1: 2, 3: 0, 5: 12}, {0: Fraction(3, 2), 5: 3}, {2: 1, 4: 1}, {0: 0},
                {0: -3, 1: 4, 5: -6}]
+    queries = [_integer_row(q) for q in queries]
     query_copies = [dict(q) for q in queries]
     assert [basis.contains(q) for q in queries] == [True, True, False, True, True]
     assert rows == copies and queries == query_copies  # reduction works on its own copies
@@ -964,7 +1002,7 @@ def test_row_basis_rank_matches_dense_oracle():
         return {k: v for k, v in row.items() if v}
 
     def masked(row):
-        return {blade_mask(ind, n): coef for ind, coef in row.items()}
+        return _integer_row({blade_mask(ind, n): coef for ind, coef in row.items()})
 
     for _ in range(25):
         rows = [random_row() for _ in range(rng.randint(1, 10))]

@@ -162,6 +162,18 @@ def test_g2_metric_wedges_each_pair_once(monkeypatch):
     assert all(report.metric[i][j] == report.metric[j][i] for i in range(7) for j in range(7))
 
 
+def test_su3_and_spin7_idempotents_wedge_their_square_once(monkeypatch):
+    calls = []
+    wedge_ = structures.wedge
+    monkeypatch.setattr(structures, "wedge", lambda a, b: calls.append((a, b)) or wedge_(a, b))
+    su3, spin7 = model_su3(), model_spin7()
+    su3_idempotent(su3)
+    assert calls == [(su3.psi_plus, su3.psi_minus)]  # for the volume constant and the formula
+    calls.clear()
+    spin7_idempotent(spin7)
+    assert calls == [(spin7.cayley, spin7.cayley)]
+
+
 def test_c17_computes_the_g2_metric_once(monkeypatch):
     calls = []
     metric = structures.g2_metric
@@ -240,13 +252,25 @@ def test_g2_metric_matches_oracle_on_random_forms():
             ind = tuple(sorted(rng.sample(range(1, 8), 3)))
             terms[ind] = Fraction(rng.randint(-3, 3))
         samples.append(ExteriorForm.from_terms(7, [(c, i) for i, c in terms.items() if c]))
+    for _ in range(12):  # rational multiples of the model's terms, and a few more terms
+        terms = {mask_indices(m): c * Fraction(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2, 3, 7)))
+                 for m, c in model_g2().phi.terms()}
+        for _ in range(rng.randint(0, 3)):
+            ind = tuple(sorted(rng.sample(range(1, 8), 3)))
+            terms[ind] = Fraction(rng.randint(-3, 3), rng.choice((2, 3, 7)))
+        samples.append(ExteriorForm.from_terms(7, [(c, i) for i, c in terms.items() if c]))
+    tags, dens = set(), set()
     for phi in samples:
         report = g2_metric(G2Structure(phi=phi))
+        tags.add(report.tag)
+        dens.add(len({v.denominator for row in report.metric for v in row if v}))
         phi_dict = {mask_indices(m): c for m, c in phi.terms()}
         rows = _oracle_g2_metric(phi_dict)
         assert [list(r) for r in report.metric] == rows
         assert report.determinant == principal_minors(rows)[-1]
         assert report.tag == _oracle_tag(rows)
+    assert tags == {"definite", "split", "degenerate"}
+    assert max(dens) > 1  # some metric has entries over distinct denominators
 
 
 def test_g2_metric_matches_oracle_off_the_diagonal():

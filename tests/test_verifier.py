@@ -197,11 +197,6 @@ def test_unknown_claim_rejected():
         run_claim("C999")
 
 
-def test_run_all_validates_format():
-    with pytest.raises(ValueError):
-        run_all("yaml")
-
-
 def test_claim_evaluation_pure():
     first = run_claim("C13")
     second = run_claim("C13")
