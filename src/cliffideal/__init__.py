@@ -12,7 +12,6 @@ from types import ModuleType as _ModuleType
 from .algebra import (
     Multivector,
     Signature,
-    blade_product,
     blade_square_sign,
     geometric_product,
     grade_project,
@@ -51,7 +50,6 @@ from .ideals import (
     is_idempotent,
     is_orthogonal,
     is_primitive,
-    is_sub_idempotent,
     left_ideal_basis,
     radon_hurwitz,
     validate_generators,
@@ -81,7 +79,6 @@ from .verifier import (
     Claim,
     ClaimResult,
     Report,
-    list_claims,
     load_golden,
     run_all,
     run_claim,

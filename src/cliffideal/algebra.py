@@ -132,12 +132,6 @@ class Signature(_Record):
     def n(self) -> int:
         return self.p + self.q
 
-    def metric_sign(self, i: int) -> int:
-        """Square of the i-th generator (1-based): +1 or -1."""
-        if not 1 <= i <= self.n:
-            raise ValueError(f"generator index {i} out of range 1..{self.n}")
-        return 1 if i <= self.p else -1
-
     def __str__(self) -> str:
         return f"R_{{{self.p},{self.q}}}"
 
@@ -265,17 +259,6 @@ def blade_product_masks(a: int, b: int, sig: Signature) -> tuple[int, int]:
     if ((a & b) >> sig.p).bit_count() & 1:
         sign = -sign
     return sign, a ^ b
-
-
-def blade_product(a: Iterable[int], b: Iterable[int], sig: Signature) -> tuple[int, tuple[int, ...]]:
-    """Product of two basis blades given as index tuples.
-
-    Returns (sign, blade) with the blade again strictly increasing.
-    """
-    am = blade_mask(a, sig.n)
-    bm = blade_mask(b, sig.n)
-    sign, mask = blade_product_masks(am, bm, sig)
-    return sign, mask_indices(mask)
 
 
 def blade_square_sign(a: Iterable[int], sig: Signature) -> int:

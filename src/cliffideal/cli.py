@@ -14,7 +14,7 @@ import re
 import sys
 
 from .algebra import Multivector, Signature, blade_table, mask_indices
-from .exterior import ExteriorForm, HodgeConvention, clifford_hodge, hodge_star, wedge
+from .exterior import HodgeConvention, clifford_hodge, hodge_star, wedge
 from .exprio import (
     ParseError,
     SchemaError,
@@ -42,12 +42,14 @@ from .structures import (
     _RECOVER_OF,
     SU3Structure,
     StructureError,
+    _g2_idempotent,
     g2_idempotent,
     g2_metric,
     lift_su3_to_g2,
     spin7_idempotent,
     structure_from_json,
     structure_to_json,
+    su3_idempotent,
 )
 from .verifier import Report, _claim_by_id, _detail_lines, load_golden, run_all, run_claim
 
@@ -227,43 +229,26 @@ def _print_idempotent_report(f: Multivector, json_out: bool) -> None:
         print(f"primitive: {_bool(is_primitive(f))}, ideal dim {left_ideal_basis(f).dimension}")
 
 
-def _validate_su3(s) -> int:
-    ww = wedge(s.psi_plus, s.psi_minus)
-    w3 = wedge(wedge(s.omega, s.omega), s.omega)
-    vol_coef = ww.coefficient(tuple(range(1, 7)))
-    compatible = (
-        wedge(s.omega, s.psi_plus).is_zero()
-        and wedge(s.omega, s.psi_minus).is_zero()
-        and ww == ExteriorForm.blade(6, tuple(range(1, 7))).scale(vol_coef)
-        and vol_coef > 0
-        and not w3.is_zero()
-    )
-    print(f"psi+ ^ psi-: {print_canonical(ww)}")
-    print(f"omega^3: {print_canonical(w3)}")
-    print(f"compatible: {_bool(compatible)}")
-    return EXIT_OK if compatible else EXIT_SEMANTIC
+# Each prints its kind's invariants; the verdict is whether the kind's idempotent builds.
+def _validate_su3(s) -> None:
+    print(f"psi+ ^ psi-: {print_canonical(wedge(s.psi_plus, s.psi_minus))}")
+    print(f"omega^3: {print_canonical(wedge(wedge(s.omega, s.omega), s.omega))}")
+    su3_idempotent(s)
+    print("compatible: true")
 
 
-def _validate_g2(s) -> int:
+def _validate_g2(s) -> None:
     report = g2_metric(s)
     identity = all(report.metric[i][j] == (1 if i == j else 0) for i in range(7) for j in range(7))
-    metric_text = "identity" if identity else "nonidentity"
-    print(f"metric: {metric_text}; orbit: {report.tag}")
-    return EXIT_OK if report.tag == "definite" else EXIT_SEMANTIC
+    print(f"metric: {'identity' if identity else 'nonidentity'}; orbit: {report.tag}")
+    _g2_idempotent(s, report)
 
 
-def _validate_spin7(s) -> int:
-    star = hodge_star(s.cayley)
-    self_dual = star == s.cayley
-    square = wedge(s.cayley, s.cayley)
-    print(f"self-dual: {_bool(self_dual)}")
-    print(f"Omega ^ Omega: {print_canonical(square)}")
-    if not self_dual:
-        return EXIT_SEMANTIC
+def _validate_spin7(s) -> None:
+    print(f"self-dual: {_bool(hodge_star(s.cayley) == s.cayley)}")
+    print(f"Omega ^ Omega: {print_canonical(wedge(s.cayley, s.cayley))}")
     f = spin7_idempotent(s)
-    dim = left_ideal_basis(f).dimension
-    print(f"idempotent: primitive {_bool(is_primitive(f))}, ideal dim {dim}")
-    return EXIT_OK
+    print(f"idempotent: primitive {_bool(is_primitive(f))}, ideal dim {left_ideal_basis(f).dimension}")
 
 
 _VALIDATE = {"su3": _validate_su3, "g2": _validate_g2, "spin7": _validate_spin7}
@@ -286,8 +271,9 @@ def _cmd_structure(args) -> int:
     s = model() if args.input is None else _load_structure(kind, args.input)
     if args.mode == "to-idempotent":
         _print_idempotent_report(_IDEMPOTENT_OF[kind](s), args.json)
-        return EXIT_OK
-    return _VALIDATE[kind](s)
+    else:
+        _VALIDATE[kind](s)
+    return EXIT_OK
 
 
 # -- classify ------------------------------------------------------------

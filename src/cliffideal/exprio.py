@@ -35,13 +35,11 @@ from __future__ import annotations
 import json
 import re
 import sys
-from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
 from typing import Iterable, Iterator, Union
 
-from .algebra import (MAX_DIM, Multivector, Signature, _index_table, _Record, blade_mask,
-                      blade_table, mask_indices)
+from .algebra import MAX_DIM, Multivector, Signature, _index_table, blade_mask, blade_table
 from .exterior import ExteriorForm
 
 Value = Union[Multivector, ExteriorForm]
@@ -80,15 +78,6 @@ def _digit_limit(x: Value) -> _DigitLimitError:
     name = blade_table(x._dim(x._space)).text[mask]
     return _DigitLimitError(f"cannot write the coefficient of blade {name}: its numerator or "
                             f"denominator has more than {sys.get_int_max_str_digits()} digits")
-
-
-class ExprTerm(_Record):
-    """One signed term of a parsed expression."""
-
-    __slots__ = ("coef", "indices")
-
-    coef: Fraction
-    indices: tuple[int, ...]
 
 
 _BLADE = r"e(?:\{([0-9,]*)(\}?)|([0-9]*))"
@@ -197,11 +186,6 @@ def _scan(text: str, n: int) -> Iterator[tuple[int, int, int]]:
             if m.end(1) == end:
                 return
             raise ParseError("expected '+' or '-'", m.end(1))
-
-
-def parse_terms(text: str, n: int) -> list[ExprTerm]:
-    """Parse the text grammar into a list of signed terms."""
-    return [ExprTerm(Fraction(num, den), mask_indices(mask)) for num, den, mask in _scan(text, n)]
 
 
 def _combine(terms: Iterable[tuple[int, int, int]], kind: str, space) -> Value:

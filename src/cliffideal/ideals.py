@@ -204,11 +204,6 @@ def is_orthogonal(f: Multivector, g: Multivector) -> bool:
     return (f * g).is_zero() and (g * f).is_zero()
 
 
-def is_sub_idempotent(f: Multivector, e: Multivector) -> bool:
-    """True iff f and e are idempotents with f*e = e*f = f."""
-    return is_idempotent(f) and is_idempotent(e) and f * e == f and e * f == f
-
-
 class IdealBasis(_Record):
     """Basis of the left ideal Cl(p,q) * f, with what membership needs.
 

@@ -4,9 +4,9 @@ The bridge runs in both directions: a normalized structure tensor set
 determines a primitive idempotent through quantization and Hodge duals
 (all taken under the EXT_DUAL_FIRST convention), and conversely the
 graded pieces of W = f / <f>_0 recover the structure tensors through
-the symbol map.  All recoveries are exact; every constructor formula
-is checked for idempotency at runtime so that scaled or degenerate
-inputs are rejected instead of silently producing garbage.  Each formula is
+the symbol map.  Every constructor formula is checked for idempotency at
+runtime, and every recovery for rebuilding its input up to scale, so that
+scaled, degenerate or foreign inputs are rejected.  Each formula is
 written once, as a private function of a Hodge convention and its constants;
 the verifier runs the source text's displayed constants through the same ones.
 """
@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .algebra import Multivector, Signature, _Record
+from .algebra import Multivector, Signature, _Record, volume_element
 from .exterior import (
     ExteriorForm,
     HodgeConvention,
@@ -165,6 +165,26 @@ def _normalized(x: Multivector, sig: Signature) -> Multivector:
     return x.scale(1 / c)
 
 
+# n -> (s, why): the correspondence at n builds no idempotent f with vol*f = s*f
+_OTHER_HALF = {7: (1, "x lies in the vol*x = +x half; the G2 correspondence uses vol*f = -f"),
+               8: (-1, "x lies in the vol*x = -x half; the Spin(7) correspondence uses vol*f = +f")}
+
+
+def _rebuilt(s, x: Multivector, idempotent):
+    """s when idempotent(s) is a multiple of x, else a StructureError that says why."""
+    try:
+        f = idempotent(s)
+        if f.scale(x.scalar_part / f.scalar_part) == x:
+            return s
+        reason = "x is not a multiple of the idempotent its tensors build"
+    except StructureError as exc:
+        reason = str(exc)
+    sign, half = _OTHER_HALF.get(x.sig.n, (0, ""))
+    if sign and volume_element(x.sig) * x == x.scale(sign):
+        reason = half
+    raise StructureError(f"cannot recover a structure: {reason}")
+
+
 # -- SU(3), dimension 6 --------------------------------------------------
 
 def _su3_formula(s: SU3Structure, conv: HodgeConvention, omega_coef: int,
@@ -205,12 +225,12 @@ def _su3_recover(x: Multivector, conv: HodgeConvention, sign: int) -> SU3Structu
 
 
 def su3_recover(x: Multivector) -> SU3Structure:
-    """Read the structure tensors off an idempotent of R_{0,6}.
+    """The structure tensors of a multiple x of the idempotent of R_{0,6} they build.
 
     With W = x / <x>_0: psi+ = symbol(<W>_3), psi- = -symbol(star <W>_3)
     and omega = -symbol(star <W>_4), stars under EXT_DUAL_FIRST.
     """
-    return _su3_recover(x, _STAR, -1)
+    return _rebuilt(_su3_recover(x, _STAR, -1), x, su3_idempotent)
 
 
 # -- G2, dimension 7 -----------------------------------------------------
@@ -281,17 +301,13 @@ def _g2_idempotent(s: G2Structure, metric: OrbitReport) -> Multivector:
 
 
 def g2_recover(x: Multivector) -> tuple[G2Structure, ExteriorForm]:
-    """(phi, 4-form) from an idempotent of R_{0,7}.
+    """(phi, 4-form) of a multiple x of the idempotent of R_{0,7} phi builds.
 
-    With W = x / <x>_0: phi = symbol(<W>_3) and the 4-form is
-    -symbol(<W>_4); for W coming from a G2 structure the 4-form equals
-    hodge_star(phi) under EXT_DUAL_FIRST.
+    With W = x / <x>_0: phi = symbol(<W>_3) and the 4-form is -symbol(<W>_4),
+    which is then hodge_star(phi) under EXT_DUAL_FIRST.
     """
     w = _normalized(x, Signature(0, 7))
-    phi = symbol(w.grade(3))
-    if phi.is_zero():
-        raise StructureError("cannot recover a structure: no grade-3 part")
-    return G2Structure(phi=phi), -symbol(w.grade(4))
+    return _rebuilt(G2Structure(phi=symbol(w.grade(3))), x, g2_idempotent), -symbol(w.grade(4))
 
 
 # -- Spin(7), dimension 8 ------------------------------------------------
@@ -324,14 +340,9 @@ def spin7_idempotent(s: Spin7Structure) -> Multivector:
 
 
 def spin7_recover(x: Multivector) -> Spin7Structure:
-    """Cayley form from an idempotent of R_{0,8}: -symbol(<W>_4), W = x / <x>_0.
-
-    The output must be self-dual; anything else is rejected.
-    """
+    """Cayley form -symbol(<W>_4), W = x / <x>_0, of a multiple x of the idempotent of R_{0,8} it builds."""
     omega = -symbol(_normalized(x, Signature(0, 8)).grade(4))
-    if hodge_star(omega, _STAR) != omega:
-        raise StructureError("recovered 4-form is not self-dual")
-    return Spin7Structure(cayley=omega)
+    return _rebuilt(Spin7Structure(cayley=omega), x, spin7_idempotent)
 
 
 # -- dimension ladder ----------------------------------------------------

@@ -360,11 +360,6 @@ def _catalog() -> tuple[Claim, ...]:
     return tuple(claims)
 
 
-def list_claims() -> list[Claim]:
-    """The fixed claim catalog, in report order."""
-    return list(_catalog())
-
-
 def _claim_by_id(claim_id: str) -> Claim:
     for claim in _catalog():
         if claim.id == claim_id:
@@ -452,10 +447,6 @@ class Report(_Record):
             if all(r.id != claim_id for r in self.results):
                 out.append(f"{claim_id}: in the golden status file but not evaluated")
         return tuple(out)
-
-    @property
-    def matches_golden(self) -> bool:
-        return not self.golden_deviations()
 
 
 def run_all() -> Report:

@@ -166,6 +166,21 @@ MUTANTS: list[tuple[str, str, str, list[str]]] = [
     ("exprio.py",  # the digit error names the last blade, not the one str() refused
      "        except ValueError:\n            break\n", "        except ValueError:\n            continue\n",
      ["tests/test_exprio.py::test_an_accepted_sum_that_outgrows_the_bound_is_named"]),
+    # one validity test per structure kind: the idempotent decides
+    ("structures.py",  # a recovery that accepts whatever idempotent its tensors build
+     "        if f.scale(x.scalar_part / f.scalar_part) == x:\n", "        if True:\n",
+     ["tests/test_structures.py::test_recover_rejects_what_its_tensors_do_not_rebuild"]),
+    ("structures.py",  # the other half named by the wrong sign of vol*x
+     "    if sign and volume_element(x.sig) * x == x.scale(sign):",
+     "    if sign and volume_element(x.sig) * x == x.scale(-sign):",
+     ["tests/test_structures.py::test_every_decomposition_piece_rebuilds_or_names_its_half"]),
+    ("cli.py",  # g2 --validate exits by the orbit tag again, not by the idempotent
+     "    _g2_idempotent(s, report)\n",
+     "    if report.tag != \"definite\":\n        raise StructureError(report.tag)\n",
+     ["tests/test_cli.py::test_validate_exits_as_to_idempotent_does"]),
+    ("ideals.py",  # a wrong d = 7 row: R_{0,7} as M_8(C), which has the same dimension
+     'ring, summands, m = "R", 2, 1 << ((n - 1) // 2)', 'ring, summands, m = "C", 1, 1 << ((n - 1) // 2)',
+     ["tests/test_matrix_oracle.py::test_generators_anticommute_and_square_to_minus_one"]),
 ]
 
 

@@ -92,6 +92,12 @@ def multiply_dicts(x, y, p):
     return {k: v for k, v in out.items() if v}
 
 
+def is_sub_idempotent(f, e, p):
+    """True iff the {indices: coef} elements f and e are idempotents with f e = e f = f."""
+    return (multiply_dicts(f, f, p) == f and multiply_dicts(e, e, p) == e
+            and multiply_dicts(f, e, p) == f == multiply_dicts(e, f, p))
+
+
 def wedge_dicts(x, y):
     out = {}
     for a, ca in x.items():

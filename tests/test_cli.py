@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from cliffideal import (SchemaError, from_json, model_g2, model_spin7, model_su3, print_canonical,
-                        structure_from_json, structure_to_json)
-from cliffideal import cli
+from cliffideal import (G2Structure, SchemaError, Signature, Spin7Structure, SU3Structure, from_json,
+                        model_g2, model_spin7, model_su3, parse, print_canonical, structure_from_json,
+                        structure_to_json, to_json)
+from cliffideal import cli, structures
 from cliffideal.cli import main
 
 PSI_PLUS = "e135 - e146 - e236 - e245"
@@ -434,6 +435,74 @@ def test_left_ideal_is_built_only_where_its_dimension_is_printed(capsys, monkeyp
         code, out, _ = run(capsys, *argv)
         assert code == 0 and len(calls) == want, argv
         assert ("ideal dim" in out) == bool(want)
+
+
+# -- one validity test per structure kind -------------------------------------
+
+CLI_DATA = Path(__file__).resolve().parent / "data" / "cli"
+
+
+def _altered_structures():
+    """File name -> structure text: model tensors scaled or negated off the normalization."""
+    su3, g2, spin7 = model_su3(), model_g2(), model_spin7()
+    half = Fraction(1, 2)
+    return {name: structure_to_json(s) for name, s in {
+        "su3_2omega": SU3Structure(omega=su3.omega.scale(2), psi_plus=su3.psi_plus,
+                                   psi_minus=su3.psi_minus),
+        "su3_minus_omega": SU3Structure(omega=-su3.omega, psi_plus=su3.psi_plus,
+                                        psi_minus=su3.psi_minus),
+        "su3_half_psi_plus": SU3Structure(omega=su3.omega, psi_plus=su3.psi_plus.scale(half),
+                                          psi_minus=su3.psi_minus),
+        "su3_half_psi_minus": SU3Structure(omega=su3.omega, psi_plus=su3.psi_plus,
+                                           psi_minus=su3.psi_minus.scale(half)),
+        "su3_half_psi": SU3Structure(omega=su3.omega, psi_plus=su3.psi_plus.scale(half),
+                                     psi_minus=su3.psi_minus.scale(half)),
+        "g2_half_phi": G2Structure(phi=g2.phi.scale(half)),
+        "spin7_2omega": Spin7Structure(cayley=spin7.cayley.scale(2)),
+    }.items()}
+
+
+def test_validate_exits_as_to_idempotent_does(capsys, tmp_path):
+    """For every input file of the transcript and each kind, and for the altered models."""
+    for name, text in _altered_structures().items():
+        (tmp_path / f"{name}.json").write_text(text, encoding="utf-8")
+    paths = sorted(set(CLI_DATA.glob("*.json")) - {CLI_DATA / "transcript.json"})
+    assert len(paths) >= 15
+    exits = {}
+    for path in [*paths, *sorted(tmp_path.glob("*.json"))]:
+        for kind in ("su3", "g2", "spin7"):
+            validate = run(capsys, "structure", kind, "--input", str(path), "--validate")
+            build = run(capsys, "structure", kind, "--input", str(path), "--to-idempotent")
+            assert (validate[0] == 0) == (build[0] == 0), (path.name, kind, validate, build)
+            assert validate[2] == build[2], (path.name, kind)  # the same error, if any
+            exits[path.stem, kind] = validate[0]
+    assert [key for key, code in exits.items() if code == 0] == [
+        ("g2", "g2"), ("spin7", "spin7"), ("su3", "su3")]
+    for name in _altered_structures():
+        assert exits[name, name.split("_")[0]] == 1, name
+
+
+@pytest.mark.parametrize("text", ["2", "2 + e1 + e135"])
+def test_su3_recover_of_a_non_idempotent_exits_1(capsys, tmp_path, text):
+    path = tmp_path / "x.json"
+    path.write_text(to_json(parse(text, Signature(0, 6))), encoding="utf-8")
+    code, out, err = run(capsys, "structure", "su3", "--recover", "--input", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cannot recover a structure: ")
+
+
+def test_g2_validate_computes_the_metric_once(capsys, monkeypatch):
+    calls = []
+    g2_metric = structures.g2_metric
+
+    def counting(s):
+        calls.append(s)
+        return g2_metric(s)
+
+    monkeypatch.setattr(cli, "g2_metric", counting)
+    monkeypatch.setattr(structures, "g2_metric", counting)
+    code, out, _ = run(capsys, "structure", "g2", "--model", "--validate")
+    assert (code, out, len(calls)) == (0, "metric: identity; orbit: definite\n", 1)
 
 
 # -- the README commands, against the transcript of their output ---------------------

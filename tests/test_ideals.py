@@ -22,7 +22,6 @@ from cliffideal import (
     is_idempotent,
     is_orthogonal,
     is_primitive,
-    is_sub_idempotent,
     left_ideal_basis,
     parse,
     radon_hurwitz,
@@ -40,7 +39,7 @@ from cliffideal.algebra import (
 from cliffideal.linalg import RowBasis, det, leading_principal_minors
 
 from conftest import multivectors
-from oracles import dense_rank, f2_coset_certified, multiply_dicts, principal_minors
+from oracles import dense_rank, f2_coset_certified, is_sub_idempotent, multiply_dicts, principal_minors
 
 GENS6 = ((1, (1, 3, 5)), (-1, (1, 4, 6)), (-1, (2, 3, 6)))
 GENS7 = ((1, (1, 2, 3)), (1, (1, 4, 5)), (-1, (2, 5, 7)), (1, (1, 6, 7)))
@@ -172,8 +171,9 @@ def test_sub_idempotent_chain(f6, sig6):
     half = (Multivector.scalar(sig6, 1) + Multivector.blade(sig6, (1, 3, 5))).scale(
         Fraction(1, 2))
     assert is_idempotent(half)
-    assert is_sub_idempotent(f6, half)
-    assert not is_sub_idempotent(half, f6)
+    f, e = ({mask_indices(m): c for m, c in x.term_map().items()} for x in (f6, half))
+    assert is_sub_idempotent(f, e, sig6.p)
+    assert not is_sub_idempotent(e, f, sig6.p)
 
 
 # -- ideals ----------------------------------------------------------------

@@ -31,7 +31,6 @@ from cliffideal import (
     classify,
     g2_metric,
     left_ideal_basis,
-    list_claims,
     model_g2,
     model_spin7,
     model_su3,
@@ -39,8 +38,8 @@ from cliffideal import (
     run_claim,
     validate_generators,
 )
-from cliffideal.exprio import ExprTerm, parse_terms
 from cliffideal.linalg import RowBasis
+from cliffideal.verifier import _catalog
 
 # (1 + e1)/2 in R_{1,0}: a primitive idempotent whose ideal is one-dimensional
 F10 = Multivector(Signature(1, 0), {0: Fraction(1, 2), 1: Fraction(1, 2)})
@@ -51,7 +50,6 @@ def _records():
     """One instance of each record type, by name."""
     return {
         "Signature": Signature(1, 0),
-        "ExprTerm": parse_terms("1/2*e13 - e2", 3)[0],
         "IdempotentSpec": IdempotentSpec(Signature(0, 6), SPEC6),
         "GeneratorReport": validate_generators(IdempotentSpec(Signature(0, 6), SPEC6)),
         "IdealBasis": left_ideal_basis(F10),
@@ -67,7 +65,7 @@ def _records():
 
 
 RECORD_NAMES = list(_records())
-RECORD_TYPES = (Signature, ExprTerm, IdempotentSpec, GeneratorReport, IdealBasis, AlgebraClass,
+RECORD_TYPES = (Signature, IdempotentSpec, GeneratorReport, IdealBasis, AlgebraClass,
                 SU3Structure, G2Structure, Spin7Structure, OrbitReport, Claim, ClaimResult, Report)
 
 _IDENTITY_7 = "(" + ", ".join(
@@ -76,7 +74,6 @@ _IDENTITY_7 = "(" + ", ".join(
 
 REPRS = {
     "Signature": "Signature(p=1, q=0)",
-    "ExprTerm": "ExprTerm(coef=Fraction(1, 2), indices=(1, 3))",
     "IdempotentSpec": "IdempotentSpec(sig=Signature(p=0, q=6), "
                       "generators=((1, (1, 3, 5)), (-1, (1, 4, 6))))",
     "GeneratorReport": "GeneratorReport(ok=False, k=2, expected_k=3, "
@@ -104,7 +101,6 @@ REPRS = {
 
 _FIELD_NAMES = {
     "Signature": ["p", "q"],
-    "ExprTerm": ["coef", "indices"],
     "IdempotentSpec": ["sig", "generators"],
     "GeneratorReport": ["ok", "k", "expected_k", "violations"],
     "IdealBasis": ["idempotent", "dimension", "basis"],
@@ -242,7 +238,7 @@ def test_signature_orders_by_p_then_q():
 def _copyable():
     """Every public record type and both element types."""
     values = dict(_records())
-    values["catalog Claim"] = list_claims()[0]  # its evaluate is a closure: copies, no pickle
+    values["catalog Claim"] = _catalog()[0]  # its evaluate is a closure: copies, no pickle
     values["Multivector"] = Multivector(Signature(0, 6), {0: Fraction(1, 8), 0b10101: -3})
     values["ExteriorForm"] = ExteriorForm.from_terms(7, [(2, (1, 2, 3)), (Fraction(-1, 3), (4,))])
     return values

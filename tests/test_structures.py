@@ -14,6 +14,7 @@ from cliffideal import (
     Spin7Structure,
     StructureError,
     build_idempotent,
+    decompose_algebra,
     g2_idempotent,
     g2_metric,
     g2_recover,
@@ -33,6 +34,7 @@ from cliffideal import (
     structure_to_json,
     su3_idempotent,
     su3_recover,
+    volume_element,
     volume_form,
     wedge,
 )
@@ -311,7 +313,8 @@ def test_g2_roundtrip(f7):
 
 
 def test_g2_recover_rejects_scalar(sig7):
-    with pytest.raises(StructureError, match="grade-3"):
+    # phi = 0 induces the zero metric, so the rebuild fails
+    with pytest.raises(StructureError, match="degenerate"):
         g2_recover(Multivector.scalar(sig7, 1))
 
 
@@ -342,6 +345,50 @@ def test_spin7_recover_rejects_bad_grade4(sig8):
          - Multivector.blade(sig8, (1, 2, 3, 4)))  # -<W>_4 = e1234 is not self-dual
     with pytest.raises(StructureError, match="self-dual"):
         spin7_recover(x)
+
+
+# -- every recovery rebuilds its input ----------------------------------------
+
+# n -> (recover, idempotent, the sign s of vol*x = s*x on the pieces it rejects, why)
+RECOVERIES = {
+    6: (su3_recover, su3_idempotent, 0, ""),
+    7: (lambda x: g2_recover(x)[0], g2_idempotent, 1,
+        "cannot recover a structure: x lies in the vol*x = +x half; "
+        "the G2 correspondence uses vol*f = -f"),
+    8: (spin7_recover, spin7_idempotent, -1,
+        "cannot recover a structure: x lies in the vol*x = -x half; "
+        "the Spin(7) correspondence uses vol*f = +f"),
+}
+
+
+@pytest.mark.parametrize("n", RECOVERIES)
+def test_every_decomposition_piece_rebuilds_or_names_its_half(n):
+    recover, idempotent, sign, why = RECOVERIES[n]
+    pieces = decompose_algebra(IdempotentSpec(Signature(0, n), verifier._GENS[n]))
+    vol = volume_element(Signature(0, n))
+    rebuilt = 0
+    for f in pieces:
+        try:
+            s = recover(f.scale(3))
+        except StructureError as exc:
+            assert str(exc) == why
+            assert vol * f == f.scale(sign)
+        else:
+            assert idempotent(s) == f
+            assert not sign or vol * f == f.scale(-sign)
+            rebuilt += 1
+    assert (rebuilt, len(pieces)) == (8, 16 if sign else 8)
+
+
+@pytest.mark.parametrize("n", RECOVERIES)
+def test_recover_rejects_what_its_tensors_do_not_rebuild(n, f6, f7, f8):
+    recover, idempotent, _, _ = RECOVERIES[n]
+    f = {6: f6, 7: f7, 8: f8}[n]
+    # the recovery reads no grade-1 part, so these tensors build f, not x
+    x = f + Multivector.blade(f.sig, (1,))
+    with pytest.raises(StructureError, match="x is not a multiple of the idempotent its tensors build"):
+        recover(x)
+    assert idempotent(recover(f.scale(-2))) == f
 
 
 # -- dimension ladder ---------------------------------------------------------
