@@ -40,9 +40,7 @@ from .structures import (
     _IDEMPOTENT_OF,
     _KINDS,
     _RECOVER_OF,
-    SU3Structure,
     StructureError,
-    _g2_idempotent,
     g2_idempotent,
     g2_metric,
     lift_su3_to_g2,
@@ -241,7 +239,7 @@ def _validate_g2(s) -> None:
     report = g2_metric(s)
     identity = all(report.metric[i][j] == (1 if i == j else 0) for i in range(7) for j in range(7))
     print(f"metric: {'identity' if identity else 'nonidentity'}; orbit: {report.tag}")
-    _g2_idempotent(s, report)
+    g2_idempotent(s)
 
 
 def _validate_spin7(s) -> None:
@@ -291,7 +289,6 @@ def _cmd_classify(args) -> int:
 # -- verify-paper --------------------------------------------------------
 
 def _cmd_verify_paper(args) -> int:
-    golden = load_golden()
     if args.claim is not None:
         try:
             result = run_claim(args.claim)
@@ -300,7 +297,7 @@ def _cmd_verify_paper(args) -> int:
         claim = _claim_by_id(result.id)
         print(Report(results=(result,)).to_json() if args.format == "json" else "\n".join(
             [f"{result.id} {result.status} [{claim.category}] {claim.statement}", *_detail_lines(result)]))
-        expected = golden.get(result.id)
+        expected = load_golden().get(result.id)
         if result.status != expected:
             print(f"status drift: {result.id} expected {expected}, got {result.status}",
                   file=sys.stderr)
@@ -320,10 +317,7 @@ def _cmd_verify_paper(args) -> int:
 # -- lift ----------------------------------------------------------------
 
 def _cmd_lift(args) -> int:
-    s = structure_from_json(_read_file(args.source))
-    if not isinstance(s, SU3Structure):
-        raise _semantic(f"lift expects an su3 structure, got {type(s).__name__}")
-    phi = lift_su3_to_g2(s)
+    phi = lift_su3_to_g2(_load_structure("su3", args.source))
     f = g2_idempotent(phi)
     if args.json:
         print(f'{{"phi": {to_json(phi.phi)}, "idempotent": {to_json(f)}}}')

@@ -4,11 +4,11 @@ The bridge runs in both directions: a normalized structure tensor set
 determines a primitive idempotent through quantization and Hodge duals
 (all taken under the EXT_DUAL_FIRST convention), and conversely the
 graded pieces of W = f / <f>_0 recover the structure tensors through
-the symbol map.  Every constructor formula is checked for idempotency at
-runtime, and every recovery for rebuilding its input up to scale, so that
-scaled, degenerate or foreign inputs are rejected.  Each formula is
-written once, as a private function of a Hodge convention and its constants;
-the verifier runs the source text's displayed constants through the same ones.
+the symbol map.  Every constructor returns a primitive idempotent or raises
+StructureError, and every recovery checks that its tensors rebuild its input
+up to scale.  Each formula is written once, as a private function of a Hodge
+convention and its constants; the verifier runs the source text's displayed
+constants through the same ones.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .exterior import (
     wedge,
 )
 from .exprio import SchemaError, _decode, from_json_obj, to_json
-from .ideals import is_idempotent, is_primitive
+from .ideals import is_primitive
 from .linalg import leading_principal_minors
 
 _STAR = HodgeConvention.EXT_DUAL_FIRST
@@ -203,12 +203,13 @@ def su3_idempotent(s: SU3Structure) -> Multivector:
 
     Computes (1/32) (star q(psi+ ^ psi-) + 4 q(psi+) - 4 star q(omega))
     with the Clifford Hodge dual taken under EXT_DUAL_FIRST, and verifies
-    idempotency; unnormalized inputs fail that check and are rejected.
+    that f is a primitive idempotent; unnormalized inputs, and those whose
+    f is an idempotent of a larger ideal, fail that check and are rejected.
     """
     square = wedge(s.psi_plus, s.psi_minus)
     _volume_constant(square, "psi+ ^ psi-")
     f = _su3_formula(s, _STAR, -4, square)
-    if not is_idempotent(f):
+    if not is_primitive(f):
         raise StructureError("input does not induce an idempotent (not a normalized SU(3) structure)")
     return f
 
@@ -265,16 +266,6 @@ def g2_metric(s: G2Structure) -> OrbitReport:
                        determinant=Fraction(minors[-1], (6 * den) ** 7), tag=tag)
 
 
-def g2_idempotent(s: G2Structure) -> Multivector:
-    """Idempotent of R_{0,7} attached to a G2 structure.
-
-    Computes (1/112) (star q(phi ^ star phi) + 7 q(phi) - 7 q(star phi)
-    - q(phi ^ star phi)) under EXT_DUAL_FIRST and verifies idempotency.
-    Degenerate phi (by the induced metric) is rejected up front.
-    """
-    return _g2_idempotent(s, g2_metric(s))
-
-
 def _g2_formula(phi: ExteriorForm, conv: HodgeConvention) -> Multivector:
     """(1/112) (star q(phi ^ star phi) + 7 q(phi) - 7 q(star phi) - q(phi ^ star phi)).
 
@@ -290,24 +281,32 @@ def _g2_formula(phi: ExteriorForm, conv: HodgeConvention) -> Multivector:
     ).scale(Fraction(1, 112))
 
 
-def _g2_idempotent(s: G2Structure, metric: OrbitReport) -> Multivector:
-    """g2_idempotent with g2_metric(s) already computed."""
-    if metric.tag == "degenerate":
-        raise StructureError("phi induces a degenerate metric")
-    f = _g2_formula(s.phi, _STAR)
-    if not is_idempotent(f):
-        raise StructureError("input does not induce an idempotent (not a normalized G2 structure)")
-    return f
+def g2_idempotent(s: G2Structure) -> Multivector:
+    """Idempotent of R_{0,7} attached to a G2 structure.
 
-
-def g2_recover(x: Multivector) -> tuple[G2Structure, ExteriorForm]:
-    """(phi, 4-form) of a multiple x of the idempotent of R_{0,7} phi builds.
-
-    With W = x / <x>_0: phi = symbol(<W>_3) and the 4-form is -symbol(<W>_4),
-    which is then hodge_star(phi) under EXT_DUAL_FIRST.
+    Computes (1/112) (star q(phi ^ star phi) + 7 q(phi) - 7 q(star phi)
+    - q(phi ^ star phi)) under EXT_DUAL_FIRST and verifies that it is a
+    primitive idempotent.  Such an f is a rank-one projector in one M_8(R)
+    summand of R_{0,7}, so phi is the 3-form of a unit spinor, whose metric
+    is definite; the metric is therefore computed only after a rejection,
+    to say whether phi was degenerate.
     """
-    w = _normalized(x, Signature(0, 7))
-    return _rebuilt(G2Structure(phi=symbol(w.grade(3))), x, g2_idempotent), -symbol(w.grade(4))
+    f = _g2_formula(s.phi, _STAR)
+    if is_primitive(f):
+        return f
+    if g2_metric(s).tag == "degenerate":
+        raise StructureError("phi induces a degenerate metric")
+    raise StructureError("input does not induce an idempotent (not a normalized G2 structure)")
+
+
+def g2_recover(x: Multivector) -> G2Structure:
+    """phi = symbol(<W>_3), W = x / <x>_0, of a multiple x of the idempotent of R_{0,7} phi builds.
+
+    The 4-form of the structure is hodge_star(phi) under EXT_DUAL_FIRST, which
+    for such an x equals -symbol(<W>_4).
+    """
+    phi = symbol(_normalized(x, Signature(0, 7)).grade(3))
+    return _rebuilt(G2Structure(phi=phi), x, g2_idempotent)
 
 
 # -- Spin(7), dimension 8 ------------------------------------------------
@@ -326,7 +325,8 @@ def spin7_idempotent(s: Spin7Structure) -> Multivector:
     With Omega ^ Omega = c vol (c != 0 required) this computes
     (1/(16c)) star q(Omega ^ Omega) - (1/16) q(Omega)
     + (1/(16c)) q(Omega ^ Omega), i.e. (1/16)(1 - q(Omega) + q(vol)),
-    and verifies idempotency.
+    and verifies that it is a primitive idempotent (its <f>_0 is 1/16, so
+    any idempotent it builds is).
     """
     omega = s.cayley
     if hodge_star(omega, _STAR) != omega:
@@ -334,7 +334,7 @@ def spin7_idempotent(s: Spin7Structure) -> Multivector:
     square = wedge(omega, omega)
     c = _volume_constant(square, "Omega ^ Omega")
     f = _spin7_formula(omega, _STAR, Fraction(1, 16 * c), square)
-    if not is_idempotent(f):
+    if not is_primitive(f):
         raise StructureError("input does not induce an idempotent (not a normalized Cayley form)")
     return f
 
@@ -348,8 +348,8 @@ def spin7_recover(x: Multivector) -> Spin7Structure:
 # -- dimension ladder ----------------------------------------------------
 
 def lift_su3_to_g2(s: SU3Structure) -> G2Structure:
-    """phi = omega ^ e^7 + psi_plus on R^7 = R^6 (+) R."""
-    _volume_constant(wedge(s.psi_plus, s.psi_minus), "psi+ ^ psi-")
+    """phi = omega ^ e^7 + psi_plus on R^7 = R^6 (+) R, for an s that su3_idempotent accepts."""
+    su3_idempotent(s)
     e7 = ExteriorForm.blade(7, (7,))
     phi = wedge(s.omega.embed(7), e7) + s.psi_plus.embed(7)
     return G2Structure(phi=phi)
@@ -377,7 +377,7 @@ _KINDS = {
 # the function columns of the same table, as plain kind -> function dicts, so that
 # whoever wraps a module's functions (perfbench/tracer.py) finds them here too
 _IDEMPOTENT_OF = {"su3": su3_idempotent, "g2": g2_idempotent, "spin7": spin7_idempotent}
-_RECOVER_OF = {"su3": su3_recover, "g2": lambda x: g2_recover(x)[0], "spin7": spin7_recover}
+_RECOVER_OF = {"su3": su3_recover, "g2": g2_recover, "spin7": spin7_recover}
 
 
 def structure_to_json(s) -> str:

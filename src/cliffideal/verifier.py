@@ -48,10 +48,10 @@ from .ideals import (
 )
 from .structures import (
     _g2_formula,
-    _g2_idempotent,
     _spin7_formula,
     _su3_formula,
     _su3_recover,
+    g2_idempotent,
     g2_metric,
     lift_su3_to_g2,
     model_g2,
@@ -281,9 +281,8 @@ def _catalog() -> tuple[Claim, ...]:
 
     def eval_c17(conv):
         lifted = lift_su3_to_g2(su3)
-        metric = g2_metric(lifted)
-        tag = metric.tag
-        f = _g2_idempotent(lifted, metric)
+        tag = g2_metric(lifted).tag
+        f = g2_idempotent(lifted)
         dim = left_ideal_basis(f).dimension
         ok = tag == "definite" and is_primitive(f) and dim == 8
         return ok, f"metric {tag}; primitive: {is_primitive(f)}; ideal dimension {dim}", ""

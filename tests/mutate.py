@@ -175,9 +175,21 @@ MUTANTS: list[tuple[str, str, str, list[str]]] = [
      "    if sign and volume_element(x.sig) * x == x.scale(-sign):",
      ["tests/test_structures.py::test_every_decomposition_piece_rebuilds_or_names_its_half"]),
     ("cli.py",  # g2 --validate exits by the orbit tag again, not by the idempotent
-     "    _g2_idempotent(s, report)\n",
+     "    g2_idempotent(s)\n",
      "    if report.tag != \"definite\":\n        raise StructureError(report.tag)\n",
      ["tests/test_cli.py::test_validate_exits_as_to_idempotent_does"]),
+    # every structure map returns a primitive idempotent or raises
+    ("structures.py",  # su3 accepts any idempotent again, primitive or not
+     "    f = _su3_formula(s, _STAR, -4, square)\n    if not is_primitive(f):\n",
+     "    f = _su3_formula(s, _STAR, -4, square)\n    if f * f != f:\n",
+     ["tests/test_structures.py::test_su3_idempotent_returns_only_primitive_idempotents"]),
+    ("structures.py",  # lift_su3_to_g2 lifts tensors that su3_idempotent rejects
+     "    su3_idempotent(s)\n    e7 = ", "    e7 = ",
+     ["tests/test_cli.py::test_lift_exits_as_su3_to_idempotent_does"]),
+    ("structures.py",  # g2 names no degenerate metric among its rejections
+     '    if g2_metric(s).tag == "degenerate":\n        raise StructureError("phi induces a degenerate metric")\n',
+     "",
+     ["tests/test_structures.py::test_g2_idempotent_decides_as_the_metric_first_reference"]),
     ("ideals.py",  # a wrong d = 7 row: R_{0,7} as M_8(C), which has the same dimension
      'ring, summands, m = "R", 2, 1 << ((n - 1) // 2)', 'ring, summands, m = "C", 1, 1 << ((n - 1) // 2)',
      ["tests/test_matrix_oracle.py::test_generators_anticommute_and_square_to_minus_one"]),

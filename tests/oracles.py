@@ -538,3 +538,23 @@ def reference_to_json_obj(x):
     terms.sort(key=lambda t: (len(t[0]), t[0]))
     return {"signature": [p, q], "kind": kind,
             "terms": [{"blade": ind, "coef": str(c)} for ind, c in terms]}
+
+
+def g2_idempotent_metric_first(s):
+    """The metric-first G2 test, the reference for g2_idempotent's primitive-first one.
+
+    A degenerate induced metric is rejected first; then the formula is built
+    and only f*f = f is required.  This reference reuses the package's metric
+    and formula, so a differential test against it checks the order and the
+    strength of the tests, not the formulas.  Returns f, or raises
+    StructureError with the message the package used.
+    """
+    from cliffideal.exterior import HodgeConvention
+    from cliffideal.structures import StructureError, _g2_formula, g2_metric
+
+    if g2_metric(s).tag == "degenerate":
+        raise StructureError("phi induces a degenerate metric")
+    f = _g2_formula(s.phi, HodgeConvention.EXT_DUAL_FIRST)
+    if f * f != f:
+        raise StructureError("input does not induce an idempotent (not a normalized G2 structure)")
+    return f

@@ -11,7 +11,7 @@ import pytest
 from cliffideal import (G2Structure, SchemaError, Signature, Spin7Structure, SU3Structure, from_json,
                         model_g2, model_spin7, model_su3, parse, print_canonical, structure_from_json,
                         structure_to_json, to_json)
-from cliffideal import cli, structures
+from cliffideal import cli, structures, verifier
 from cliffideal.cli import main
 
 PSI_PLUS = "e135 - e146 - e236 - e245"
@@ -503,6 +503,40 @@ def test_g2_validate_computes_the_metric_once(capsys, monkeypatch):
     monkeypatch.setattr(structures, "g2_metric", counting)
     code, out, _ = run(capsys, "structure", "g2", "--model", "--validate")
     assert (code, out, len(calls)) == (0, "metric: identity; orbit: definite\n", 1)
+
+
+def test_lift_exits_as_su3_to_idempotent_does(capsys):
+    """structure and lift share one loader and one validity test for su3 input."""
+    paths = sorted(set(CLI_DATA.glob("*.json")) - {CLI_DATA / "transcript.json"})
+    accepted = []
+    for path in paths:
+        lift = run(capsys, "lift", "--from", str(path))
+        build = run(capsys, "structure", "su3", "--input", str(path), "--to-idempotent")
+        assert (lift[0], lift[2]) == (build[0], build[2]), path.name
+        if lift[0] == 0:
+            accepted.append(path.name)
+    assert accepted == ["su3.json"]
+
+
+@pytest.mark.parametrize("argv", [["structure", "g2", "--model", "--to-idempotent"],
+                                  ["lift", "--from", str(CLI_DATA / "su3.json")]])
+def test_g2_idempotent_builds_no_metric_when_it_succeeds(capsys, monkeypatch, argv):
+    calls = []
+    g2_metric = structures.g2_metric
+    for module in (cli, structures):
+        monkeypatch.setattr(module, "g2_metric", lambda s: calls.append(s) or g2_metric(s))
+    code, _, _ = run(capsys, *argv)
+    assert (code, calls) == (0, [])
+
+
+@pytest.mark.parametrize("claim", [[], ["--claim", "C3"]])
+def test_verify_paper_reads_the_golden_file_once(capsys, monkeypatch, claim):
+    calls = []
+    load_golden = verifier.load_golden
+    for module in (cli, verifier):
+        monkeypatch.setattr(module, "load_golden", lambda: calls.append(1) or load_golden())
+    code, _, _ = run(capsys, "verify-paper", *claim)
+    assert (code, len(calls)) == (0, 1)
 
 
 # -- the README commands, against the transcript of their output ---------------------

@@ -6,9 +6,9 @@ files beside it.  It covers what perfbench/data/paper_cli_transcript.json does
 not: every structure kind and mode from --model and --input, in text and
 --json; recovery of each model idempotent; lift in both formats; each single
 claim; stderr; and the error paths (wrong kind, missing or malformed input,
-unnormalized, degenerate and non-self-dual tensors, unknown claims, usage
-errors).  To rewrite it from the current code, after a deliberate change of
-output:
+unnormalized, degenerate and non-self-dual tensors, su3 tensors that build an
+idempotent of a larger ideal, unknown claims, usage errors).  To rewrite it
+from the current code, after a deliberate change of output:
 
     PYTHONPATH=src python3 tests/test_cli_transcript.py --capture
 """
@@ -91,6 +91,11 @@ def _commands() -> list[list[str]]:
         ["verify-paper", "--format", "xml"],
         ["verify-paper", "--claim", "C1", "--format", "yaml"],
     ]
+    # su3 tensors whose formula is an idempotent of a larger ideal, or that only lift checked
+    for name in ("su3_rank2", "su3_psi_minus_doubled"):
+        out += [["structure", "su3", "--input", f"{name}.json", "--to-idempotent"],
+                ["structure", "su3", "--input", f"{name}.json", "--validate"],
+                ["lift", "--from", f"{name}.json"]]
     return out
 
 
@@ -113,6 +118,12 @@ def _inputs() -> dict[str, str]:
                                    psi_minus=su3.psi_minus.scale(2)),
         "su3_no_volume": SU3Structure(omega=su3.omega, psi_plus=su3.psi_plus,
                                       psi_minus=ExteriorForm.zero(6)),
+        "su3_rank2": SU3Structure(
+            omega=ExteriorForm.from_terms(6, [(-2, (1, 2))]),
+            psi_plus=ExteriorForm.from_terms(6, [(2, (1, 3, 5)), (2, (1, 4, 6))]),
+            psi_minus=ExteriorForm.from_terms(6, [(-2, (2, 3, 5)), (-2, (2, 4, 6))])),
+        "su3_psi_minus_doubled": SU3Structure(omega=su3.omega, psi_plus=su3.psi_plus,
+                                              psi_minus=su3.psi_minus.scale(2)),
         "g2_half": G2Structure(phi=g2.phi.scale(Fraction(1, 2))),
         "g2_thirds": G2Structure(phi=ExteriorForm(7, {m: c * w for (m, c), w
                                                       in zip(sorted(phi.items()), weights)})),

@@ -27,6 +27,7 @@ from cliffideal import (
     model_spin7,
     model_su3,
     print_canonical,
+    quantize,
     run_claim,
     spin7_idempotent,
     spin7_recover,
@@ -34,6 +35,7 @@ from cliffideal import (
     structure_to_json,
     su3_idempotent,
     su3_recover,
+    symbol,
     volume_element,
     volume_form,
     wedge,
@@ -42,7 +44,7 @@ from cliffideal import structures, verifier
 from cliffideal.algebra import mask_indices
 
 from test_ideals import GENS6, GENS7, GENS8
-from oracles import interior_blade, principal_minors, wedge_dicts
+from oracles import g2_idempotent_metric_first, interior_blade, principal_minors, wedge_dicts
 
 F7_CANONICAL = (
     "1/16 + 1/16*e123 + 1/16*e145 + 1/16*e167 + 1/16*e246 - 1/16*e257"
@@ -302,14 +304,24 @@ def test_g2_idempotent_rejects_degenerate():
 
 
 def test_g2_recover_model(f7):
-    s, four_form = g2_recover(f7)
-    assert s.phi == model_g2().phi
-    assert four_form == hodge_star(model_g2().phi)
+    assert g2_recover(f7) == model_g2()
+
+
+def test_g2_recover_four_form_is_the_dual_of_phi():
+    """<16 f>_4 = -q(star phi) on every piece that g2_recover accepts, so it returns phi alone."""
+    accepted = 0
+    for f in decompose_algebra(IdempotentSpec(Signature(0, 7), verifier._GENS[7])):
+        try:
+            s = g2_recover(f)
+        except StructureError:
+            continue
+        assert f.grade(4).scale(16) == -quantize(hodge_star(s.phi))
+        accepted += 1
+    assert accepted == 8
 
 
 def test_g2_roundtrip(f7):
-    s, _ = g2_recover(f7)
-    assert g2_idempotent(s) == f7
+    assert g2_idempotent(g2_recover(f7)) == f7
 
 
 def test_g2_recover_rejects_scalar(sig7):
@@ -352,7 +364,7 @@ def test_spin7_recover_rejects_bad_grade4(sig8):
 # n -> (recover, idempotent, the sign s of vol*x = s*x on the pieces it rejects, why)
 RECOVERIES = {
     6: (su3_recover, su3_idempotent, 0, ""),
-    7: (lambda x: g2_recover(x)[0], g2_idempotent, 1,
+    7: (g2_recover, g2_idempotent, 1,
         "cannot recover a structure: x lies in the vol*x = +x half; "
         "the G2 correspondence uses vol*f = -f"),
     8: (spin7_recover, spin7_idempotent, -1,
@@ -391,6 +403,62 @@ def test_recover_rejects_what_its_tensors_do_not_rebuild(n, f6, f7, f8):
     assert idempotent(recover(f.scale(-2))) == f
 
 
+# -- every idempotent returned is primitive -------------------------------------
+
+def _subset_sums(pieces):
+    """(size, sum) of every subset of pieces, the empty one included."""
+    for chosen in range(1 << len(pieces)):
+        subset = [f for i, f in enumerate(pieces) if chosen >> i & 1]
+        yield len(subset), sum(subset, Multivector.zero(pieces[0].sig))
+
+
+def test_su3_idempotent_returns_only_primitive_idempotents():
+    """Tensors read off 8x, which is W for a single piece, for every nonempty subset sum x at n = 6.
+
+    72 sums of several pieces give tensors whose formula is an idempotent of a larger
+    ideal; su3_idempotent rejects them and returns x for the 8 single pieces alone.
+    """
+    pieces = decompose_algebra(IdempotentSpec(Signature(0, 6), verifier._GENS[6]))
+    accepted, larger = 0, 0
+    for size, x in list(_subset_sums(pieces))[1:]:
+        w = structures._su3_recover(x, structures._STAR, -1)  # the tensors of 8x / size
+        s = SU3Structure(omega=w.omega.scale(size), psi_plus=w.psi_plus.scale(size),
+                         psi_minus=w.psi_minus.scale(size))
+        try:
+            f = su3_idempotent(s)
+        except StructureError as exc:
+            square = wedge(s.psi_plus, s.psi_minus)
+            f = structures._su3_formula(s, structures._STAR, -4, square)
+            larger += str(exc).startswith("input does not induce") and f * f == f
+        else:
+            assert (size, f, is_primitive(f)) == (1, x, True)
+            accepted += 1
+    assert (accepted, larger) == (8, 72)
+
+
+@pytest.mark.parametrize("scale", [16, 8])
+def test_g2_idempotent_decides_as_the_metric_first_reference(scale):
+    """phi = scale * symbol(<x>_3) for the 256 subset sums x of each half's 8 pieces at n = 7."""
+    sig = Signature(0, 7)
+    pieces = decompose_algebra(IdempotentSpec(sig, verifier._GENS[7]))
+    vol = volume_element(sig)
+    seen = set()
+    for sign in (1, -1):
+        half = [f for f in pieces if vol * f == f.scale(sign)]
+        assert len(half) == 8
+        for _, x in _subset_sums(half):
+            s = G2Structure(phi=symbol(x.grade(3)).scale(scale))
+            outcomes = []
+            for idempotent in (g2_idempotent, g2_idempotent_metric_first):
+                try:
+                    outcomes.append(idempotent(s))
+                except StructureError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1], print_canonical(s.phi)
+            seen.add(outcomes[0] if isinstance(outcomes[0], str) else "accepted")
+    assert len(seen) == (3 if scale == 16 else 2)
+
+
 # -- dimension ladder ---------------------------------------------------------
 
 def test_lift_su3_to_g2_model():
@@ -410,6 +478,13 @@ def test_lift_su3_rejects_degenerate():
                      psi_minus=ExteriorForm.blade(6, (1, 3, 5)))
     with pytest.raises(StructureError):
         lift_su3_to_g2(s)
+
+
+def test_lift_su3_rejects_what_su3_idempotent_rejects():
+    su3 = model_su3()
+    doubled = SU3Structure(omega=su3.omega, psi_plus=su3.psi_plus, psi_minus=su3.psi_minus.scale(2))
+    with pytest.raises(StructureError, match="not a normalized SU[(]3[)] structure"):
+        lift_su3_to_g2(doubled)
 
 
 def test_lift_idempotent_6_to_7(f6):
