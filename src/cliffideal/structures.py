@@ -347,23 +347,26 @@ def spin7_recover(x: Multivector) -> Spin7Structure:
 
 # -- dimension ladder ----------------------------------------------------
 
+def _lift(s: SU3Structure) -> G2Structure:
+    """phi = omega ^ e^7 + psi_plus on R^7 = R^6 (+) R."""
+    return G2Structure(phi=wedge(s.omega.embed(7), ExteriorForm.blade(7, (7,))) + s.psi_plus.embed(7))
+
+
 def lift_su3_to_g2(s: SU3Structure) -> G2Structure:
-    """phi = omega ^ e^7 + psi_plus on R^7 = R^6 (+) R, for an s that su3_idempotent accepts."""
+    """_lift(s), for an s that su3_idempotent accepts."""
     su3_idempotent(s)
-    e7 = ExteriorForm.blade(7, (7,))
-    phi = wedge(s.omega.embed(7), e7) + s.psi_plus.embed(7)
-    return G2Structure(phi=phi)
+    return _lift(s)
 
 
 def lift_idempotent_6_to_7(f6: Multivector) -> Multivector:
     """Primitive idempotent of R_{0,7} from one of R_{0,6}.
 
-    Recovers the SU(3) tensors from f6, lifts them to a G2 structure on
-    R^7 and rebuilds the idempotent there.
+    Recovers the SU(3) tensors from f6 (su3_recover's rebuild has already
+    asked su3_idempotent), lifts them to R^7 and builds the idempotent there.
     """
     if not is_primitive(f6):
         raise StructureError("input is not a primitive idempotent of R_{0,6}")
-    return g2_idempotent(lift_su3_to_g2(su3_recover(f6)))
+    return g2_idempotent(_lift(su3_recover(f6)))
 
 
 # -- the structure kinds ------------------------------------------------

@@ -41,7 +41,6 @@ from .ideals import (
     build_idempotent,
     classify,
     coset_basis,
-    is_primitive,
     left_ideal_basis,
     radon_hurwitz,
     validate_generators,
@@ -282,10 +281,9 @@ def _catalog() -> tuple[Claim, ...]:
     def eval_c17(conv):
         lifted = lift_su3_to_g2(su3)
         tag = g2_metric(lifted).tag
-        f = g2_idempotent(lifted)
+        f = g2_idempotent(lifted)  # primitive, or it raises
         dim = left_ideal_basis(f).dimension
-        ok = tag == "definite" and is_primitive(f) and dim == 8
-        return ok, f"metric {tag}; primitive: {is_primitive(f)}; ideal dimension {dim}", ""
+        return tag == "definite" and dim == 8, f"metric {tag}; primitive: True; ideal dimension {dim}", ""
 
     add("C17", "S7: phi = omega ^ e^7 + psi+ carries a G2 structure", "idempotency",
         "the lifted 3-form has a definite metric and induces a primitive idempotent of ideal dimension 8",

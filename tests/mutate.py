@@ -184,7 +184,7 @@ MUTANTS: list[tuple[str, str, str, list[str]]] = [
      "    f = _su3_formula(s, _STAR, -4, square)\n    if f * f != f:\n",
      ["tests/test_structures.py::test_su3_idempotent_returns_only_primitive_idempotents"]),
     ("structures.py",  # lift_su3_to_g2 lifts tensors that su3_idempotent rejects
-     "    su3_idempotent(s)\n    e7 = ", "    e7 = ",
+     "    su3_idempotent(s)\n    return _lift(s)", "    return _lift(s)",
      ["tests/test_cli.py::test_lift_exits_as_su3_to_idempotent_does"]),
     ("structures.py",  # g2 names no degenerate metric among its rejections
      '    if g2_metric(s).tag == "degenerate":\n        raise StructureError("phi induces a degenerate metric")\n',

@@ -495,6 +495,14 @@ def test_lift_idempotent_6_to_7(f6):
     assert left_ideal_basis(lifted).dimension == 8
 
 
+def test_lift_idempotent_6_to_7_asks_su3_idempotent_once(f6, monkeypatch):
+    calls = []
+    su3_idempotent_ = structures.su3_idempotent
+    monkeypatch.setattr(structures, "su3_idempotent", lambda s: calls.append(s) or su3_idempotent_(s))
+    assert print_canonical(lift_idempotent_6_to_7(f6)) == FLIFT_CANONICAL
+    assert len(calls) == 1
+
+
 def test_lift_rejects_non_primitive(sig6):
     with pytest.raises(StructureError, match="primitive"):
         lift_idempotent_6_to_7(Multivector.scalar(sig6, 1))
