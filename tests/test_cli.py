@@ -491,19 +491,29 @@ def test_su3_recover_of_a_non_idempotent_exits_1(capsys, tmp_path, text):
     assert err.startswith("error: cannot recover a structure: ")
 
 
-@pytest.mark.parametrize("source, code, orbit, metrics", [
-    (["--model"], 0, "identity; orbit: definite", 1),
-    # a rejection builds the metric again, inside g2_idempotent, to choose its message
-    (["--input", str(CLI_DATA / "g2_half.json")], 1, "nonidentity; orbit: definite", 2),
-    (["--input", str(CLI_DATA / "g2_degenerate.json")], 1, "nonidentity; orbit: degenerate", 2),
-])
-def test_g2_validate_metric_calls(capsys, monkeypatch, source, code, orbit, metrics):
+def test_g2_validate_computes_the_metric_once(capsys, monkeypatch):
+    calls = []
+    g2_metric = structures.g2_metric
+
+    def counting(s):
+        calls.append(s)
+        return g2_metric(s)
+
+    monkeypatch.setattr(cli, "g2_metric", counting)
+    monkeypatch.setattr(structures, "g2_metric", counting)
+    code, out, _ = run(capsys, "structure", "g2", "--model", "--validate")
+    assert (code, out, len(calls)) == (0, "metric: identity; orbit: definite\n", 1)
+
+
+@pytest.mark.parametrize("name, orbit", [("g2_half", "definite"), ("g2_degenerate", "degenerate")])
+def test_g2_validate_rejection_computes_the_metric_twice(capsys, monkeypatch, name, orbit):
+    """once to print the orbit, once inside g2_idempotent to choose its message"""
     calls = []
     g2_metric = structures.g2_metric
     for module in (cli, structures):
         monkeypatch.setattr(module, "g2_metric", lambda s: calls.append(s) or g2_metric(s))
-    got = run(capsys, "structure", "g2", *source, "--validate")
-    assert (got[0], got[1], len(calls)) == (code, f"metric: {orbit}\n", metrics)
+    code, out, _ = run(capsys, "structure", "g2", "--input", str(CLI_DATA / f"{name}.json"), "--validate")
+    assert (code, out, len(calls)) == (1, f"metric: nonidentity; orbit: {orbit}\n", 2)
 
 
 def test_lift_exits_as_su3_to_idempotent_does(capsys):
