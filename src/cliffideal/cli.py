@@ -25,7 +25,6 @@ from .exprio import (
     to_json,
 )
 from .ideals import (
-    GeneratorError,
     IdempotentSpec,
     build_idempotent,
     classify,
@@ -35,20 +34,7 @@ from .ideals import (
     left_ideal_basis,
     validate_generators,
 )
-from .structures import (
-    _IDEMPOTENT_OF,
-    _KINDS,
-    _RECOVER_OF,
-    StructureError,
-    g2_idempotent,
-    g2_metric,
-    lift_su3_to_g2,
-    spin7_idempotent,
-    structure_from_json,
-    structure_to_json,
-    su3_idempotent,
-)
-from .verifier import Report, _claim_by_id, _detail_lines, load_golden, run_all, run_claim
+# structures and verifier are imported only by the handlers that use them
 
 EXIT_OK = 0
 EXIT_SEMANTIC = 1
@@ -212,6 +198,7 @@ def _read_file(path: str) -> str:
 
 
 def _load_structure(kind: str, path: str):
+    from .structures import _KINDS, structure_from_json
     s = structure_from_json(_read_file(path))
     if not isinstance(s, _KINDS[kind][0]):
         raise _semantic(f"{path} holds a {type(s).__name__}, not a {kind} structure")
@@ -228,6 +215,7 @@ def _print_idempotent_report(f: Multivector, json_out: bool) -> None:
 
 # Each prints its kind's invariants; the verdict is whether the kind's idempotent builds.
 def _validate_su3(s) -> None:
+    from .structures import su3_idempotent
     print(f"psi+ ^ psi-: {print_canonical(wedge(s.psi_plus, s.psi_minus))}")
     print(f"omega^3: {print_canonical(wedge(wedge(s.omega, s.omega), s.omega))}")
     su3_idempotent(s)
@@ -235,6 +223,7 @@ def _validate_su3(s) -> None:
 
 
 def _validate_g2(s) -> None:
+    from .structures import g2_idempotent, g2_metric
     report = g2_metric(s)
     identity = all(report.metric[i][j] == (1 if i == j else 0) for i in range(7) for j in range(7))
     print(f"metric: {'identity' if identity else 'nonidentity'}; orbit: {report.tag}")
@@ -242,6 +231,7 @@ def _validate_g2(s) -> None:
 
 
 def _validate_spin7(s) -> None:
+    from .structures import spin7_idempotent
     print(f"self-dual: {_bool(hodge_star(s.cayley) == s.cayley)}")
     print(f"Omega ^ Omega: {print_canonical(wedge(s.cayley, s.cayley))}")
     f = spin7_idempotent(s)
@@ -252,6 +242,7 @@ _VALIDATE = {"su3": _validate_su3, "g2": _validate_g2, "spin7": _validate_spin7}
 
 
 def _cmd_structure(args) -> int:
+    from .structures import _IDEMPOTENT_OF, _KINDS, _RECOVER_OF, structure_to_json
     kind = args.kind
     _, model, _, fields = _KINDS[kind]
     if args.mode == "recover":
@@ -288,6 +279,7 @@ def _cmd_classify(args) -> int:
 # -- verify-paper --------------------------------------------------------
 
 def _cmd_verify_paper(args) -> int:
+    from .verifier import Report, _claim_by_id, _detail_lines, load_golden, run_all, run_claim
     if args.claim is not None:
         try:
             result = run_claim(args.claim)
@@ -316,6 +308,7 @@ def _cmd_verify_paper(args) -> int:
 # -- lift ----------------------------------------------------------------
 
 def _cmd_lift(args) -> int:
+    from .structures import g2_idempotent, lift_su3_to_g2
     phi = lift_su3_to_g2(_load_structure("su3", args.source))
     f = g2_idempotent(phi)
     if args.json:
@@ -329,56 +322,67 @@ def _cmd_lift(args) -> int:
 
 # -- dispatch ------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
+_COMMANDS = ("eval", "idempotent", "structure", "classify", "verify-paper", "lift")
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The whole parser, or for one of _COMMANDS only its subparser, whose usage and help
+    are the same; the top-level usage lists every command, so the whole parser prints errors."""
     parser = argparse.ArgumentParser(
         prog="cliffideal",
         description="Exact Clifford/exterior algebra, idempotents, ideals and structure tensors.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    if command is not None:
+        parser.error = lambda message: _build_parser().error(message)
 
-    p_eval = sub.add_parser("eval", help="evaluate products, wedges, duals, grade parts")
-    p_eval.add_argument("--sig", required=True, metavar="p,q")
-    p_eval.add_argument("exprs", nargs="+", help="expressions; '-' reads stdin")
-    p_eval.add_argument("--op", required=True,
-                        help="product | wedge | star=CONVENTION | grade=k | reverse")
-    p_eval.add_argument("--json", action="store_true")
-    p_eval.set_defaults(fn=_cmd_eval)
+    if command in (None, "eval"):
+        p_eval = sub.add_parser("eval", help="evaluate products, wedges, duals, grade parts")
+        p_eval.add_argument("--sig", required=True, metavar="p,q")
+        p_eval.add_argument("exprs", nargs="+", help="expressions; '-' reads stdin")
+        p_eval.add_argument("--op", required=True, help="product | wedge | star=CONVENTION | grade=k | reverse")
+        p_eval.add_argument("--json", action="store_true")
+        p_eval.set_defaults(fn=_cmd_eval)
 
-    p_idem = sub.add_parser("idempotent", help="build and inspect factored idempotents")
-    p_idem.add_argument("--sig", required=True, metavar="p,q")
-    p_idem.add_argument("--gens", required=True, metavar="'+e135,-e146,-e236'")
-    group = p_idem.add_mutually_exclusive_group(required=True)
-    group.add_argument("--check", dest="mode", action="store_const", const="check")
-    group.add_argument("--ideal", dest="mode", action="store_const", const="ideal")
-    group.add_argument("--decompose", dest="mode", action="store_const", const="decompose")
-    p_idem.set_defaults(fn=_cmd_idempotent)
+    if command in (None, "idempotent"):
+        p_idem = sub.add_parser("idempotent", help="build and inspect factored idempotents")
+        p_idem.add_argument("--sig", required=True, metavar="p,q")
+        p_idem.add_argument("--gens", required=True, metavar="'+e135,-e146,-e236'")
+        group = p_idem.add_mutually_exclusive_group(required=True)
+        group.add_argument("--check", dest="mode", action="store_const", const="check")
+        group.add_argument("--ideal", dest="mode", action="store_const", const="ideal")
+        group.add_argument("--decompose", dest="mode", action="store_const", const="decompose")
+        p_idem.set_defaults(fn=_cmd_idempotent)
 
-    p_struct = sub.add_parser("structure", help="structure tensors and their idempotents")
-    p_struct.add_argument("kind", choices=("su3", "g2", "spin7"))
-    p_struct.add_argument("--model", action="store_true",
-                          help="use the built-in model tensor")
-    p_struct.add_argument("--input", metavar="file.json")
-    mode = p_struct.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--to-idempotent", dest="mode", action="store_const", const="to-idempotent")
-    mode.add_argument("--recover", dest="mode", action="store_const", const="recover")
-    mode.add_argument("--validate", dest="mode", action="store_const", const="validate")
-    p_struct.add_argument("--json", action="store_true")
-    p_struct.set_defaults(fn=_cmd_structure)
+    if command in (None, "structure"):
+        p_struct = sub.add_parser("structure", help="structure tensors and their idempotents")
+        p_struct.add_argument("kind", choices=("su3", "g2", "spin7"))
+        p_struct.add_argument("--model", action="store_true", help="use the built-in model tensor")
+        p_struct.add_argument("--input", metavar="file.json")
+        mode = p_struct.add_mutually_exclusive_group(required=True)
+        mode.add_argument("--to-idempotent", dest="mode", action="store_const", const="to-idempotent")
+        mode.add_argument("--recover", dest="mode", action="store_const", const="recover")
+        mode.add_argument("--validate", dest="mode", action="store_const", const="validate")
+        p_struct.add_argument("--json", action="store_true")
+        p_struct.set_defaults(fn=_cmd_structure)
 
-    p_cls = sub.add_parser("classify", help="matrix-algebra type of R_{p,q}")
-    p_cls.add_argument("p", type=int)
-    p_cls.add_argument("q", type=int)
-    p_cls.set_defaults(fn=_cmd_classify)
+    if command in (None, "classify"):
+        p_cls = sub.add_parser("classify", help="matrix-algebra type of R_{p,q}")
+        p_cls.add_argument("p", type=int)
+        p_cls.add_argument("q", type=int)
+        p_cls.set_defaults(fn=_cmd_classify)
 
-    p_verify = sub.add_parser("verify-paper", help="machine-check the documented identities")
-    p_verify.add_argument("--claim", metavar="ID")
-    p_verify.add_argument("--format", choices=("text", "json"), default="text")
-    p_verify.set_defaults(fn=_cmd_verify_paper)
+    if command in (None, "verify-paper"):
+        p_verify = sub.add_parser("verify-paper", help="machine-check the documented identities")
+        p_verify.add_argument("--claim", metavar="ID")
+        p_verify.add_argument("--format", choices=("text", "json"), default="text")
+        p_verify.set_defaults(fn=_cmd_verify_paper)
 
-    p_lift = sub.add_parser("lift", help="lift an su3 structure to a g2 idempotent")
-    p_lift.add_argument("--from", dest="source", required=True, metavar="su3.json")
-    p_lift.add_argument("--json", action="store_true")
-    p_lift.set_defaults(fn=_cmd_lift)
+    if command in (None, "lift"):
+        p_lift = sub.add_parser("lift", help="lift an su3 structure to a g2 idempotent")
+        p_lift.add_argument("--from", dest="source", required=True, metavar="su3.json")
+        p_lift.add_argument("--json", action="store_true")
+        p_lift.set_defaults(fn=_cmd_lift)
 
     return parser
 
@@ -402,8 +406,9 @@ def _merge_dash_values(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(_merge_dash_values(sys.argv[1:] if argv is None else argv))
+    argv = _merge_dash_values(sys.argv[1:] if argv is None else argv)
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+    args = parser.parse_args(argv)
     if args.fn is _cmd_structure and args.model == (args.input is not None):
         parser.error("structure needs exactly one of --model or --input")
     try:
@@ -420,7 +425,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (StructureError, GeneratorError, ValueError) as exc:
+    except ValueError as exc:  # StructureError, GeneratorError and the other refusals
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SEMANTIC
 

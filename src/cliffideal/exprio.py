@@ -32,7 +32,6 @@ coefficient outgrew the bound.
 
 from __future__ import annotations
 
-import json
 import re
 import sys
 from functools import cache
@@ -371,6 +370,8 @@ def from_json_obj(obj, path: str = "") -> Value:
 
 def _decode(text: str):
     """json.loads, with every refusal of the text raised as a SchemaError."""
+    import json  # here, not at the top: a command that reads no JSON does not load it
+
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as exc:

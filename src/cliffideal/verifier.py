@@ -18,7 +18,6 @@ run_all flags only deviations from the pinned expectations.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from functools import cache
 from importlib import resources
@@ -404,6 +403,8 @@ class Report(_Record):
     results: tuple[ClaimResult, ...]
 
     def to_json(self) -> str:
+        import json
+
         payload = {
             "claims": [
                 {"id": r.id, "status": r.status, "computed": r.computed,
@@ -453,5 +454,7 @@ def run_all() -> Report:
 
 def load_golden() -> dict[str, str]:
     """The pinned expected statuses shipped with the package."""
+    import json
+
     text = resources.files("cliffideal").joinpath("data/golden_claims.json").read_text()
     return json.loads(text)

@@ -193,6 +193,16 @@ MUTANTS: list[tuple[str, str, str, list[str]]] = [
     ("ideals.py",  # a wrong d = 7 row: R_{0,7} as M_8(C), which has the same dimension
      'ring, summands, m = "R", 2, 1 << ((n - 1) // 2)', 'ring, summands, m = "C", 1, 1 << ((n - 1) // 2)',
      ["tests/test_matrix_oracle.py::test_generators_anticommute_and_square_to_minus_one"]),
+    # a command loads only what it runs: lazy package names and one subparser
+    ("__init__.py",  # the verifier's names looked up in structures
+     '    ("verifier", "Claim ClaimResult', '    ("structures", "Claim ClaimResult',
+     ["tests/test_records.py::test_cli_import_skips_introspection_modules"]),
+    ("__init__.py",  # a lazy name resolved on every access, never bound in the package
+     "    value = globals()[name] = getattr(", "    value = getattr(",
+     ["tests/test_records.py::test_cli_import_skips_introspection_modules"]),
+    ("cli.py",  # a one-command parser prints its own usage for a top-level error
+     "        parser.error = lambda message: _build_parser().error(message)\n", "        pass\n",
+     ["tests/test_cli_transcript.py::test_cli_transcript"]),
 ]
 
 

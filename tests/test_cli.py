@@ -499,8 +499,7 @@ def test_g2_validate_computes_the_metric_once(capsys, monkeypatch):
         calls.append(s)
         return g2_metric(s)
 
-    monkeypatch.setattr(cli, "g2_metric", counting)
-    monkeypatch.setattr(structures, "g2_metric", counting)
+    monkeypatch.setattr(structures, "g2_metric", counting)  # the handler imports it from there
     code, out, _ = run(capsys, "structure", "g2", "--model", "--validate")
     assert (code, out, len(calls)) == (0, "metric: identity; orbit: definite\n", 1)
 
@@ -510,8 +509,7 @@ def test_g2_validate_rejection_computes_the_metric_twice(capsys, monkeypatch, na
     """once to print the orbit, once inside g2_idempotent to choose its message"""
     calls = []
     g2_metric = structures.g2_metric
-    for module in (cli, structures):
-        monkeypatch.setattr(module, "g2_metric", lambda s: calls.append(s) or g2_metric(s))
+    monkeypatch.setattr(structures, "g2_metric", lambda s: calls.append(s) or g2_metric(s))
     code, out, _ = run(capsys, "structure", "g2", "--input", str(CLI_DATA / f"{name}.json"), "--validate")
     assert (code, out, len(calls)) == (1, f"metric: nonidentity; orbit: {orbit}\n", 2)
 
@@ -534,8 +532,7 @@ def test_lift_exits_as_su3_to_idempotent_does(capsys):
 def test_g2_idempotent_builds_no_metric_when_it_succeeds(capsys, monkeypatch, argv):
     calls = []
     g2_metric = structures.g2_metric
-    for module in (cli, structures):
-        monkeypatch.setattr(module, "g2_metric", lambda s: calls.append(s) or g2_metric(s))
+    monkeypatch.setattr(structures, "g2_metric", lambda s: calls.append(s) or g2_metric(s))
     code, _, _ = run(capsys, *argv)
     assert (code, calls) == (0, [])
 
@@ -544,8 +541,7 @@ def test_g2_idempotent_builds_no_metric_when_it_succeeds(capsys, monkeypatch, ar
 def test_verify_paper_reads_the_golden_file_once(capsys, monkeypatch, claim):
     calls = []
     load_golden = verifier.load_golden
-    for module in (cli, verifier):
-        monkeypatch.setattr(module, "load_golden", lambda: calls.append(1) or load_golden())
+    monkeypatch.setattr(verifier, "load_golden", lambda: calls.append(1) or load_golden())
     code, _, _ = run(capsys, "verify-paper", *claim)
     assert (code, len(calls)) == (0, 1)
 

@@ -7,10 +7,18 @@ not: every structure kind and mode from --model and --input, in text and
 --json; recovery of each model idempotent; lift in both formats; each single
 claim; stderr; and the error paths (wrong kind, missing or malformed input,
 unnormalized, degenerate and non-self-dual tensors, su3 tensors that build an
-idempotent of a larger ideal, unknown claims, usage errors).  To rewrite it
+idempotent of a larger ideal, unknown claims, usage errors), and argparse's
+usage and help at the top level and per command.  To rewrite it
 from the current code, after a deliberate change of output:
 
     PYTHONPATH=src python3 tests/test_cli_transcript.py --capture
+
+The tests replay it in one warm process.  To replay it as the installed
+command runs, one fresh interpreter per entry (so a missing import in a
+handler that a warm process has already loaded shows up; exits 1 on any
+difference):
+
+    PYTHONPATH=src python3 tests/test_cli_transcript.py --fresh
 """
 
 from __future__ import annotations
@@ -19,12 +27,14 @@ import contextlib
 import io
 import json
 import os
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import cliffideal
 from cliffideal import (ExteriorForm, G2Structure, SU3Structure, Spin7Structure, g2_idempotent,
                         model_g2, model_spin7, model_su3, spin7_idempotent, structure_to_json,
                         su3_idempotent, to_json)
@@ -96,6 +106,11 @@ def _commands() -> list[list[str]]:
         out += [["structure", "su3", "--input", f"{name}.json", "--to-idempotent"],
                 ["structure", "su3", "--input", f"{name}.json", "--validate"],
                 ["lift", "--from", f"{name}.json"]]
+    # argparse's own usage, help and errors, at the top level and in a subcommand
+    out += [[], ["-h"], ["--help"], ["bogus"],
+            ["classify", "-h"], ["eval", "-h"], ["structure", "-h"], ["lift", "-h"],
+            ["classify", "0"], ["classify", "zero", "6"], ["classify", "0", "6", "7"],
+            ["eval", "--sig", "0,6", "e1"], ["idempotent", "--sig", "0,6", "--gens", "+e135"]]
     return out
 
 
@@ -160,6 +175,26 @@ def _capture() -> None:
     TRANSCRIPT.write_text(json.dumps(entries, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
 
 
+def _replay_fresh() -> int:
+    """Each entry in its own interpreter; 1 and the differing commands if any entry differs."""
+    package_root = str(Path(cliffideal.__file__).resolve().parents[1])
+    env = dict(os.environ, COLUMNS="80", PYTHONIOENCODING="utf-8")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    code = "import sys; from cliffideal.cli import main; sys.exit(main(sys.argv[1:]))"
+    entries, differ = _entries(), []
+    for entry in entries:
+        run = subprocess.run([sys.executable, "-c", code, *entry["argv"]], cwd=DATA, env=env,
+                             capture_output=True, timeout=120)
+        if (run.returncode, run.stdout, run.stderr) != (
+                entry["exit"], entry["stdout"].encode("utf-8"), entry["stderr"].encode("utf-8")):
+            differ.append(" ".join(entry["argv"]))
+    for argv in differ:
+        print(f"differs in a fresh interpreter: {argv}")
+    print(f"{len(entries) - len(differ)} of {len(entries)} entries replay byte for byte, "
+          "one fresh interpreter each")
+    return 1 if differ or not entries else 0
+
+
 def _entries() -> list[dict]:
     return json.loads(TRANSCRIPT.read_text(encoding="utf-8")) if TRANSCRIPT.exists() else []
 
@@ -179,3 +214,5 @@ def test_transcript_lists_every_command():
 
 if __name__ == "__main__" and sys.argv[1:] == ["--capture"]:
     _capture()
+elif __name__ == "__main__" and sys.argv[1:] == ["--fresh"]:
+    sys.exit(_replay_fresh())

@@ -274,14 +274,36 @@ def test_copied_elements_stay_immutable():
 
 
 def test_cli_import_skips_introspection_modules():
-    """Importing the CLI must not load dataclasses or inspect: every CLI run
-    starts a fresh interpreter and would pay for importing them."""
+    """A CLI command loads only what it runs: every CLI run starts a fresh
+    interpreter and would pay for importing dataclasses, inspect, json, or the
+    structures and verifier layers it never calls.  Those layers' names load
+    on first access to the package (PEP 562)."""
     package_root = str(Path(cliffideal.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    # -S: no site hooks, so only the package's own imports are counted
-    code = ("import sys, cliffideal.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    layers = {"cliffideal.structures", "cliffideal.verifier"}
+    cases = [(["classify", "0", "6"], {"dataclasses", "inspect", "json", *layers}),
+             (["eval", "--sig", "0,6", "--op", "product", "e135", "e246"], {"json", *layers}),
+             (["idempotent", "--sig", "0,6", "--gens", "+e135,-e146,-e236", "--ideal"], layers)]
+    for argv, unloaded in cases:
+        # -S: no site hooks, so only the package's own imports are counted
+        code = ("import sys; from cliffideal.cli import main; code = main(sys.argv[2:]); "
+                "sys.stdout.flush(); print(code, sorted(set(sys.argv[1].split()) & set(sys.modules)), "
+                "file=sys.stderr)")
+        out = subprocess.run([sys.executable, "-S", "-c", code, " ".join(unloaded), *argv], env=env,
+                             capture_output=True, text=True, check=True, timeout=120)
+        assert out.stderr.splitlines()[-1] == "0 []", argv
+
+    lazy = cliffideal._LAZY
+    assert set(lazy) <= set(cliffideal.__all__) <= set(dir(cliffideal))
+    for name in cliffideal.__all__:
+        value = getattr(cliffideal, name)
+        assert vars(sys.modules[value.__module__])[name] is value, name
+        if name in lazy:
+            assert value.__module__ == f"cliffideal.{lazy[name]}" and name in vars(cliffideal), name
+    namespace = {}
+    exec("from cliffideal import *", namespace)
+    assert {name: namespace[name] for name in cliffideal.__all__} == \
+        {name: getattr(cliffideal, name) for name in cliffideal.__all__}
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        cliffideal.no_such_name
