@@ -111,6 +111,16 @@ def _commands() -> list[list[str]]:
             ["classify", "-h"], ["eval", "-h"], ["structure", "-h"], ["lift", "-h"],
             ["classify", "0"], ["classify", "zero", "6"], ["classify", "0", "6", "7"],
             ["eval", "--sig", "0,6", "e1"], ["idempotent", "--sig", "0,6", "--gens", "+e135"]]
+    # the handlers' own refusals: a bad signature, --op or generator list
+    out += [["classify", "0", "13"], ["classify", "7", "6"]]
+    out += [["eval", "--sig", sig, "--op", "product", "e1"] for sig in ("0,13", "a,b", "0,6,1")]
+    out += [["eval", "--sig", "0,6", "--op", op, "e1"]
+            for op in ("frobnicate", "grade=x", "grade=99", "star=bogus")]
+    out += [["eval", "--sig", "0,6", "--op", "reverse", "e1", "e2"]]
+    out += [["idempotent", "--sig", "0,6", "--gens", gens, "--check"]
+            for gens in ("+e135,,-e146", "+e7", "+e12,+e34,+e56")]
+    out += [["idempotent", "--sig", "0,6", "--gens", "+e12", "--ideal"],
+            ["idempotent", "--sig", "13,0", "--gens", "+e1", "--check"]]
     return out
 
 
