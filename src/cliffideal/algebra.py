@@ -273,9 +273,11 @@ class _BladeMap:
     """Immutable sparse element: integer numerators _terms {blade mask: nonzero int} over _den.
 
     The part Multivector and ExteriorForm share, over a Signature or a
-    dimension n (_dim reads n off the space).  The form is canonical, _den > 0
-    and gcd(_den, *numerators) == 1 (zero is _den == 1, no terms), so == and
-    hash are value equality, and the readers build reduced Fractions.
+    dimension n (_dim reads n off the space): zero, blade, +, -, scaling by
+    an int or Fraction on either side, grade, == and hash.  The form is
+    canonical, _den > 0 and gcd(_den, *numerators) == 1 (zero is _den == 1,
+    no terms), so == and hash are value equality, and the readers build
+    reduced Fractions.
     """
 
     __slots__ = ("_space", "_den", "_terms")
@@ -295,6 +297,14 @@ class _BladeMap:
         _set_space(self, space)
         _set_den(self, den)
         _set_terms(self, {m: c.numerator * (den // c.denominator) for m, c in coefs.items()})
+
+    @classmethod
+    def zero(cls, space):
+        return cls(space, {})
+
+    @classmethod
+    def blade(cls, space, indices: Iterable[int], coef: Rational = 1):
+        return cls(space, {blade_mask(indices, cls._dim(space)): Fraction(coef)})
 
     @classmethod
     def _from_canonical(cls, space, den: int, terms: dict[int, int]):
@@ -375,6 +385,16 @@ class _BladeMap:
         return self._reduced(self._space, self._den * c.denominator,
                              {m: v * c.numerator for m, v in self._terms.items()} if c else {})
 
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def grade(self, k: int):
+        return grade_project(self, k)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, type(self)):
             return NotImplemented
@@ -414,16 +434,8 @@ class Multivector(_BladeMap):
     _describe = _repr_space = staticmethod(str)
 
     @classmethod
-    def zero(cls, sig: Signature) -> "Multivector":
-        return cls(sig, {})
-
-    @classmethod
     def scalar(cls, sig: Signature, value: Rational) -> "Multivector":
         return cls(sig, {0: Fraction(value)})
-
-    @classmethod
-    def blade(cls, sig: Signature, indices: Iterable[int], coef: Rational = 1) -> "Multivector":
-        return cls(sig, {blade_mask(indices, sig.n): Fraction(coef)})
 
     @classmethod
     def generator(cls, sig: Signature, i: int) -> "Multivector":
@@ -434,19 +446,9 @@ class Multivector(_BladeMap):
         return Fraction(self._terms.get(0, 0), self._den)
 
     def __mul__(self, other) -> "Multivector":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if not isinstance(other, Multivector):
-            return NotImplemented
-        return geometric_product(self, other)
-
-    def __rmul__(self, other) -> "Multivector":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def grade(self, k: int) -> "Multivector":
-        return grade_project(self, k)
+        if isinstance(other, Multivector):
+            return geometric_product(self, other)
+        return super().__mul__(other)
 
     def reverse(self) -> "Multivector":
         return reverse(self)
@@ -477,11 +479,12 @@ def geometric_product(x: Multivector, y: Multivector) -> Multivector:
     return Multivector._reduced(sig, x._den * y._den, {m: c for m, c in acc.items() if c})
 
 
-def grade_project(x: Multivector, k: int) -> Multivector:
-    if not 0 <= k <= x.sig.n:
-        raise ValueError(f"grade {k} out of range 0..{x.sig.n}")
-    return Multivector._reduced(x.sig, x._den, {m: c for m, c in x._terms.items()
-                                                if m.bit_count() == k})
+def grade_project(x: _BladeMap, k: int) -> _BladeMap:
+    """The grade-k part of a Multivector or an ExteriorForm."""
+    n = x._dim(x._space)
+    if not 0 <= k <= n:
+        raise ValueError(f"grade {k} out of range 0..{n}")
+    return x._reduced(x._space, x._den, {m: c for m, c in x._terms.items() if m.bit_count() == k})
 
 
 def volume_element(sig: Signature) -> Multivector:

@@ -4,6 +4,9 @@ Thin shell over the library: parse flags, call one library function,
 print canonical text (or JSON with --json).  Exit codes are a stable
 contract: 0 success, 1 semantic or validation failure, 2 parse or
 usage error, 141 the reader of stdout went away (128 + SIGPIPE).
+A handler returns 0, or 1 for a verdict it prints, and raises for a
+refusal; main alone maps an exception to its exit code: _UsageError,
+ParseError and SchemaError to 2, any other ValueError to 1.
 """
 
 from __future__ import annotations
@@ -42,32 +45,21 @@ EXIT_PARSE = 2
 EXIT_PIPE = 141  # 128 + SIGPIPE, what a shell reports for `yes | head`
 
 
-class _CliError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
+class _UsageError(Exception):
+    """A flag or argument value the command cannot read: exit 2, as argparse's own errors."""
 
 
-def _semantic(message: str) -> _CliError:
-    return _CliError(message, EXIT_SEMANTIC)
-
-
-def _usage(message: str) -> _CliError:
-    return _CliError(message, EXIT_PARSE)
+# int()'s base-10 text: signed digits, single underscores between, in the spaces int() strips
+_is_int = re.compile(r"[^\S\x1c-\x1f]*[+-]?\d+(?:_\d+)*[^\S\x1c-\x1f]*").fullmatch
 
 
 def _parse_sig(text: str) -> Signature:
     parts = text.split(",")
     if len(parts) != 2:
-        raise _usage(f"--sig expects 'p,q', got {text!r}")
-    try:
-        p, q = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise _usage(f"--sig expects integers, got {text!r}") from None
-    try:
-        return Signature(p, q)
-    except ValueError as exc:
-        raise _semantic(str(exc)) from None
+        raise _UsageError(f"--sig expects 'p,q', got {text!r}")
+    if not all(map(_is_int, parts)):
+        raise _UsageError(f"--sig expects integers, got {text!r}")
+    return Signature(int(parts[0]), int(parts[1]))
 
 
 def _read_exprs(raw: list[str]) -> list[str]:
@@ -96,11 +88,11 @@ def _cmd_eval(args) -> int:
 
     def need(count: int) -> None:
         if len(exprs) != count:
-            raise _usage(f"--op {op} expects exactly {count} expression(s), got {len(exprs)}")
+            raise _UsageError(f"--op {op} expects exactly {count} expression(s), got {len(exprs)}")
 
     if op in ("product", "wedge"):
         if not exprs:
-            raise _usage(f"--op {op} expects at least one expression")
+            raise _UsageError(f"--op {op} expects at least one expression")
         kind = "clifford" if op == "product" else "form"
         result = parse(exprs[0], sig, kind=kind)
         for text in exprs[1:]:
@@ -115,16 +107,15 @@ def _cmd_eval(args) -> int:
             result = clifford_hodge(parse(exprs[0], sig), conv)
     elif op.startswith("grade="):
         need(1)
-        try:
-            k = int(op[len("grade="):])
-        except ValueError:
-            raise _usage(f"--op grade expects an integer, got {op!r}") from None
-        result = parse(exprs[0], sig).grade(k)
+        k = op[len("grade="):]
+        if not _is_int(k):
+            raise _UsageError(f"--op grade expects an integer, got {op!r}")
+        result = parse(exprs[0], sig).grade(int(k))
     elif op == "reverse":
         need(1)
         result = parse(exprs[0], sig).reverse()
     else:
-        raise _usage(f"unknown --op {op!r}")
+        raise _UsageError(f"unknown --op {op!r}")
 
     print(to_json(result) if args.json else print_canonical(result))
     return EXIT_OK
@@ -137,22 +128,19 @@ def _parse_generators(text: str, n: int) -> tuple[tuple[int, tuple[int, ...]], .
     for chunk in re.split(r",(?![^{]*\})", text):  # a comma inside e{...} separates indices
         token = chunk.strip()
         if not token:
-            raise _usage("empty generator in --gens")
+            raise _UsageError("empty generator in --gens")
         try:
             mask = parse_blade(token[1:] if token[0] in "+-" else token, n)
         except ParseError as exc:
-            raise _usage(f"generator {token!r} is not a signed blade like '+e135' or "
-                         f"'+e{{1,10}}': {exc}") from None
+            raise _UsageError(f"generator {token!r} is not a signed blade like '+e135' or "
+                              f"'+e{{1,10}}': {exc}") from None
         gens.append((-1 if token[0] == "-" else 1, mask_indices(mask)))
     return tuple(gens)
 
 
 def _cmd_idempotent(args) -> int:
     sig = _parse_sig(args.sig)
-    try:
-        spec = IdempotentSpec(sig, _parse_generators(args.gens, sig.n))
-    except ValueError as exc:
-        raise _semantic(str(exc)) from None
+    spec = IdempotentSpec(sig, _parse_generators(args.gens, sig.n))
     report = validate_generators(spec)
 
     if args.mode == "check":
@@ -193,15 +181,15 @@ def _read_file(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
-        raise _semantic(f"cannot read {path}: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from None
 
 
 def _load_structure(kind: str, path: str):
     from .structures import _KINDS, structure_from_json
     s = structure_from_json(_read_file(path))
     if not isinstance(s, _KINDS[kind][0]):
-        raise _semantic(f"{path} holds a {type(s).__name__}, not a {kind} structure")
+        raise ValueError(f"{path} holds a {type(s).__name__}, not a {kind} structure")
     return s
 
 
@@ -247,10 +235,10 @@ def _cmd_structure(args) -> int:
     _, model, _, fields = _KINDS[kind]
     if args.mode == "recover":
         if args.input is None:
-            raise _usage("--recover needs --input with a JSON multivector")
+            raise _UsageError("--recover needs --input with a JSON multivector")
         x = from_json(_read_file(args.input))
         if not isinstance(x, Multivector):
-            raise _semantic("--recover expects a Clifford value, not a form")
+            raise ValueError("--recover expects a Clifford value, not a form")
         s = _RECOVER_OF[kind](x)
         print(structure_to_json(s) if args.json else
               "\n".join(f"{label}: {print_canonical(getattr(s, field))}" for field, label in fields))
@@ -267,11 +255,7 @@ def _cmd_structure(args) -> int:
 # -- classify ------------------------------------------------------------
 
 def _cmd_classify(args) -> int:
-    try:
-        sig = Signature(args.p, args.q)
-    except ValueError as exc:
-        raise _semantic(str(exc)) from None
-    cls = classify(sig)
+    cls = classify(Signature(args.p, args.q))
     print(f"{cls}, minimal ideal dim {cls.minimal_ideal_dim}")
     return EXIT_OK
 
@@ -284,7 +268,7 @@ def _cmd_verify_paper(args) -> int:
         try:
             result = run_claim(args.claim)
         except KeyError as exc:
-            raise _usage(str(exc.args[0])) from None
+            raise _UsageError(str(exc.args[0])) from None
         claim = _claim_by_id(result.id)
         print(Report(results=(result,)).to_json() if args.format == "json" else "\n".join(
             [f"{result.id} {result.status} [{claim.category}] {claim.statement}", *_detail_lines(result)]))
@@ -419,10 +403,7 @@ def main(argv: list[str] | None = None) -> int:
         # Nobody reads the rest; stdout goes to devnull so the flush at exit cannot fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PIPE
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (ParseError, SchemaError) as exc:
+    except (_UsageError, ParseError, SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ValueError as exc:  # StructureError, GeneratorError and the other refusals

@@ -76,14 +76,6 @@ class ExteriorForm(_BladeMap):
     _repr_space = staticmethod(lambda n: f"n={n}")
 
     @classmethod
-    def zero(cls, n: int) -> "ExteriorForm":
-        return cls(n, {})
-
-    @classmethod
-    def blade(cls, n: int, indices: Iterable[int], coef: Rational = 1) -> "ExteriorForm":
-        return cls(n, {blade_mask(indices, n): Fraction(coef)})
-
-    @classmethod
     def from_terms(cls, n: int, pairs: Iterable[tuple[Rational, Iterable[int]]]) -> "ExteriorForm":
         out: dict[int, Fraction] = {}
         for coef, indices in pairs:
@@ -91,24 +83,11 @@ class ExteriorForm(_BladeMap):
             out[mask] = out.get(mask, Fraction(0)) + Fraction(coef)
         return cls(n, out)
 
-    def __mul__(self, other) -> "ExteriorForm":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
     def __xor__(self, other: "ExteriorForm") -> "ExteriorForm":
         """a ^ b spells the wedge product."""
         if not isinstance(other, ExteriorForm):
             return NotImplemented
         return wedge(self, other)
-
-    def grade(self, k: int) -> "ExteriorForm":
-        if not 0 <= k <= self.n:
-            raise ValueError(f"grade {k} out of range 0..{self.n}")
-        return ExteriorForm._reduced(self.n, self._den, {m: c for m, c in self._terms.items()
-                                                         if m.bit_count() == k})
 
     def embed(self, n: int) -> "ExteriorForm":
         """Reinterpret in a larger ambient dimension (same index meaning)."""

@@ -97,9 +97,9 @@ MUTANTS: list[tuple[str, str, str, list[str]]] = [
     ("algebra.py",  # negation flips the denominator, which is left negative
      "return self._from_canonical(self._space, self._den, {m: -c for m, c in self._terms.items()})",
      "return self._from_canonical(self._space, -self._den, self._terms)", CANONICAL),
-    ("algebra.py",  # grade without renormalising
-     "    return Multivector._reduced(x.sig, x._den, {m: c for m, c in x._terms.items()",
-     "    return Multivector._from_canonical(x.sig, x._den, {m: c for m, c in x._terms.items()",
+    ("algebra.py",  # grade, of either element type, without renormalising
+     "    return x._reduced(x._space, x._den, {m: c for m, c in x._terms.items()",
+     "    return x._from_canonical(x._space, x._den, {m: c for m, c in x._terms.items()",
      CANONICAL),
     ("exterior.py",  # interior_product without renormalising
      "    return ExteriorForm._reduced(a.n, a._den, out)",
@@ -203,6 +203,18 @@ MUTANTS: list[tuple[str, str, str, list[str]]] = [
     ("cli.py",  # a one-command parser prints its own usage for a top-level error
      "        parser.error = lambda message: _build_parser().error(message)\n", "        pass\n",
      ["tests/test_cli_transcript.py::test_cli_transcript"]),
+    # one element API for both element types, and one place that maps refusals to exit codes
+    ("algebra.py",  # int * element no longer scales
+     "    __rmul__ = __mul__\n", "",
+     ["tests/test_algebra.py::test_shared_element_api"]),
+    ("cli.py",  # a usage error exits 1, as a refusal does
+     "    except (_UsageError, ParseError, SchemaError) as exc:\n"
+     "        print(f\"error: {exc}\", file=sys.stderr)\n        return EXIT_PARSE\n"
+     "    except ValueError as exc:",
+     "    except (ParseError, SchemaError) as exc:\n"
+     "        print(f\"error: {exc}\", file=sys.stderr)\n        return EXIT_PARSE\n"
+     "    except (ValueError, _UsageError) as exc:",
+     ["tests/test_cli.py::test_eval_unknown_op_exit_2"]),
 ]
 
 

@@ -265,6 +265,33 @@ def test_scalar_arithmetic(sig6):
     assert x.coefficient((1, 3)) == 0
 
 
+@pytest.mark.parametrize("cls, space", [(Multivector, Signature(0, 6)), (ExteriorForm, 6)],
+                         ids=["Multivector", "ExteriorForm"])
+def test_shared_element_api(cls, space):
+    """zero, blade, scaling on either side and grade: one body for both element types."""
+    assert cls.zero(space) == cls(space, {}) and cls.zero(space).is_zero()
+    x = cls.blade(space, (1, 2), Fraction(3, 2)) + cls.blade(space, (1, 3, 5))
+    assert type(x) is cls
+    assert x.term_map() == {0b11: Fraction(3, 2), 0b10101: 1}
+    for k in (2, Fraction(-2, 3), True):
+        assert k * x == x * k == x.scale(k)
+        assert type(k * x) is type(x * k) is cls
+    assert x.grade(2) == cls.blade(space, (1, 2), Fraction(3, 2))
+    assert x.grade(3) == cls.blade(space, (1, 3, 5))
+    assert x.grade(0) == cls.zero(space)
+    assert x.grade(6) == cls.zero(space)
+    for k in (-1, 7):
+        with pytest.raises(ValueError, match=rf"^grade {k} out of range 0\.\.6$"):
+            x.grade(k)
+    other = (ExteriorForm.blade(6, (1,)) if cls is Multivector
+             else Multivector.blade(Signature(0, 6), (1,)))
+    for bad in (1.5, "2", None, other):  # the other element type among them
+        with pytest.raises(TypeError):
+            x * bad
+        with pytest.raises(TypeError):
+            bad * x
+
+
 def test_multivector_hash_consistent(sig6):
     a = Multivector(sig6, {0b11: Fraction(1, 2)})
     b = Multivector(sig6, {0b11: Fraction(2, 4)})

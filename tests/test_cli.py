@@ -7,6 +7,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cliffideal import (G2Structure, SchemaError, Signature, Spin7Structure, SU3Structure, from_json,
                         model_g2, model_spin7, model_su3, parse, print_canonical, structure_from_json,
@@ -104,6 +106,17 @@ def test_eval_bad_signature(capsys):
     assert code == 2
     code, _, err = run(capsys, "eval", "--sig", "0,0", "1", "--op", "product")
     assert code == 1
+
+
+@given(st.text(alphabet="0123456789_+- \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f\x85\xa0\u3000e.,"
+                        "\u0663\U0001d7d9", max_size=8))
+def test_integer_syntax_is_what_int_reads(text):
+    try:
+        int(text)
+        reads = True
+    except ValueError:
+        reads = False
+    assert bool(cli._is_int(text)) == reads
 
 
 def test_eval_star_arity_enforced(capsys):
@@ -264,6 +277,16 @@ def test_structure_malformed_json_exit_2(capsys, tmp_path):
     path.write_text("{not json", encoding="utf-8")
     code, _, err = run(capsys, "structure", "su3", "--input", str(path), "--to-idempotent")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [["structure", "su3", "--to-idempotent", "--input"],
+                                  ["lift", "--from"]], ids=["structure", "lift"])
+def test_undecodable_file_is_named(capsys, tmp_path, argv):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"structure": "su3", "omega": "é"}'.encode("latin-1"))
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xe9")
 
 
 # the text labels are written out here, not read from the structure-kind table
