@@ -107,10 +107,9 @@ def _cmd_eval(args) -> int:
             result = clifford_hodge(parse(exprs[0], sig), conv)
     elif op.startswith("grade="):
         need(1)
-        k = op[len("grade="):]
-        if not _is_int(k):
+        if not _is_int(op[len("grade="):]):
             raise _UsageError(f"--op grade expects an integer, got {op!r}")
-        result = parse(exprs[0], sig).grade(int(k))
+        result = parse(exprs[0], sig).grade(int(op[len("grade="):]))
     elif op == "reverse":
         need(1)
         result = parse(exprs[0], sig).reverse()

@@ -176,7 +176,7 @@ MUTANTS: list[tuple[str, str, str, list[str]]] = [
      ["tests/test_structures.py::test_every_decomposition_piece_rebuilds_or_names_its_half"]),
     ("cli.py",  # g2 --validate exits by the orbit tag again, not by the idempotent
      "    g2_idempotent(s)\n",
-     "    if report.tag != \"definite\":\n        raise StructureError(report.tag)\n",
+     "    if report.tag != \"definite\":\n        raise ValueError(report.tag)\n",
      ["tests/test_cli.py::test_validate_exits_as_to_idempotent_does"]),
     # every structure map returns a primitive idempotent or raises
     ("structures.py",  # su3 accepts any idempotent again, primitive or not

@@ -7,8 +7,9 @@ not: every structure kind and mode from --model and --input, in text and
 --json; recovery of each model idempotent; lift in both formats; each single
 claim; stderr; and the error paths (wrong kind, missing or malformed input,
 unnormalized, degenerate and non-self-dual tensors, su3 tensors that build an
-idempotent of a larger ideal, unknown claims, usage errors), and argparse's
-usage and help at the top level and per command.  To rewrite it
+idempotent of a larger ideal, unknown claims, usage errors, and the
+handlers' own refusals of a signature, --op value or generator list), and
+argparse's usage and help at the top level and per command.  To rewrite it
 from the current code, after a deliberate change of output:
 
     PYTHONPATH=src python3 tests/test_cli_transcript.py --capture
