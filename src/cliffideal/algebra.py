@@ -9,7 +9,8 @@ to a few bit operations per blade pair.  Coefficients are
 fractions.Fraction at the API only: an element stores one positive
 denominator and an integer numerator per blade (see _BladeMap), so every
 operation runs on ints and a Fraction is built only when a caller reads a
-coefficient.  No floats enter at any point.
+coefficient; fractions itself is imported then, on first use, so a command
+that never reads one does not load it.  No floats enter at any point.
 
 The package's immutable records (Signature here, the specs and reports
 elsewhere) derive from _Record, one slotted base whose methods read the
@@ -19,7 +20,6 @@ importing the package, and so every command-line run, cheap.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache, cached_property, total_ordering
 from itertools import chain, combinations
 from math import gcd, lcm
@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, Mapping, Union
 
 MAX_DIM = 12
 
-Rational = Union[int, Fraction]
+Rational = Union[int, "Fraction"]
 
 
 class _Record:
@@ -204,11 +204,10 @@ class BladeTable:
 
     @cached_property
     def text(self) -> tuple[str, ...]:
-        """'1', 'e135', or 'e{1,10}' once some index exceeds 9."""
-        text = [""] * (1 << self.n)
-        for m, ind in zip(self.order, _by_grade(self.n)):
-            text[m] = ("e" + "".join(map(str, ind)) if ind[-1] < 10
-                       else "e{" + ",".join(map(str, ind)) + "}") if ind else "1"
+        """'1', 'e135', or 'e{1,10}' once some index exceeds 9, by mask."""
+        text = ["1", *["e" + t for t in _index_table(1, min(self.n, 9), str)[1:]]]
+        if self.n > 9:  # masks from 1 << 9 on hold an index above 9
+            text += ["e{" + t[1:] + "}" for t in _index_table(1, self.n, ",{}".format)[512:]]
         return tuple(text)
 
     @cached_property
@@ -222,7 +221,7 @@ class BladeTable:
         'e' + key is text[mask] when mask < 2^n, and names a blade beyond n otherwise."""
         if self.n != 9:
             return blade_table(9).digits
-        return {t[1:]: m for m, t in enumerate(self.text) if m}
+        return dict(zip(_index_table(1, 9, str)[1:], range(1, 512)))
 
 
 blade_table = cache(BladeTable)
@@ -283,6 +282,7 @@ class _BladeMap:
     __slots__ = ("_space", "_den", "_terms")
 
     def __init__(self, space, terms: Mapping[int, Rational] | None = None):
+        from fractions import Fraction
         coefs: dict[int, Fraction] = {}
         limit = 1 << self._dim(space)
         for mask, coef in (terms or {}).items():
@@ -304,7 +304,7 @@ class _BladeMap:
 
     @classmethod
     def blade(cls, space, indices: Iterable[int], coef: Rational = 1):
-        return cls(space, {blade_mask(indices, cls._dim(space)): Fraction(coef)})
+        return cls(space, {blade_mask(indices, cls._dim(space)): coef})
 
     @classmethod
     def _from_canonical(cls, space, den: int, terms: dict[int, int]):
@@ -335,14 +335,15 @@ class _BladeMap:
 
     def terms(self) -> Iterator[tuple[int, Fraction]]:
         """Iterate (mask, coefficient) in canonical order (grade, then lexicographic)."""
-        t, den = self._terms, self._den
         rank = blade_table(self._dim(self._space)).rank
-        return iter([(m, Fraction(t[m], den)) for m in sorted(t, key=rank.__getitem__)])
+        return iter(sorted(self.term_map().items(), key=lambda term: rank[term[0]]))
 
     def coefficient(self, indices: Iterable[int]) -> Fraction:
+        from fractions import Fraction
         return Fraction(self._terms.get(blade_mask(indices, self._dim(self._space)), 0), self._den)
 
     def term_map(self) -> dict[int, Fraction]:
+        from fractions import Fraction
         den = self._den
         return {m: Fraction(c, den) for m, c in self._terms.items()}
 
@@ -381,11 +382,13 @@ class _BladeMap:
         return self._from_canonical(self._space, self._den, {m: -c for m, c in self._terms.items()})
 
     def scale(self, value: Rational):
+        from fractions import Fraction
         c = Fraction(value)
         return self._reduced(self._space, self._den * c.denominator,
                              {m: v * c.numerator for m, v in self._terms.items()} if c else {})
 
     def __mul__(self, other):
+        from fractions import Fraction
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -435,7 +438,7 @@ class Multivector(_BladeMap):
 
     @classmethod
     def scalar(cls, sig: Signature, value: Rational) -> "Multivector":
-        return cls(sig, {0: Fraction(value)})
+        return cls(sig, {0: value})
 
     @classmethod
     def generator(cls, sig: Signature, i: int) -> "Multivector":
@@ -443,7 +446,7 @@ class Multivector(_BladeMap):
 
     @property
     def scalar_part(self) -> Fraction:
-        return Fraction(self._terms.get(0, 0), self._den)
+        return self.coefficient(())
 
     def __mul__(self, other) -> "Multivector":
         if isinstance(other, Multivector):

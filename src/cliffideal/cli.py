@@ -7,14 +7,17 @@ usage error, 141 the reader of stdout went away (128 + SIGPIPE).
 A handler returns 0, or 1 for a verdict it prints, and raises for a
 refusal; main alone maps an exception to its exit code: _UsageError,
 ParseError and SchemaError to 2, any other ValueError to 1.
+_COMMANDS lists each command's arguments once.  A plain argv is read from it
+directly; argparse, built from it, runs only for help and refusals, so every
+usage, help and error text is argparse's.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import re
 import sys
+from types import SimpleNamespace
 
 from .algebra import Multivector, Signature, blade_table, mask_indices
 from .exterior import HodgeConvention, clifford_hodge, hodge_star, wedge
@@ -168,9 +171,9 @@ def _cmd_idempotent(args) -> int:
     for i, piece in enumerate(pieces, start=1):
         print(f"piece {i}: {print_canonical(piece)}")
     orthogonal = all(is_orthogonal(a, b) for i, a in enumerate(pieces) for b in pieces[i + 1:])
-    total = sum(pieces, Multivector.zero(sig))
+    total = sum(pieces[1:], pieces[0])  # one or more pieces; zero() and scalar() load fractions
     print(f"pairwise orthogonal: {_bool(orthogonal)}")
-    print(f"sum to 1: {_bool(total == Multivector.scalar(sig, 1))}")
+    print(f"sum to 1: {_bool(total == Multivector._from_canonical(sig, 1, {0: 1}))}")
     return EXIT_OK
 
 
@@ -305,12 +308,40 @@ def _cmd_lift(args) -> int:
 
 # -- dispatch ------------------------------------------------------------
 
-_COMMANDS = ("eval", "idempotent", "structure", "classify", "verify-paper", "lift")
+# Each command's handler, help line and arguments in argparse's order: (name, add_argument's
+# keywords), or (dest, flags) for a required group of flags that stores the flag's name in dest.
+_COMMANDS = {
+    "eval": (_cmd_eval, "evaluate products, wedges, duals, grade parts", (
+        ("--sig", dict(required=True, metavar="p,q")),
+        ("exprs", dict(nargs="+", help="expressions; '-' reads stdin")),
+        ("--op", dict(required=True, help="product | wedge | star=CONVENTION | grade=k | reverse")),
+        ("--json", dict(action="store_true")))),
+    "idempotent": (_cmd_idempotent, "build and inspect factored idempotents", (
+        ("--sig", dict(required=True, metavar="p,q")),
+        ("--gens", dict(required=True, metavar="'+e135,-e146,-e236'")),
+        ("mode", ("--check", "--ideal", "--decompose")))),
+    "structure": (_cmd_structure, "structure tensors and their idempotents", (
+        ("kind", dict(choices=("su3", "g2", "spin7"))),
+        ("--model", dict(action="store_true", help="use the built-in model tensor")),
+        ("--input", dict(metavar="file.json")),
+        ("mode", ("--to-idempotent", "--recover", "--validate")),
+        ("--json", dict(action="store_true")))),
+    "classify": (_cmd_classify, "matrix-algebra type of R_{p,q}", (
+        ("p", dict(type=int)), ("q", dict(type=int)))),
+    "verify-paper": (_cmd_verify_paper, "machine-check the documented identities", (
+        ("--claim", dict(metavar="ID")),
+        ("--format", dict(choices=("text", "json"), default="text")))),
+    "lift": (_cmd_lift, "lift an su3 structure to a g2 idempotent", (
+        ("--from", dict(dest="source", required=True, metavar="su3.json")),
+        ("--json", dict(action="store_true")))),
+}
+_DASH_VALUES = ("--gens", "--from")  # flags whose value may start with '-'
 
 
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The whole parser, or for one of _COMMANDS only its subparser, whose usage and help
     are the same; the top-level usage lists every command, so the whole parser prints errors."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="cliffideal",
         description="Exact Clifford/exterior algebra, idempotents, ideals and structure tensors.",
@@ -318,82 +349,106 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     if command is not None:
         parser.error = lambda message: _build_parser().error(message)
-
-    if command in (None, "eval"):
-        p_eval = sub.add_parser("eval", help="evaluate products, wedges, duals, grade parts")
-        p_eval.add_argument("--sig", required=True, metavar="p,q")
-        p_eval.add_argument("exprs", nargs="+", help="expressions; '-' reads stdin")
-        p_eval.add_argument("--op", required=True, help="product | wedge | star=CONVENTION | grade=k | reverse")
-        p_eval.add_argument("--json", action="store_true")
-        p_eval.set_defaults(fn=_cmd_eval)
-
-    if command in (None, "idempotent"):
-        p_idem = sub.add_parser("idempotent", help="build and inspect factored idempotents")
-        p_idem.add_argument("--sig", required=True, metavar="p,q")
-        p_idem.add_argument("--gens", required=True, metavar="'+e135,-e146,-e236'")
-        group = p_idem.add_mutually_exclusive_group(required=True)
-        group.add_argument("--check", dest="mode", action="store_const", const="check")
-        group.add_argument("--ideal", dest="mode", action="store_const", const="ideal")
-        group.add_argument("--decompose", dest="mode", action="store_const", const="decompose")
-        p_idem.set_defaults(fn=_cmd_idempotent)
-
-    if command in (None, "structure"):
-        p_struct = sub.add_parser("structure", help="structure tensors and their idempotents")
-        p_struct.add_argument("kind", choices=("su3", "g2", "spin7"))
-        p_struct.add_argument("--model", action="store_true", help="use the built-in model tensor")
-        p_struct.add_argument("--input", metavar="file.json")
-        mode = p_struct.add_mutually_exclusive_group(required=True)
-        mode.add_argument("--to-idempotent", dest="mode", action="store_const", const="to-idempotent")
-        mode.add_argument("--recover", dest="mode", action="store_const", const="recover")
-        mode.add_argument("--validate", dest="mode", action="store_const", const="validate")
-        p_struct.add_argument("--json", action="store_true")
-        p_struct.set_defaults(fn=_cmd_structure)
-
-    if command in (None, "classify"):
-        p_cls = sub.add_parser("classify", help="matrix-algebra type of R_{p,q}")
-        p_cls.add_argument("p", type=int)
-        p_cls.add_argument("q", type=int)
-        p_cls.set_defaults(fn=_cmd_classify)
-
-    if command in (None, "verify-paper"):
-        p_verify = sub.add_parser("verify-paper", help="machine-check the documented identities")
-        p_verify.add_argument("--claim", metavar="ID")
-        p_verify.add_argument("--format", choices=("text", "json"), default="text")
-        p_verify.set_defaults(fn=_cmd_verify_paper)
-
-    if command in (None, "lift"):
-        p_lift = sub.add_parser("lift", help="lift an su3 structure to a g2 idempotent")
-        p_lift.add_argument("--from", dest="source", required=True, metavar="su3.json")
-        p_lift.add_argument("--json", action="store_true")
-        p_lift.set_defaults(fn=_cmd_lift)
-
+    for name in _COMMANDS if command is None else [command]:
+        fn, help_line, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_line)
+        for key, spec in arguments:
+            if isinstance(spec, tuple):
+                group = p.add_mutually_exclusive_group(required=True)
+                for flag in spec:
+                    group.add_argument(flag, dest=key, action="store_const", const=flag[2:])
+            else:
+                p.add_argument(key, **spec)
+        p.set_defaults(fn=fn)
     return parser
 
 
-def _merge_dash_values(argv: list[str]) -> list[str]:
-    """Rewrite ['--gens', '-e1234,...'] as ['--gens=-e1234,...'].
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace _build_parser's parser returns for argv, read from _COMMANDS alone; None
+    for argparse to read: help, an abbreviated or unknown flag, '--', a flag given twice or
+    two of one group, a value starting with '-' (save --gens= and --from=), positionals split
+    by a flag, a bad int or choice, or a missing required argument."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    fn, _, arguments = _COMMANDS[argv[0]]
+    values, flags, positionals, required = {"command": argv[0], "fn": fn}, {}, [], set()
+    for key, spec in arguments:
+        if isinstance(spec, tuple):
+            flags.update((flag, (key, {}, flag[2:])) for flag in spec)
+            values[key] = None
+            required.add(key)
+        elif key.startswith("-"):
+            dest = spec.get("dest", key[2:].replace("-", "_"))
+            const = True if spec.get("action") == "store_true" else None
+            flags[key] = (dest, spec, const)
+            values[dest] = False if const else spec.get("default")
+            if spec.get("required"):
+                required.add(dest)
+        else:
+            positionals.append((key, spec))
 
-    argparse would otherwise read a value starting with '-' as a flag.
-    """
+    def read(spec: dict, text: str):
+        value = spec.get("type", str)(text)
+        if value not in spec.get("choices", (value,)):
+            raise ValueError(text)
+        return value
+
+    seen, loose, where, i = set(), [], [], 1
+    try:
+        while i < len(argv):
+            token, i = argv[i], i + 1
+            if token == "-" or not token.startswith("-"):
+                loose.append(token)
+                where.append(i)
+                continue
+            flag, eq, value = token.partition("=")
+            if flag not in flags or flags[flag][0] in seen:
+                return None
+            dest, spec, const = flags[flag]
+            seen.add(dest)
+            if const is not None:
+                if eq:
+                    return None
+                values[dest] = const
+                continue
+            if not eq:
+                if i == len(argv) or argv[i].startswith("-") and argv[i] != "-":
+                    return None
+                value, i = argv[i], i + 1
+            elif not value or value.startswith("-") and flag not in _DASH_VALUES:
+                return None
+            values[dest] = read(spec, value)
+        if not required <= seen or where and where[-1] - where[0] != len(where) - 1:
+            return None
+        for key, spec in positionals:
+            if not loose:
+                return None
+            take = len(loose) if spec.get("nargs") == "+" else 1
+            got, loose = [read(spec, text) for text in loose[:take]], loose[take:]
+            values[key] = got if spec.get("nargs") else got[0]
+    except ValueError:
+        return None
+    return None if loose else SimpleNamespace(**values)
+
+
+def _merge_dash_values(argv: list[str]) -> list[str]:
+    """['--gens', '-e1234,...'] as ['--gens=-e1234,...'], which argparse reads as a value."""
     out = []
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
-        if arg in ("--gens", "--from") and i + 1 < len(argv):
-            out.append(f"{arg}={argv[i + 1]}")
-            i += 2
+    for arg in argv:
+        if out and out[-1] in _DASH_VALUES:
+            out[-1] += "=" + arg
         else:
             out.append(arg)
-            i += 1
     return out
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = _merge_dash_values(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
-    args = parser.parse_args(argv)
+    args = _read_argv(argv)
+    if args is None:
+        args = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     if args.fn is _cmd_structure and args.model == (args.input is not None):
-        parser.error("structure needs exactly one of --model or --input")
+        _build_parser().error("structure needs exactly one of --model or --input")
     try:
         code = args.fn(args)
         sys.stdout.flush()  # a closed pipe fails here, not in the flush at exit

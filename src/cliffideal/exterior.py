@@ -24,7 +24,6 @@ coincide for odd n; the CLIFF variants relate to EXT_DUAL_FIRST by
 from __future__ import annotations
 
 import enum
-from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .algebra import (
@@ -77,6 +76,7 @@ class ExteriorForm(_BladeMap):
 
     @classmethod
     def from_terms(cls, n: int, pairs: Iterable[tuple[Rational, Iterable[int]]]) -> "ExteriorForm":
+        from fractions import Fraction
         out: dict[int, Fraction] = {}
         for coef, indices in pairs:
             mask = blade_mask(indices, n)

@@ -203,6 +203,19 @@ MUTANTS: list[tuple[str, str, str, list[str]]] = [
     ("cli.py",  # a one-command parser prints its own usage for a top-level error
      "        parser.error = lambda message: _build_parser().error(message)\n", "        pass\n",
      ["tests/test_cli_transcript.py::test_cli_transcript"]),
+    # a plain argv is read from the command table, and argparse reads every other one
+    ("cli.py",  # the table reader resolves a flag prefix, as argparse's abbreviations do
+     "            if flag not in flags or flags[flag][0] in seen:\n",
+     "            flag = next((f for f in flags if f.startswith(flag)), flag)\n"
+     "            if flag not in flags or flags[flag][0] in seen:\n",
+     ["tests/test_cli.py::test_table_reader_leaves_to_argparse"]),
+    ("cli.py",  # no choices check: verify-paper --format xml exits 0
+     '        if value not in spec.get("choices", (value,)):\n', "        if False:\n",
+     ["tests/test_cli.py::test_verify_paper_unknown_format_exit_2"]),
+    ("cli.py",  # a flag without a value may follow another of its group: --ideal --check
+     "            if flag not in flags or flags[flag][0] in seen:\n",
+     "            if flag not in flags or flags[flag][0] in seen and flags[flag][2] is None:\n",
+     ["tests/test_cli.py::test_table_reader_leaves_to_argparse"]),
     # one element API for both element types, and one place that maps refusals to exit codes
     ("algebra.py",  # int * element no longer scales
      "    __rmul__ = __mul__\n", "",

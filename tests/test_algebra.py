@@ -2,7 +2,7 @@ import copy
 import pickle
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import gcd
 
 import pytest
@@ -456,6 +456,25 @@ def test_blade_table_columns_follow_by_grade_definition():
         assert list(table.order) == want
         assert [table.rank[m] for m in want] == list(range(1 << n))
         assert len(table.rank) == 1 << n
+
+
+def test_blade_table_text_and_digits_match_combinations():
+    """The doubling builds of both text tables against a blade-by-blade construction."""
+    def mask(ind):
+        return sum(1 << (i - 1) for i in ind)
+
+    digits = {"".join(map(str, ind)): mask(ind)
+              for k in range(1, 10) for ind in combinations(range(1, 10), k)}
+    for n in range(1, MAX_DIM + 1):
+        text = {0: "1"}
+        for k in range(1, n + 1):
+            for ind in combinations(range(1, n + 1), k):
+                text[mask(ind)] = ("e" + "".join(map(str, ind)) if ind[-1] < 10
+                                   else "e{" + ",".join(map(str, ind)) + "}")
+        table = BladeTable(n)  # a fresh build, not the cached table
+        assert table.text == tuple(text[m] for m in range(1 << n))
+        assert table.digits == digits
+    assert BladeTable(9).digits == digits
 
 
 def test_mask_indices_lists_the_set_bits():

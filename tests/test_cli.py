@@ -7,7 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cliffideal import (G2Structure, SchemaError, Signature, Spin7Structure, SU3Structure, from_json,
@@ -581,6 +581,114 @@ def test_golden_transcript(capsys, monkeypatch, entry):
     code, out, _ = run(capsys, *entry["argv"])
     assert code == entry["exit"]
     assert out.encode("utf-8") == entry["stdout"].encode("utf-8")
+
+
+# -- the table reader, against the argparse parser built from the same table --------
+
+def _argparse_vars(argv: list[str]) -> dict:
+    """vars() of the namespace main's argparse parser returns for an argv already merged."""
+    return vars(cli._build_parser(argv[0] if argv and argv[0] in cli._COMMANDS else None)
+                .parse_args(argv))
+
+
+def _transcript_argvs() -> list[tuple[list[str], bool]]:
+    """Every recorded argv, and whether argparse printed its usage or help for it."""
+    entries = [*json.loads(TRANSCRIPT.read_text(encoding="utf-8")),
+               *json.loads((CLI_DATA / "transcript.json").read_text(encoding="utf-8"))]
+    return [(e["argv"], (e["stdout"] + e.get("stderr", "")).startswith("usage:")) for e in entries]
+
+
+def test_table_reader_reads_every_recorded_command_as_argparse_does():
+    for argv, by_argparse in _transcript_argvs():
+        argv = cli._merge_dash_values(argv)
+        ours = cli._read_argv(argv)
+        if ours is not None:
+            assert vars(ours) == _argparse_vars(argv), argv
+        else:
+            assert by_argparse, argv
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["bogus"], ["classify", "-h"], ["eval", "--help"],
+    ["eval", "--si", "0,6", "--op", "product", "e1"],  # an abbreviation
+    ["structure", "su3", "--mod", "--validate"],
+    ["classify", "--", "0", "6"], ["eval", "--sig", "0,6", "--op", "product", "--", "e1"],
+    ["eval", "--sig", "0,6", "--sig", "0,7", "--op", "product", "e1"],  # a flag given twice
+    ["structure", "su3", "--model", "--model", "--validate"],
+    ["idempotent", "--sig", "0,6", "--gens", "+e135", "--ideal", "--check"],  # two of a group
+    ["structure", "su3", "--model", "--validate", "--recover"],
+    ["eval", "--sig", "-1,6", "--op", "product", "e1"],  # a value starting with '-'
+    ["eval", "--sig=-1,6", "--op", "product", "e1"],
+    ["eval", "--sig", "0,6", "--op", "product", "-e1"], ["classify", "-1", "6"],
+    ["eval", "e1", "--sig", "0,6", "e2", "--op", "product"],  # positionals split by a flag
+    ["classify", "zero", "6"], ["structure", "su4", "--model", "--validate"],
+    ["verify-paper", "--format", "xml"], ["verify-paper", "--format=yaml"],
+    ["eval", "--sig", "0,6", "e1"], ["idempotent", "--sig", "0,6", "--gens", "+e135"],
+    ["lift"], ["classify", "0"], ["classify", "0", "6", "7"],
+    ["structure", "su3", "--model", "--validate", "--json=1"],
+    ["eval", "--sig=", "--op", "wedge", "e1"],
+])
+def test_table_reader_leaves_to_argparse(argv):
+    assert cli._read_argv(cli._merge_dash_values(argv)) is None
+
+
+# the table's own flags, then abbreviated, unknown and '=' forms, help, '-', '--', and values
+_TOKENS = st.one_of(st.sampled_from(sorted(
+    {flag for _, _, arguments in cli._COMMANDS.values() for key, spec in arguments
+     for flag in (spec if isinstance(spec, tuple) else [key]) if flag.startswith("-")})),
+    st.sampled_from([
+        "--si", "--js", "--mod", "--to", "--fo", "--h", "--nope", "-x", "-h", "--help", "-", "--",
+        "--sig=0,6", "--op=product", "--json=1", "--format=json", "--format=xml", "--gens=-e135",
+        "--from=-a.json", "--sig=", "--sig=-1,6", "--claim=C1",
+        "0,6", "0", "6", "-1", "-7", "07", " 6", "1_0", "zero", "", "su3", "g2", "spin7", "su4",
+        "text", "json", "xml", "C1", "e1", "+e135,-e146", "-e1234", "product", "star=cliff-left",
+        "su3.json", "a=b", "eval", "classify"]),
+    st.text(alphabet="-=eh1 ", max_size=4))
+
+
+_PLAIN = [argv for argv, by_argparse in _transcript_argvs() if not by_argparse]
+_VALUE_FLAGS = {key for _, _, arguments in cli._COMMANDS.values() for key, spec in arguments
+                if key.startswith("-") and "action" not in spec}
+
+
+def _units(argv: list[str]) -> list[list[str]]:
+    """argv[1:] as its flags with their values, and its positionals, one list each."""
+    units = []
+    for token in argv[1:]:
+        if units and units[-1][0] in _VALUE_FLAGS and len(units[-1]) == 1:
+            units[-1].append(token)
+        else:
+            units.append([token])
+    return units
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_table_reader_returns_what_argparse_returns(data):
+    """Commands, exact, abbreviated and unknown flags, '=' forms, '-', '--', help, negative
+    numbers and choice values, alone or edited into a recorded command whose flags are
+    shuffled: whenever the table reader returns a namespace, argparse returns one with the
+    same vars()."""
+    if data.draw(st.integers(0, 3)) == 0:
+        argv = [data.draw(st.sampled_from([*cli._COMMANDS, "bogus"])),
+                *data.draw(st.lists(_TOKENS, max_size=7))]
+    else:
+        recorded = data.draw(st.sampled_from(_PLAIN))
+        argv = [recorded[0], *(t for unit in data.draw(st.permutations(_units(recorded)))
+                               for t in unit)]
+        for _ in range(data.draw(st.integers(0, 2))):
+            at = data.draw(st.integers(1, len(argv)))
+            edit = data.draw(st.sampled_from(["insert", "replace", "delete"]))
+            if edit == "insert" or at == len(argv):
+                argv.insert(at, data.draw(_TOKENS))
+            elif edit == "replace":
+                argv[at] = data.draw(_TOKENS)
+            else:
+                del argv[at]
+    argv = cli._merge_dash_values(argv)
+    ours = cli._read_argv(argv)
+    if ours is not None:
+        assert vars(ours) == _argparse_vars(argv)
 
 
 # -- a reader that goes away -----------------------------------------------

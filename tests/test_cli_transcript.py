@@ -17,7 +17,8 @@ from the current code, after a deliberate change of output:
 The tests replay it in one warm process.  To replay it as the installed
 command runs, one fresh interpreter per entry (so a missing import in a
 handler that a warm process has already loaded shows up; exits 1 on any
-difference):
+difference, or if a command that exits 0 without -h or --help loaded argparse,
+which means the table reader left a plain argv to argparse):
 
     PYTHONPATH=src python3 tests/test_cli_transcript.py --fresh
 """
@@ -44,6 +45,7 @@ from cliffideal.cli import main
 DATA = Path(__file__).resolve().parent / "data" / "cli"
 TRANSCRIPT = DATA / "transcript.json"
 KINDS = ("su3", "g2", "spin7")
+ARGPARSE_LOADED = 3  # the --fresh child's exit code for a command that exits 0 through argparse
 
 
 def _commands() -> list[list[str]]:
@@ -191,19 +193,25 @@ def _replay_fresh() -> int:
     package_root = str(Path(cliffideal.__file__).resolve().parents[1])
     env = dict(os.environ, COLUMNS="80", PYTHONIOENCODING="utf-8")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    code = "import sys; from cliffideal.cli import main; sys.exit(main(sys.argv[1:]))"
-    entries, differ = _entries(), []
+    # help exits inside argparse, before the check; no command exits with ARGPARSE_LOADED
+    code = ("import sys; from cliffideal.cli import main; code = main(sys.argv[1:]); "
+            f"sys.exit({ARGPARSE_LOADED} if code == 0 and 'argparse' in sys.modules else code)")
+    entries, differ, fallback = _entries(), [], []
     for entry in entries:
         run = subprocess.run([sys.executable, "-c", code, *entry["argv"]], cwd=DATA, env=env,
                              capture_output=True, timeout=120)
-        if (run.returncode, run.stdout, run.stderr) != (
+        if entry["exit"] == 0 and run.returncode == ARGPARSE_LOADED:
+            fallback.append(" ".join(entry["argv"]))
+        elif (run.returncode, run.stdout, run.stderr) != (
                 entry["exit"], entry["stdout"].encode("utf-8"), entry["stderr"].encode("utf-8")):
             differ.append(" ".join(entry["argv"]))
     for argv in differ:
         print(f"differs in a fresh interpreter: {argv}")
+    for argv in fallback:
+        print(f"exits 0 but loaded argparse: {argv}")
     print(f"{len(entries) - len(differ)} of {len(entries)} entries replay byte for byte, "
           "one fresh interpreter each")
-    return 1 if differ or not entries else 0
+    return 1 if differ or fallback or not entries else 0
 
 
 def _entries() -> list[dict]:

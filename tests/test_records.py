@@ -275,16 +275,19 @@ def test_copied_elements_stay_immutable():
 
 def test_cli_import_skips_introspection_modules():
     """A CLI command loads only what it runs: every CLI run starts a fresh
-    interpreter and would pay for importing dataclasses, inspect, json, or the
-    structures and verifier layers it never calls.  Those layers' names load
-    on first access to the package (PEP 562)."""
+    interpreter and would pay for importing dataclasses, inspect, json, argparse,
+    fractions, or the structures and verifier layers it never calls.  Those
+    layers' names load on first access to the package (PEP 562)."""
     package_root = str(Path(cliffideal.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    layers = {"cliffideal.structures", "cliffideal.verifier"}
-    cases = [(["classify", "0", "6"], {"dataclasses", "inspect", "json", *layers}),
-             (["eval", "--sig", "0,6", "--op", "product", "e135", "e246"], {"json", *layers}),
-             (["idempotent", "--sig", "0,6", "--gens", "+e135,-e146,-e236", "--ideal"], layers)]
+    # argparse (with gettext and locale) runs only for help and refusals, and fractions
+    # (with decimal and numbers) only where a Fraction is built or read
+    never = {"cliffideal.structures", "cliffideal.verifier", "argparse", "gettext", "locale",
+             "fractions", "decimal", "numbers"}
+    cases = [(["classify", "0", "6"], {"dataclasses", "inspect", "json", *never}),
+             (["eval", "--sig", "0,6", "--op", "product", "e135", "e246"], {"json", *never}),
+             (["idempotent", "--sig", "0,6", "--gens", "+e135,-e146,-e236", "--ideal"], never)]
     for argv, unloaded in cases:
         # -S: no site hooks, so only the package's own imports are counted
         code = ("import sys; from cliffideal.cli import main; code = main(sys.argv[2:]); "
