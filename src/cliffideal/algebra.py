@@ -5,12 +5,12 @@ e_i^2 = -1 for i > p, so a vector v has v*v = -q(v) in the negative
 definite case R_{0,n}.  Basis blades are strictly increasing index
 sets from {1..n}; internally a blade is an n-bit mask (bit i-1 set
 iff generator i occurs), which keeps products and sign bookkeeping
-to a few bit operations per blade pair.  Coefficients are
-fractions.Fraction at the API only: an element stores one positive
-denominator and an integer numerator per blade (see _BladeMap), so every
-operation runs on ints and a Fraction is built only when a caller reads a
-coefficient; fractions itself is imported then, on first use, so a command
-that never reads one does not load it.  No floats enter at any point.
+to a few bit operations per blade pair.  A coefficient goes in as an int
+or a fractions.Fraction and comes out as a Fraction; an element stores one
+positive denominator and an integer numerator per blade (see _BladeMap), and
+fractions is imported only when a caller passes a Fraction in or reads one
+out.  A float, str or Decimal coefficient raises TypeError: no floats enter
+at any point.
 
 The package's immutable records (Signature here, the specs and reports
 elsewhere) derive from _Record, one slotted base whose methods read the
@@ -28,6 +28,15 @@ from typing import Iterable, Iterator, Mapping, Union
 MAX_DIM = 12
 
 Rational = Union[int, "Fraction"]
+
+
+def _rational(value: Rational) -> tuple[int, int]:
+    """(numerator, denominator) of a caller's int (bool included) or Fraction coefficient."""
+    if not isinstance(value, int):
+        from fractions import Fraction
+        if not isinstance(value, Fraction):  # a float, str or Decimal is never rounded in
+            raise TypeError(f"a coefficient must be an int or Fraction, not {type(value).__name__}")
+    return value.numerator, value.denominator
 
 
 class _Record:
@@ -108,6 +117,8 @@ class Signature(_Record):
     q: int
 
     def __init__(self, p: int, q: int) -> None:
+        if bool in (type(p), type(q)) or not (isinstance(p, int) and isinstance(q, int)):
+            raise ValueError(f"signature components must be integers, got ({p!r}, {q!r})")
         if p < 0 or q < 0:
             raise ValueError("signature components must be non-negative")
         if not 1 <= p + q <= MAX_DIM:
@@ -272,31 +283,21 @@ class _BladeMap:
     """Immutable sparse element: integer numerators _terms {blade mask: nonzero int} over _den.
 
     The part Multivector and ExteriorForm share, over a Signature or a
-    dimension n (_dim reads n off the space): zero, blade, +, -, scaling by
-    an int or Fraction on either side, grade, == and hash.  The form is
-    canonical, _den > 0 and gcd(_den, *numerators) == 1 (zero is _den == 1,
-    no terms), so == and hash are value equality, and the readers build
-    reduced Fractions.
+    dimension n (_dim reads n off the space): zero, blade, +, -, scaling on
+    either side, grade, == and hash.  _rational reads every coefficient a
+    caller passes and _combine builds every element from terms.  The form is
+    canonical, _den > 0 and gcd(_den, *numerators) == 1 (zero is _den == 1, no
+    terms), so == and hash are value equality; the readers build Fractions.
     """
 
     __slots__ = ("_space", "_den", "_terms")
 
-    def __init__(self, space, terms: Mapping[int, Rational] | None = None):
-        from fractions import Fraction
-        coefs: dict[int, Fraction] = {}
-        limit = 1 << self._dim(space)
-        for mask, coef in (terms or {}).items():
+    def __new__(cls, space, terms: Mapping[int, Rational] | None = None):
+        limit, terms = 1 << cls._dim(space), terms or {}
+        for mask in terms:
             if not 0 <= mask < limit:
-                raise ValueError(f"blade mask {mask} out of range for {self._describe(space)}")
-            if type(coef) is not Fraction:
-                coef = Fraction(coef)
-            if coef:
-                coefs[mask] = coef
-        # reduced fractions over the lcm of their denominators leave no common factor
-        den = lcm(*[c.denominator for c in coefs.values()])
-        _set_space(self, space)
-        _set_den(self, den)
-        _set_terms(self, {m: c.numerator * (den // c.denominator) for m, c in coefs.items()})
+                raise ValueError(f"blade mask {mask} out of range for {cls._describe(space)}")
+        return cls._combine(space, [(*_rational(coef), mask) for mask, coef in terms.items()])
 
     @classmethod
     def zero(cls, space):
@@ -305,6 +306,22 @@ class _BladeMap:
     @classmethod
     def blade(cls, space, indices: Iterable[int], coef: Rational = 1):
         return cls(space, {blade_mask(indices, cls._dim(space)): coef})
+
+    @classmethod
+    def _combine(cls, space, terms: Iterable[tuple[int, int, int]]):
+        """The element of (numerator, denominator > 0, in-range mask) triples: like terms
+        summed over the lcm of the denominators, zero numerators skipped."""
+        terms = list(terms)
+        den = lcm(*[d for _, d, _ in terms])
+        acc, repeated = {}, False
+        for num, d, mask in terms:
+            if num:
+                num *= den // d
+                if mask in acc:
+                    num += acc[mask]
+                    repeated = True
+                acc[mask] = num
+        return cls._reduced(space, den, {m: c for m, c in acc.items() if c} if repeated else acc)
 
     @classmethod
     def _from_canonical(cls, space, den: int, terms: dict[int, int]):
@@ -382,16 +399,15 @@ class _BladeMap:
         return self._from_canonical(self._space, self._den, {m: -c for m, c in self._terms.items()})
 
     def scale(self, value: Rational):
-        from fractions import Fraction
-        c = Fraction(value)
-        return self._reduced(self._space, self._den * c.denominator,
-                             {m: v * c.numerator for m, v in self._terms.items()} if c else {})
+        num, den = _rational(value)
+        return self._reduced(self._space, self._den * den,
+                             {m: v * num for m, v in self._terms.items()} if num else {})
 
     def __mul__(self, other):
-        from fractions import Fraction
-        if isinstance(other, (int, Fraction)):
+        try:
             return self.scale(other)
-        return NotImplemented
+        except TypeError:  # no scalar: the other operand's __rmul__ may know the product
+            return NotImplemented
 
     __rmul__ = __mul__
 
@@ -428,8 +444,8 @@ class Multivector(_BladeMap):
     # ==, hash, copies and pickles leave it out
     __slots__ = ("_f2",)
 
-    def __init__(self, sig: Signature, terms: Mapping[int, Rational] | None = None):
-        super().__init__(sig, terms)
+    def __new__(cls, sig: Signature, terms: Mapping[int, Rational] | None = None):
+        return super().__new__(cls, sig, terms)
 
     sig = property(lambda self: self._space, doc="The Signature (p, q).")
     _space_name = "signature"

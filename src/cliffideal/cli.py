@@ -52,17 +52,20 @@ class _UsageError(Exception):
     """A flag or argument value the command cannot read: exit 2, as argparse's own errors."""
 
 
-# int()'s base-10 text: signed digits, single underscores between, in the spaces int() strips
-_is_int = re.compile(r"[^\S\x1c-\x1f]*[+-]?\d+(?:_\d+)*[^\S\x1c-\x1f]*").fullmatch
+def _int(text: str, message: str) -> int:
+    """int(text), or a usage error with message where int() refuses text, digit limit included."""
+    try:
+        return int(text)
+    except ValueError:
+        raise _UsageError(message) from None
 
 
 def _parse_sig(text: str) -> Signature:
     parts = text.split(",")
     if len(parts) != 2:
         raise _UsageError(f"--sig expects 'p,q', got {text!r}")
-    if not all(map(_is_int, parts)):
-        raise _UsageError(f"--sig expects integers, got {text!r}")
-    return Signature(int(parts[0]), int(parts[1]))
+    p, q = (_int(part, f"--sig expects integers, got {text!r}") for part in parts)
+    return Signature(p, q)
 
 
 def _read_exprs(raw: list[str]) -> list[str]:
@@ -110,9 +113,8 @@ def _cmd_eval(args) -> int:
             result = clifford_hodge(parse(exprs[0], sig), conv)
     elif op.startswith("grade="):
         need(1)
-        if not _is_int(op[len("grade="):]):
-            raise _UsageError(f"--op grade expects an integer, got {op!r}")
-        result = parse(exprs[0], sig).grade(int(op[len("grade="):]))
+        k = _int(op[len("grade="):], f"--op grade expects an integer, got {op!r}")
+        result = parse(exprs[0], sig).grade(k)
     elif op == "reverse":
         need(1)
         result = parse(exprs[0], sig).reverse()
@@ -171,9 +173,8 @@ def _cmd_idempotent(args) -> int:
     for i, piece in enumerate(pieces, start=1):
         print(f"piece {i}: {print_canonical(piece)}")
     orthogonal = all(is_orthogonal(a, b) for i, a in enumerate(pieces) for b in pieces[i + 1:])
-    total = sum(pieces[1:], pieces[0])  # one or more pieces; zero() and scalar() load fractions
     print(f"pairwise orthogonal: {_bool(orthogonal)}")
-    print(f"sum to 1: {_bool(total == Multivector._from_canonical(sig, 1, {0: 1}))}")
+    print(f"sum to 1: {_bool(sum(pieces, Multivector.zero(sig)) == Multivector.scalar(sig, 1))}")
     return EXIT_OK
 
 

@@ -35,11 +35,11 @@ from __future__ import annotations
 import re
 import sys
 from functools import cache
-from math import gcd, lcm
-from typing import Iterable, Iterator, Union
+from math import gcd
+from typing import Iterator, Union
 
 from .algebra import MAX_DIM, Multivector, Signature, _index_table, blade_mask, blade_table
-from .exterior import ExteriorForm
+from .exterior import ExteriorForm, _dimension
 
 Value = Union[Multivector, ExteriorForm]
 
@@ -187,23 +187,6 @@ def _scan(text: str, n: int) -> Iterator[tuple[int, int, int]]:
             raise ParseError("expected '+' or '-'", m.end(1))
 
 
-def _combine(terms: Iterable[tuple[int, int, int]], kind: str, space) -> Value:
-    """The element of (numerator, denominator, mask) triples: numerators over the lcm of the
-    denominators, like terms summed, zero terms skipped, so only a repeat leaves a zero."""
-    terms = list(terms)
-    den = lcm(*[d for _, d, _ in terms])
-    acc, repeated = {}, False
-    for num, d, mask in terms:
-        if num:
-            num *= den // d
-            if mask in acc:
-                num += acc[mask]
-                repeated = True
-            acc[mask] = num
-    return (Multivector if kind == "clifford" else ExteriorForm)._reduced(
-        space, den, {m: c for m, c in acc.items() if c} if repeated else acc)
-
-
 def _coerce_sig(sig, kind: str):
     if kind == "clifford":
         if isinstance(sig, Signature):
@@ -214,9 +197,7 @@ def _coerce_sig(sig, kind: str):
             return sig.n
         if not isinstance(sig, int):
             raise ValueError("forms need a dimension n or a Signature")
-        if isinstance(sig, bool) or not 1 <= sig <= MAX_DIM:
-            raise ValueError(f"dimension must be in 1..{MAX_DIM}, got {sig!r}")
-        return sig
+        return _dimension(sig)
     raise ValueError(f"unknown kind {kind!r} (expected 'clifford' or 'form')")
 
 
@@ -224,7 +205,7 @@ def parse(text: str, sig, kind: str = "clifford") -> Value:
     """Parse text into a Multivector (kind='clifford') or ExteriorForm (kind='form')."""
     target = _coerce_sig(sig, kind)
     n = target.n if isinstance(target, Signature) else target
-    return _combine(_scan(text, n), kind, target)
+    return (Multivector if kind == "clifford" else ExteriorForm)._combine(target, _scan(text, n))
 
 
 def _ratio(num: int, den: int) -> str:
@@ -364,8 +345,8 @@ def from_json_obj(obj, path: str = "") -> Value:
         raise SchemaError("expected 'clifford' or 'form'", prefix + "kind")
     if not isinstance(raw_terms, list):
         raise SchemaError("expected a list", prefix + "terms")
-    return _combine(_json_terms(raw_terms, n, prefix + "terms"), kind,
-                    Signature(p, q) if kind == "clifford" else n)
+    cls, space = (Multivector, Signature(p, q)) if kind == "clifford" else (ExteriorForm, n)
+    return cls._combine(space, _json_terms(raw_terms, n, prefix + "terms"))
 
 
 def _decode(text: str):

@@ -32,6 +32,7 @@ from .algebra import (
     Rational,
     Signature,
     _BladeMap,
+    _rational,
     _suffix_parity,
     blade_mask,
     reorder_sign,
@@ -58,15 +59,20 @@ class HodgeConvention(enum.Enum):
         return self in (HodgeConvention.EXT_DUAL_FIRST, HodgeConvention.EXT_ALPHA_FIRST)
 
 
+def _dimension(n: int) -> int:
+    """n, if it is an int (not a bool) in 1..MAX_DIM: the dimension of a form."""
+    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_DIM:
+        raise ValueError(f"dimension must be in 1..{MAX_DIM}, got {n!r}")
+    return n
+
+
 class ExteriorForm(_BladeMap):
     """Immutable sparse form on (R^n)*, stored as _BladeMap describes."""
 
     __slots__ = ()
 
-    def __init__(self, n: int, terms: Mapping[int, Rational] | None = None):
-        if not 1 <= n <= MAX_DIM:
-            raise ValueError(f"dimension must be in 1..{MAX_DIM}, got {n}")
-        super().__init__(n, terms)
+    def __new__(cls, n: int, terms: Mapping[int, Rational] | None = None):
+        return super().__new__(cls, _dimension(n), terms)
 
     n = property(lambda self: self._space, doc="The dimension n.")
     _space_name = "dimension"
@@ -76,12 +82,8 @@ class ExteriorForm(_BladeMap):
 
     @classmethod
     def from_terms(cls, n: int, pairs: Iterable[tuple[Rational, Iterable[int]]]) -> "ExteriorForm":
-        from fractions import Fraction
-        out: dict[int, Fraction] = {}
-        for coef, indices in pairs:
-            mask = blade_mask(indices, n)
-            out[mask] = out.get(mask, Fraction(0)) + Fraction(coef)
-        return cls(n, out)
+        n = _dimension(n)
+        return cls._combine(n, [(*_rational(coef), blade_mask(indices, n)) for coef, indices in pairs])
 
     def __xor__(self, other: "ExteriorForm") -> "ExteriorForm":
         """a ^ b spells the wedge product."""
@@ -93,7 +95,7 @@ class ExteriorForm(_BladeMap):
         """Reinterpret in a larger ambient dimension (same index meaning)."""
         if n < self.n:
             raise ValueError(f"cannot embed dimension {self.n} form into dimension {n}")
-        return ExteriorForm._from_canonical(n, self._den, self._terms)
+        return ExteriorForm._from_canonical(_dimension(n), self._den, self._terms)
 
 
 def volume_form(n: int) -> ExteriorForm:

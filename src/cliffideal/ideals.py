@@ -79,8 +79,8 @@ class IdempotentSpec(_Record):
     def _validate(self) -> None:
         gens = tuple((s, tuple(t)) for s, t in self.generators)
         for s, t in gens:
-            if s not in (1, -1):
-                raise ValueError(f"generator sign must be +1 or -1, got {s}")
+            if not isinstance(s, int) or isinstance(s, bool) or s not in (1, -1):
+                raise ValueError(f"generator sign must be +1 or -1, got {s!r}")
             blade_mask(t, self.sig.n)  # raises on malformed blades
         object.__setattr__(self, "generators", gens)
 

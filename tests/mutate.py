@@ -106,8 +106,9 @@ MUTANTS: list[tuple[str, str, str, list[str]]] = [
      "    return ExteriorForm._from_canonical(a.n, a._den, out)", CANONICAL),
     ("exprio.py",  # a writer that skips the per-term reduction
      "    g = gcd(num, den)\n", "    g = 1\n", CANONICAL),
-    ("exprio.py",  # _combine over the first term's denominator instead of the lcm
-     "    den = lcm(*[d for _, d, _ in terms])", "    den = terms[0][1] if terms else 1", CANONICAL),
+    ("algebra.py",  # the element builder over the first term's denominator instead of the lcm
+     "        den = lcm(*[d for _, d, _ in terms])", "        den = terms[0][1] if terms else 1",
+     CANONICAL),
     ("exprio.py",  # a blade beyond n read from the shared digit table
      "            elif (mask := digit_blades.get(digits, 1 << n)) >> n:",
      "            elif not (mask := digit_blades.get(digits, 0)):",
@@ -219,6 +220,15 @@ MUTANTS: list[tuple[str, str, str, list[str]]] = [
     # one element API for both element types, and one place that maps refusals to exit codes
     ("algebra.py",  # int * element no longer scales
      "    __rmul__ = __mul__\n", "",
+     ["tests/test_algebra.py::test_shared_element_api"]),
+    # one reader for every coefficient a caller passes, and one element builder
+    ("algebra.py",  # the reader takes a float in, exactly, as Fraction(float) did
+     "    if not isinstance(value, int):\n        from fractions import Fraction\n",
+     "    if isinstance(value, float):\n        return value.as_integer_ratio()\n"
+     "    if not isinstance(value, int):\n        from fractions import Fraction\n",
+     ["tests/test_algebra.py::test_shared_element_api"]),
+    ("algebra.py",  # the constructor stores a mask outside 0..2^n - 1
+     "            if not 0 <= mask < limit:\n", "            if False:\n",
      ["tests/test_algebra.py::test_shared_element_api"]),
     ("cli.py",  # a usage error exits 1, as a refusal does
      "    except (_UsageError, ParseError, SchemaError) as exc:\n"

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
@@ -51,6 +52,13 @@ def test_signature_validation():
         Signature(0, 0)
     with pytest.raises(ValueError):
         Signature(7, 6)  # n = 13 exceeds the supported range
+
+
+@pytest.mark.parametrize("p, q", [(0, 6.0), (0.5, 5.5), (Fraction(0), 6), (True, 5), (0, "6")])
+def test_signature_components_are_ints(p, q):
+    """An element op on Signature(0, 6.0) would fail inside 1 << n, so the record refuses it."""
+    with pytest.raises(ValueError, match=r"^signature components must be integers, got \("):
+        Signature(p, q)
 
 
 def test_blade_mask_rejects_bad_indices():
@@ -285,11 +293,23 @@ def test_shared_element_api(cls, space):
             x.grade(k)
     other = (ExteriorForm.blade(6, (1,)) if cls is Multivector
              else Multivector.blade(Signature(0, 6), (1,)))
-    for bad in (1.5, "2", None, other):  # the other element type among them
-        with pytest.raises(TypeError):
-            x * bad
-        with pytest.raises(TypeError):
-            bad * x
+    # one reader takes every coefficient in: an int, a bool or a Fraction, and nothing it
+    # would have to round (1e-300 and "1/3" included)
+    for bad in (1.5, 1e-300, "2", "1/3", None, Decimal("0.5"), other):  # other: the other type
+        for way in (lambda: x * bad, lambda: bad * x, lambda: x.scale(bad),
+                    lambda: cls.blade(space, (1, 2), bad), lambda: cls(space, {0b11: bad}),
+                    lambda: Multivector.scalar(Signature(0, 6), bad),
+                    lambda: ExteriorForm.from_terms(6, [(1, (1,)), (bad, (1, 2))])):
+            with pytest.raises(TypeError):
+                way()
+    y = cls.blade(space, (1, 2))
+    for good in (3, True, Fraction(-2, 3)):
+        assert cls(space, {0b11: good}) == cls.blade(space, (1, 2), good) == y.scale(good)
+        for z in (cls(space, {0b11: good}), y.scale(good)):
+            assert {type(c) for c in z._terms.values()} == {int}
+    for mask in (-1, 64):
+        with pytest.raises(ValueError, match=f"^blade mask {mask} out of range for "):
+            cls(space, {mask: 1})
 
 
 def test_multivector_hash_consistent(sig6):

@@ -108,15 +108,39 @@ def test_eval_bad_signature(capsys):
     assert code == 1
 
 
-@given(st.text(alphabet="0123456789_+- \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f\x85\xa0\u3000e.,"
-                        "\u0663\U0001d7d9", max_size=8))
-def test_integer_syntax_is_what_int_reads(text):
+_INT_TEXT = st.text(alphabet="0123456789_+- \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f\x85\xa0\u3000e.,"
+                             "\u0663\U0001d7d9", max_size=8)
+
+
+@given(_INT_TEXT, st.sampled_from(["", "7", "0", "1_", "\u0663"]), st.sampled_from([-1, 0, 1]),
+       _INT_TEXT)
+def test_integer_syntax_is_what_int_reads(head, run, offset, tail):
+    """The handlers' integer reader agrees with int(), also across the interpreter's limit on
+    the digits int() converts: a run of that many digits, one fewer or one more, in the text."""
+    limit = sys.get_int_max_str_digits() or 4300
+    text = head + (run * (limit + offset) if run else "") + tail
     try:
-        int(text)
-        reads = True
+        value = int(text)
     except ValueError:
-        reads = False
-    assert bool(cli._is_int(text)) == reads
+        with pytest.raises(cli._UsageError, match="^no integer$"):
+            cli._int(text, "no integer")
+    else:
+        assert cli._int(text, "no integer") == value
+
+
+@pytest.mark.parametrize("digits", [4300, 4301])
+def test_an_integer_past_the_digit_limit_is_a_usage_error(capsys, digit_limit, digits):
+    """A --sig or grade= value that int() cannot convert gets the handler's refusal, exit 2,
+    not int()'s own text; one that it converts is read and refused as a value, exit 1."""
+    big = "7" * digits
+    for argv, refusal in ((["--sig", f"0,{big}", "--op", "product"], "--sig expects integers"),
+                          (["--sig", "0,6", "--op", f"grade={big}"], "--op grade expects an integer")):
+        code, out, err = run(capsys, "eval", *argv, "e1")
+        assert out == "" and "set_int_max_str_digits" not in err
+        if digits > digit_limit:
+            assert (code, err[:len("error: ") + len(refusal)]) == (2, f"error: {refusal}")
+        else:
+            assert code == 1 and err.startswith(("error: total dimension", "error: grade 7777"))
 
 
 def test_eval_star_arity_enforced(capsys):

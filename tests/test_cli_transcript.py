@@ -17,8 +17,10 @@ from the current code, after a deliberate change of output:
 The tests replay it in one warm process.  To replay it as the installed
 command runs, one fresh interpreter per entry (so a missing import in a
 handler that a warm process has already loaded shows up; exits 1 on any
-difference, or if a command that exits 0 without -h or --help loaded argparse,
-which means the table reader left a plain argv to argparse):
+difference, if a command that exits 0 without -h or --help loaded argparse,
+which means the table reader left a plain argv to argparse, or if an eval,
+classify or idempotent command, whatever its exit code, loaded fractions, which
+only a Fraction passed in or read out should load):
 
     PYTHONPATH=src python3 tests/test_cli_transcript.py --fresh
 """
@@ -46,6 +48,7 @@ DATA = Path(__file__).resolve().parent / "data" / "cli"
 TRANSCRIPT = DATA / "transcript.json"
 KINDS = ("su3", "g2", "spin7")
 ARGPARSE_LOADED = 3  # the --fresh child's exit code for a command that exits 0 through argparse
+FRACTIONS_LOADED = 4  # ... and for an eval, classify or idempotent command that loaded fractions
 
 
 def _commands() -> list[list[str]]:
@@ -193,14 +196,19 @@ def _replay_fresh() -> int:
     package_root = str(Path(cliffideal.__file__).resolve().parents[1])
     env = dict(os.environ, COLUMNS="80", PYTHONIOENCODING="utf-8")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    # help exits inside argparse, before the check; no command exits with ARGPARSE_LOADED
-    code = ("import sys; from cliffideal.cli import main; code = main(sys.argv[1:]); "
+    # help exits inside argparse, before the argparse check, but not before the fractions
+    # check, which runs in finally; no command exits with ARGPARSE_LOADED or FRACTIONS_LOADED
+    code = ("import sys\nfrom cliffideal.cli import main\ntry:\n    code = main(sys.argv[1:])\n"
+            "finally:\n    if sys.argv[1:2] in (['eval'], ['classify'], ['idempotent']) "
+            f"and 'fractions' in sys.modules:\n        sys.exit({FRACTIONS_LOADED})\n"
             f"sys.exit({ARGPARSE_LOADED} if code == 0 and 'argparse' in sys.modules else code)")
-    entries, differ, fallback = _entries(), [], []
+    entries, differ, fallback, fractions = _entries(), [], [], []
     for entry in entries:
         run = subprocess.run([sys.executable, "-c", code, *entry["argv"]], cwd=DATA, env=env,
                              capture_output=True, timeout=120)
-        if entry["exit"] == 0 and run.returncode == ARGPARSE_LOADED:
+        if run.returncode == FRACTIONS_LOADED:
+            fractions.append(" ".join(entry["argv"]))
+        elif entry["exit"] == 0 and run.returncode == ARGPARSE_LOADED:
             fallback.append(" ".join(entry["argv"]))
         elif (run.returncode, run.stdout, run.stderr) != (
                 entry["exit"], entry["stdout"].encode("utf-8"), entry["stderr"].encode("utf-8")):
@@ -209,9 +217,11 @@ def _replay_fresh() -> int:
         print(f"differs in a fresh interpreter: {argv}")
     for argv in fallback:
         print(f"exits 0 but loaded argparse: {argv}")
+    for argv in fractions:
+        print(f"loaded fractions: {argv}")
     print(f"{len(entries) - len(differ)} of {len(entries)} entries replay byte for byte, "
           "one fresh interpreter each")
-    return 1 if differ or fallback or not entries else 0
+    return 1 if differ or fallback or fractions or not entries else 0
 
 
 def _entries() -> list[dict]:

@@ -174,6 +174,9 @@ def test_form_embed_lifts_dimension():
     assert lifted.coefficient((1, 2)) == 1
     with pytest.raises(ValueError):
         a.embed(5)
+    for n in (13, 6.5):  # past MAX_DIM, or not an int
+        with pytest.raises(ValueError, match=rf"^dimension must be in 1\.\.12, got {n}$"):
+            a.embed(n)
 
 
 def test_volume_form_and_element_agree():

@@ -135,6 +135,16 @@ def test_spec_rejects_bad_shapes(sig6):
         IdempotentSpec(sig6, ((1, (1, 3, 9)),))           # out of range
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0, Fraction(1), True, "1"])
+def test_spec_signs_are_ints(sig6, sign):
+    """A sign of 1.0 or Fraction(1) equals 1, but would leave a float or Fraction numerator in
+    the idempotent build_idempotent stores, which the writers cannot print."""
+    gens = ((sign, (1, 3, 5)), (-1, (1, 4, 6)), (-1, (2, 3, 6)))
+    with pytest.raises(ValueError) as err:
+        IdempotentSpec(sig6, gens)
+    assert str(err.value) == f"generator sign must be +1 or -1, got {sign!r}"
+
+
 # -- idempotent construction ---------------------------------------------
 
 def test_build_idempotent_frozen_value(f6, sig6):

@@ -287,7 +287,8 @@ def test_cli_import_skips_introspection_modules():
              "fractions", "decimal", "numbers"}
     cases = [(["classify", "0", "6"], {"dataclasses", "inspect", "json", *never}),
              (["eval", "--sig", "0,6", "--op", "product", "e135", "e246"], {"json", *never}),
-             (["idempotent", "--sig", "0,6", "--gens", "+e135,-e146,-e236", "--ideal"], never)]
+             (["idempotent", "--sig", "0,6", "--gens", "+e135,-e146,-e236", "--ideal"], never),
+             (["idempotent", "--sig", "0,6", "--gens", "+e135,-e146,-e236", "--decompose"], never)]
     for argv, unloaded in cases:
         # -S: no site hooks, so only the package's own imports are counted
         code = ("import sys; from cliffideal.cli import main; code = main(sys.argv[2:]); "
@@ -296,6 +297,18 @@ def test_cli_import_skips_introspection_modules():
         out = subprocess.run([sys.executable, "-S", "-c", code, " ".join(unloaded), *argv], env=env,
                              capture_output=True, text=True, check=True, timeout=120)
         assert out.stderr.splitlines()[-1] == "0 []", argv
+
+    # the library alike: an int coefficient builds and scales without fractions, and reading a
+    # coefficient out, a Fraction, is what loads it
+    code = ("import sys; from cliffideal import ExteriorForm, Multivector, Signature; "
+            "sig = Signature(0, 6); x = Multivector.zero(sig) + Multivector.scalar(sig, 1); "
+            "w = ExteriorForm.from_terms(6, [(1, (1, 2))]).scale(2); y = 3 * x * 2; "
+            "mods = ('fractions', 'decimal', 'numbers'); "
+            "print([m for m in mods if m in sys.modules]); x.coefficient(()); "
+            "print([m for m in mods if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.splitlines() == ["[]", "['fractions', 'decimal', 'numbers']"]
 
     lazy = cliffideal._LAZY
     assert set(lazy) <= set(cliffideal.__all__) <= set(dir(cliffideal))
