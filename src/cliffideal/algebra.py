@@ -295,6 +295,8 @@ class _BladeMap:
     def __new__(cls, space, terms: Mapping[int, Rational] | None = None):
         limit, terms = 1 << cls._dim(space), terms or {}
         for mask in terms:
+            if not isinstance(mask, int) or isinstance(mask, bool):  # as blade_mask's indices
+                raise ValueError(f"blade mask {mask!r} is not an integer")
             if not 0 <= mask < limit:
                 raise ValueError(f"blade mask {mask} out of range for {cls._describe(space)}")
         return cls._combine(space, [(*_rational(coef), mask) for mask, coef in terms.items()])

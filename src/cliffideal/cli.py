@@ -31,6 +31,7 @@ from .exprio import (
     to_json,
 )
 from .ideals import (
+    GeneratorError,
     IdempotentSpec,
     build_idempotent,
     classify,
@@ -145,36 +146,35 @@ def _parse_generators(text: str, n: int) -> tuple[tuple[int, tuple[int, ...]], .
 def _cmd_idempotent(args) -> int:
     sig = _parse_sig(args.sig)
     spec = IdempotentSpec(sig, _parse_generators(args.gens, sig.n))
-    report = validate_generators(spec)
 
     if args.mode == "check":
+        report = validate_generators(spec)
         print(f"k: {report.k} (expected {report.expected_k})")
         print(f"valid: {_bool(report.ok)}")
         for v in report.violations:
             print(f"violation: {v}")
         return EXIT_OK if report.ok else EXIT_SEMANTIC
 
-    if not report.ok:
-        for v in report.violations:
-            print(f"violation: {v}", file=sys.stderr)
+    try:  # each validates the generators once
+        built = build_idempotent(spec) if args.mode == "ideal" else decompose_algebra(spec)
+    except GeneratorError as exc:
+        print("\n".join(f"violation: {v}" for v in exc.args), file=sys.stderr)
         return EXIT_SEMANTIC
 
-    f = build_idempotent(spec)
     if args.mode == "ideal":
-        ideal = left_ideal_basis(f)
+        ideal = left_ideal_basis(built)
         print(f"dimension: {ideal.dimension}")
         table = blade_table(sig.n)
-        reps = coset_basis(f, table.index)  # the table's own tuples, in canonical order
+        reps = coset_basis(built, table.index)  # the table's own tuples, in canonical order
         print("coset basis: " + ", ".join(table.text[table.index[r]] for r in reps))
         return EXIT_OK
 
-    # decompose
-    pieces = decompose_algebra(spec)
-    for i, piece in enumerate(pieces, start=1):
+    # decompose: built holds the pieces
+    for i, piece in enumerate(built, start=1):
         print(f"piece {i}: {print_canonical(piece)}")
-    orthogonal = all(is_orthogonal(a, b) for i, a in enumerate(pieces) for b in pieces[i + 1:])
+    orthogonal = all(is_orthogonal(a, b) for i, a in enumerate(built) for b in built[i + 1:])
     print(f"pairwise orthogonal: {_bool(orthogonal)}")
-    print(f"sum to 1: {_bool(sum(pieces, Multivector.zero(sig)) == Multivector.scalar(sig, 1))}")
+    print(f"sum to 1: {_bool(sum(built, Multivector.zero(sig)) == Multivector.scalar(sig, 1))}")
     return EXIT_OK
 
 

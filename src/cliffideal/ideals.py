@@ -23,11 +23,14 @@ elimination of the rows b*f, scaled to integers once, with no geometric
 product.  build_idempotent records the certificate, its group's signs, on
 the f it writes; any other element derives it once, on first use, and
 keeps it.  The basis elements of a certified f's ideal are built when
-IdealBasis.basis is first read.
+IdealBasis.basis is first read.  Generator sets are checked by parities
+of masks: e_a^2 = (-1)^{|a|(|a|-1)/2 + |a & negatives|}, and in every
+signature e_a e_b = (-1)^{|a||b| - |a & b|} e_b e_a (Lounesto 2001).
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import chain, product as _iterproduct
 from typing import Iterable, Iterator, Sequence
 
@@ -37,8 +40,6 @@ from .algebra import (
     _Record,
     _suffix_parity,
     blade_mask,
-    blade_product_masks,
-    blade_square_sign,
     blade_table,
     mask_indices,
 )
@@ -48,7 +49,10 @@ _RH_BASE = (0, 1, 2, 2, 3, 3, 3, 3)
 
 
 class GeneratorError(ValueError):
-    """The proposed generator set cannot produce a primitive idempotent."""
+    """The proposed generator set cannot produce a primitive idempotent: args are the violations."""
+
+    def __str__(self) -> str:
+        return "; ".join(self.args)
 
 
 def radon_hurwitz(i: int) -> int:
@@ -111,50 +115,48 @@ def _f2_reduce(mask: int, basis: Sequence[int]) -> int:
 
 def _f2_dependent(masks: Sequence[int]) -> int | None:
     """Index of the first mask in the F_2-span of its predecessors, else None."""
-    basis: list[int] = []
+    span = {0}
     for pos, mask in enumerate(masks):
-        m = _f2_reduce(mask, basis)
-        if not m:
+        if mask in span:
             return pos
-        basis.append(m)
-        basis.sort(reverse=True)
+        span |= {s ^ mask for s in span}
     return None
+
+
+def _violations(sig: Signature, masks: Sequence[int]) -> tuple[int, list[str]]:
+    """The expected generator count, and every violation of these masks, by parity, in order."""
+    def name(mask: int) -> str:  # the text column is built only to report a violation
+        return blade_table(sig.n).text[mask]
+
+    violations = [f"generator {name(a)} squares to -1"
+                  for a in masks if (a.bit_count() >> 1 ^ (a >> sig.p).bit_count()) & 1]
+    violations += [f"generators {name(a)} and {name(b)} anticommute"
+                   for i, a in enumerate(masks) for b in masks[i + 1:]
+                   if (a.bit_count() * b.bit_count() ^ (a & b).bit_count()) & 1]
+    dep = _f2_dependent(masks)
+    if dep is not None:
+        violations.append(f"generator {name(masks[dep])} is a product of earlier generators")
+    expected = sig.q - radon_hurwitz(sig.q - sig.p)
+    if len(masks) != expected:
+        violations.append(f"expected {expected} generators for {sig}, got {len(masks)}")
+    return expected, violations
 
 
 def validate_generators(spec: IdempotentSpec) -> GeneratorReport:
     """Check the four conditions for a generator set, reporting every violation."""
-    sig = spec.sig
-    violations: list[str] = []
     masks = spec.masks()
+    expected, violations = _violations(spec.sig, masks)
+    return GeneratorReport(ok=not violations, k=len(masks), expected_k=expected,
+                           violations=tuple(violations))
 
-    def name(mask: int) -> str:  # the text column is built only to report a violation
-        return blade_table(sig.n).text[mask]
 
-    for (_, t), mask in zip(spec.generators, masks):
-        if blade_square_sign(t, sig) != 1:
-            violations.append(f"generator {name(mask)} squares to -1")
-
-    for i in range(len(masks)):
-        for j in range(i + 1, len(masks)):
-            sij, _ = blade_product_masks(masks[i], masks[j], sig)
-            sji, _ = blade_product_masks(masks[j], masks[i], sig)
-            if sij != sji:
-                violations.append(
-                    f"generators {name(masks[i])} and {name(masks[j])} anticommute"
-                )
-
-    dep = _f2_dependent(masks)
-    if dep is not None:
-        violations.append(
-            f"generator {name(masks[dep])} is a product of earlier generators"
-        )
-
-    expected = sig.q - radon_hurwitz(sig.q - sig.p)
-    k = len(masks)
-    if k != expected:
-        violations.append(f"expected {expected} generators for {sig}, got {k}")
-
-    return GeneratorReport(ok=not violations, k=k, expected_k=expected, violations=tuple(violations))
+def _valid_masks(spec: IdempotentSpec) -> tuple[int, ...]:
+    """The generator masks, once _violations finds none; else GeneratorError of them."""
+    masks = spec.masks()
+    violations = _violations(spec.sig, masks)[1]
+    if violations:
+        raise GeneratorError(*violations)
+    return masks
 
 
 def build_idempotent(spec: IdempotentSpec) -> Multivector:
@@ -169,19 +171,22 @@ def build_idempotent(spec: IdempotentSpec) -> Multivector:
 
     Raises GeneratorError if the generator set fails validation.
     """
-    report = validate_generators(spec)
-    if not report.ok:
-        raise GeneratorError("; ".join(report.violations))
-    return _expand(spec.sig, [s for s, _ in spec.generators], spec.masks())
+    return _expand(spec.sig, [s for s, _ in spec.generators], _valid_masks(spec))
 
 
 def _expand(sig: Signature, signs: Iterable[int], masks: Sequence[int]) -> Multivector:
-    """build_idempotent's expansion of already validated generators: numerators +-1 over 2^k."""
-    terms = [(0, 1)]
+    """build_idempotent's expansion of already validated generators: numerators +-1 over 2^k.
+
+    By the commutation parity, sign(e_m e_t) = (-1)^|m & r| for r = _sign_mask(t) ^ t,
+    complemented when |t| is odd."""
+    terms = {0: 1}
     for s, t in zip(signs, masks):
-        terms = [term for m, c in terms
-                 for term in ((m, c), (m ^ t, c * s * blade_product_masks(m, t, sig)[0]))]
-    f = Multivector._from_canonical(sig, 1 << len(masks), dict(terms))
+        r = _sign_mask(sig, t) ^ t ^ -(t.bit_count() & 1)
+        terms, old = {}, terms
+        for m, c in old.items():
+            terms[m] = c
+            terms[m ^ t] = -c * s if (m & r).bit_count() & 1 else c * s
+    f = Multivector._from_canonical(sig, 1 << len(masks), terms)
     object.__setattr__(f, "_f2", f._terms)  # the signs _f2_signs would derive
     return f
 
@@ -222,8 +227,8 @@ class IdealBasis(_Record):
 
     def contains(self, x: Multivector) -> bool:
         _require_multivector(x, "IdealBasis.contains")
-        sig = self.idempotent.sig
-        if x.sig != sig:
+        sig = self.idempotent._space  # the slot behind .sig, read without the property call
+        if x._space != sig:
             raise ValueError(f"signature mismatch: {x.sig} vs {sig}")
         if isinstance(self._rows, RowBasis):  # the span holds x iff it holds x's numerators
             return self._rows.contains(x._terms)
@@ -341,9 +346,10 @@ def _in_cosets(sig: Signature, signs: dict[int, int], terms: dict[int, int]) -> 
     if len(terms) % len(signs):  # supp x must be a union of cosets
         return False
     nums = dict(terms)
+    negative = -1 << sig.p
     while nums:
         b, num = nums.popitem()
-        sign_mask = _sign_mask(sig, b)
+        sign_mask = _suffix_parity(b) ^ (b & negative)  # _sign_mask(sig, b)
         for t, s in signs.items():
             if t:
                 if (sign_mask & t).bit_count() & 1:
@@ -364,7 +370,7 @@ def _first_per_coset(masks: Iterable[int], span: Iterable[int], n: int) -> list[
             kept.append(b)
             if len(kept) == cosets:
                 break
-            seen.update([b ^ t for t in span])
+            seen.update(map(b.__xor__, span))
     return kept
 
 
@@ -464,9 +470,14 @@ _RING_DIM = {"R": 1, "C": 2, "H": 4}
 
 
 def classify(sig: Signature) -> AlgebraClass:
-    """Matrix-algebra type of R_{p,q} by (q - p) mod 8."""
-    n = sig.n
-    d = (sig.q - sig.p) % 8
+    """Matrix-algebra type of R_{p,q} by (q - p) mod 8, built once per signature."""
+    return _classify(sig.p, sig.q)
+
+
+@cache  # one entry per valid (p, q): 90 at most
+def _classify(p: int, q: int) -> AlgebraClass:
+    n = p + q
+    d = (q - p) % 8
     if d in (0, 6):
         ring, summands, m = "R", 1, 1 << (n // 2)
     elif d in (1, 5):
@@ -500,8 +511,5 @@ def decompose_algebra(spec: IdempotentSpec) -> list[Multivector]:
     sign vectors with +1 first in each slot, so the first entry is the
     all-plus idempotent.  The pieces are pairwise orthogonal and sum to 1.
     """
-    report = validate_generators(spec)
-    if not report.ok:
-        raise GeneratorError("; ".join(report.violations))
-    masks = spec.masks()
+    masks = _valid_masks(spec)
     return [_expand(spec.sig, signs, masks) for signs in _iterproduct((1, -1), repeat=len(masks))]

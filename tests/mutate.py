@@ -89,6 +89,25 @@ MUTANTS: list[tuple[str, str, str, list[str]]] = [
      "    return [build_idempotent(IdempotentSpec(spec.sig, tuple(zip(signs, (t for _, t in "
      "spec.generators))))) for signs",
      [IDEALS + "test_decompose_validates_the_generators_once"]),
+    # generator checks and the expansion by parities of masks, and classify once per signature
+    ("ideals.py",  # the commutation parity without the |a & b| term
+     "if (a.bit_count() * b.bit_count() ^ (a & b).bit_count()) & 1]",
+     "if (a.bit_count() * b.bit_count()) & 1]",
+     [IDEALS + "test_generator_checks_match_the_product_reference"]),
+    ("ideals.py",  # the square sign without the count of generators that square to -1
+     "(a.bit_count() >> 1 ^ (a >> sig.p).bit_count()) & 1]", "(a.bit_count() >> 1) & 1]",
+     [IDEALS + "test_generator_checks_match_the_product_reference"]),
+    ("ideals.py",  # _expand's term sign without its metric part
+     "        r = _sign_mask(sig, t) ^ t ^", "        r = _suffix_parity(t) ^ t ^",
+     [IDEALS + "test_build_idempotent_expands_the_signed_group"]),
+    ("ideals.py",  # the classify memo keyed on n alone: (1, 5) gets (0, 6)'s class
+     "    return _classify(sig.p, sig.q)",
+     "    return classify.__dict__.setdefault(sig.n, _classify(sig.p, sig.q))",
+     [IDEALS + "test_classify_is_built_once_per_signature"]),
+    ("cli.py",  # idempotent --ideal and --decompose validate once for a report, then again
+     "    try:  # each validates the generators once\n",
+     "    validate_generators(spec)\n    try:\n",
+     ["tests/test_cli.py::test_idempotent_validates_the_generators_once"]),
     # the stored form: one positive denominator over coprime integer numerators
     ("algebra.py",  # no final gcd
      "        if den != 1 and (g := gcd(den, *terms.values())) != 1:\n",
@@ -227,6 +246,10 @@ MUTANTS: list[tuple[str, str, str, list[str]]] = [
      "    if isinstance(value, float):\n        return value.as_integer_ratio()\n"
      "    if not isinstance(value, int):\n        from fractions import Fraction\n",
      ["tests/test_algebra.py::test_shared_element_api"]),
+    ("algebra.py",  # the constructor takes a bool mask, which blade_mask refuses as an index
+     "            if not isinstance(mask, int) or isinstance(mask, bool):",
+     "            if not isinstance(mask, int):",
+     ["tests/test_algebra.py::test_constructor_refuses_a_mask_that_is_not_an_int"]),
     ("algebra.py",  # the constructor stores a mask outside 0..2^n - 1
      "            if not 0 <= mask < limit:\n", "            if False:\n",
      ["tests/test_algebra.py::test_shared_element_api"]),

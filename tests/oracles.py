@@ -558,3 +558,42 @@ def g2_idempotent_metric_first(s):
     if f * f != f:
         raise StructureError("input does not induce an idempotent (not a normalized G2 structure)")
     return f
+
+
+def validate_generators_reference(spec):
+    """The generator checks by blade products, the reference for ideals.validate_generators.
+
+    Each generator's square and each pair's two products come from
+    blade_product_masks, and F_2 dependence from an echelon basis, so a
+    differential test against it checks the parity identities the package
+    uses instead.  Returns the package's GeneratorReport, violations in the
+    package's order and words.
+    """
+    from cliffideal.algebra import blade_mask, blade_product_masks, blade_square_sign, blade_table
+    from cliffideal.ideals import GeneratorReport, radon_hurwitz
+
+    sig = spec.sig
+    violations = []
+    masks = [blade_mask(t, sig.n) for _, t in spec.generators]
+    name = blade_table(sig.n).text.__getitem__
+
+    for (_, t), mask in zip(spec.generators, masks):
+        if blade_square_sign(t, sig) != 1:
+            violations.append(f"generator {name(mask)} squares to -1")
+    for i in range(len(masks)):
+        for j in range(i + 1, len(masks)):
+            if blade_product_masks(masks[i], masks[j], sig) != blade_product_masks(masks[j], masks[i], sig):
+                violations.append(f"generators {name(masks[i])} and {name(masks[j])} anticommute")
+    basis = []  # echelon vectors with distinct leading bits
+    for mask in masks:
+        for vec in sorted(basis, reverse=True):
+            mask = min(mask, mask ^ vec)
+        if not mask:
+            violations.append(f"generator {name(masks[len(basis)])} is a product of earlier generators")
+            break
+        basis.append(mask)
+    expected = sig.q - radon_hurwitz(sig.q - sig.p)
+    if len(masks) != expected:
+        violations.append(f"expected {expected} generators for {sig}, got {len(masks)}")
+    return GeneratorReport(ok=not violations, k=len(masks), expected_k=expected,
+                           violations=tuple(violations))

@@ -1,7 +1,9 @@
 import copy
 import pickle
 import random
+import re
 from decimal import Decimal
+from enum import IntEnum
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
@@ -310,6 +312,22 @@ def test_shared_element_api(cls, space):
     for mask in (-1, 64):
         with pytest.raises(ValueError, match=f"^blade mask {mask} out of range for "):
             cls(space, {mask: 1})
+
+
+@pytest.mark.parametrize("cls, space", [(Multivector, Signature(0, 6)), (ExteriorForm, 6)],
+                         ids=["Multivector", "ExteriorForm"])
+def test_constructor_refuses_a_mask_that_is_not_an_int(cls, space):
+    """1.0 or Fraction(1) hashes like the mask 1 and used to build an element that equalled e1
+    but that neither writer nor * could handle; a bool is refused, as blade_mask refuses a
+    bool index, and an int subclass is taken, as blade_mask takes one."""
+    for mask in (1.0, Fraction(1), Decimal(1), True, False, "1", None):
+        with pytest.raises(ValueError, match=f"^blade mask {re.escape(repr(mask))} is not an integer$"):
+            cls(space, {mask: 1})
+    with pytest.raises(ValueError, match="^blade index True is not an integer$"):
+        blade_mask((True,), 6)
+    x = cls(space, {IntEnum("Mask", {"E12": 0b11}).E12: 2})
+    assert x == cls.blade(space, (1, 2), 2) and print_canonical(x) == "2*e12"
+    assert to_json(x) == to_json(cls.blade(space, (1, 2), 2))
 
 
 def test_multivector_hash_consistent(sig6):

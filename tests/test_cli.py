@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from cliffideal import (G2Structure, SchemaError, Signature, Spin7Structure, SU3Structure, from_json,
                         model_g2, model_spin7, model_su3, parse, print_canonical, structure_from_json,
                         structure_to_json, to_json)
-from cliffideal import cli, structures, verifier
+from cliffideal import cli, ideals, structures, verifier
 from cliffideal.cli import main
 
 PSI_PLUS = "e135 - e146 - e236 - e245"
@@ -482,6 +482,17 @@ def test_left_ideal_is_built_only_where_its_dimension_is_printed(capsys, monkeyp
         code, out, _ = run(capsys, *argv)
         assert code == 0 and len(calls) == want, argv
         assert ("ideal dim" in out) == bool(want)
+
+
+@pytest.mark.parametrize("gens", ["+e135,-e146,-e236", "+e135,+e136,-e246", "+e12"])
+@pytest.mark.parametrize("mode", ["--check", "--ideal", "--decompose"])
+def test_idempotent_validates_the_generators_once(capsys, monkeypatch, gens, mode):
+    calls = []
+    violations = ideals._violations
+    monkeypatch.setattr(ideals, "_violations",
+                        lambda sig, masks: calls.append(masks) or violations(sig, masks))
+    code, _, _ = run(capsys, "idempotent", "--sig", "0,6", "--gens", gens, mode)
+    assert code == (0 if gens == "+e135,-e146,-e236" else 1) and len(calls) == 1
 
 
 # -- one validity test per structure kind -------------------------------------

@@ -127,6 +127,13 @@ def _commands() -> list[list[str]]:
             for gens in ("+e135,,-e146", "+e7", "+e12,+e34,+e56")]
     out += [["idempotent", "--sig", "0,6", "--gens", "+e12", "--ideal"],
             ["idempotent", "--sig", "13,0", "--gens", "+e1", "--check"]]
+    # every kind of violation, in the report and on stderr: an anticommuting pair, a product
+    # of earlier generators, and names past index 9
+    for sig, gens in (("0,6", "+e135,+e136,-e246"), ("0,6", "+e1234,+e1256,-e3456"),
+                      ("0,12", "-e{1,6,11,12},+e{1,10},+e{1,2,8,11},-e{3,4,7,8,9,10,11,12},"
+                               "-e{1,6,11,12}")):
+        out += [["idempotent", "--sig", sig, "--gens", gens, mode] for mode in ("--check", "--ideal")]
+    out += [["idempotent", "--sig", "0,6", "--gens", "+e135,+e136,-e246", "--decompose"]]
     return out
 
 

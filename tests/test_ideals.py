@@ -39,7 +39,8 @@ from cliffideal.algebra import (
 from cliffideal.linalg import RowBasis, det, leading_principal_minors
 
 from conftest import multivectors
-from oracles import dense_rank, f2_coset_certified, is_sub_idempotent, multiply_dicts, principal_minors
+from oracles import (dense_rank, f2_coset_certified, is_sub_idempotent, multiply_dicts,
+                     principal_minors, validate_generators_reference)
 
 GENS6 = ((1, (1, 3, 5)), (-1, (1, 4, 6)), (-1, (2, 3, 6)))
 GENS7 = ((1, (1, 2, 3)), (1, (1, 4, 5)), (-1, (2, 5, 7)), (1, (1, 6, 7)))
@@ -175,6 +176,66 @@ def test_valid_generators_build_no_blade_names():
     report = validate_generators(IdempotentSpec(Signature(0, 12), GENS_0_12[:4] + GENS_0_12[:1]))
     assert report.violations == ("generator e{1,6,11,12} is a product of earlier generators",)
     assert "text" in vars(blade_table(12))
+
+
+VIOLATIONS = ("anticommute", "squares to -1", "product of earlier generators", "expected")
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_generator_checks_match_the_product_reference(n):
+    """validate_generators against blade products, on sets that break each condition or none;
+    build_idempotent raises with the same violations, one per argument."""
+    rng = random.Random(2300 + n)
+    kinds = set()
+    for p in range(n + 1):
+        sig = Signature(p, n - p)
+        valid = [blade_mask(t, n) for _, t in _random_spec(sig, rng).generators]
+        for _ in range(6):
+            masks = list(valid)
+            for _ in range(rng.randint(0, 3)):
+                edit, at = rng.randrange(4), rng.randrange(len(masks) + 1)
+                if edit == 0 and masks:  # a product of two earlier ones, or the scalar
+                    masks.insert(at, rng.choice(masks[:at] or [0]) ^ rng.choice(masks[:at] or [0]))
+                elif edit == 1 and masks:
+                    masks.pop(at - 1)
+                else:
+                    masks.insert(at, rng.randrange(1, 1 << n))
+            spec = IdempotentSpec(sig, tuple((rng.choice((1, -1)), mask_indices(m)) for m in masks))
+            report = validate_generators(spec)
+            assert report == validate_generators_reference(spec), spec
+            kinds.update(kind for v in report.violations for kind in VIOLATIONS if kind in v)
+            if report.ok:
+                assert is_idempotent(build_idempotent(spec))
+                continue
+            with pytest.raises(GeneratorError) as err:
+                build_idempotent(spec)
+            assert err.value.args == report.violations
+            assert str(err.value) == "; ".join(report.violations)
+    assert kinds == set(VIOLATIONS[n == 1:])  # no two blades anticommute at n = 1
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_parity_identities_match_blade_products(n):
+    """The square and commutation parities of _violations, and _expand's term sign, against
+    blade_product_masks: every blade and blade pair for n <= 6, a sample above."""
+    rng = random.Random(n)
+    for p in range(n + 1):
+        sig = Signature(p, n - p)
+        if n <= 6:
+            blades, pairs = range(1 << n), product(range(1, 1 << n), repeat=2)
+        else:
+            blades = rng.sample(range(1 << n), 100)
+            pairs = [(rng.randrange(1, 1 << n), rng.randrange(1, 1 << n)) for _ in range(400)]
+        for a in blades:
+            squares = blade_product_masks(a, a, sig)[0]
+            found = ideals._violations(sig, (a,))[1]
+            assert (f"generator {blade_table(n).text[a]} squares to -1" in found) == (squares < 0)
+        for a, b in pairs:
+            if a == b:
+                continue
+            anticommute = blade_product_masks(a, b, sig) != blade_product_masks(b, a, sig)
+            assert any("anticommute" in v for v in ideals._violations(sig, (a, b))[1]) == anticommute
+            assert ideals._expand(sig, (1, 1), (a, b))._terms[a ^ b] == blade_product_masks(a, b, sig)[0]
 
 
 def test_sub_idempotent_chain(f6, sig6):
@@ -814,6 +875,16 @@ def test_classification_frozen_cases():
     assert str(classify(Signature(3, 0))) == "M_2(C)"
 
 
+def test_classify_is_built_once_per_signature():
+    sigs = [Signature(p, n - p) for n in range(1, 13) for p in range(n + 1)]
+    assert len(sigs) == 90
+    ideals._classify.cache_clear()
+    for sig in sigs + sigs[::-1] + [Signature(sig.p, sig.q) for sig in sigs]:
+        assert classify(sig) == ideals._classify.__wrapped__(sig.p, sig.q), sig  # unmemoised
+    assert classify(Signature(1, 5)) is classify(Signature(1, 5)) != classify(Signature(0, 6))
+    assert ideals._classify.cache_info().currsize == 90
+
+
 def test_classification_total_dimension_law():
     ring_dim = {"R": 1, "C": 2, "H": 4}
     for n in range(1, 11):
@@ -895,11 +966,12 @@ def test_decompose_rejects_invalid(sig6):
 
 def test_decompose_validates_the_generators_once(sig8, monkeypatch):
     calls = []
-    validate = ideals.validate_generators
-    monkeypatch.setattr(ideals, "validate_generators", lambda spec: calls.append(spec) or validate(spec))
+    violations = ideals._violations
+    monkeypatch.setattr(ideals, "_violations",
+                        lambda sig, masks: calls.append((sig, masks)) or violations(sig, masks))
     spec = IdempotentSpec(sig8, GENS8)
     pieces = decompose_algebra(spec)
-    assert calls == [spec]
+    assert calls == [(sig8, spec.masks())]
     blades = [t for _, t in GENS8]
     for signs, piece in zip(product((1, -1), repeat=len(blades)), pieces, strict=True):
         assert piece == build_idempotent(IdempotentSpec(sig8, tuple(zip(signs, blades))))
