@@ -293,13 +293,16 @@ class _BladeMap:
     __slots__ = ("_space", "_den", "_terms")
 
     def __new__(cls, space, terms: Mapping[int, Rational] | None = None):
-        limit, terms = 1 << cls._dim(space), terms or {}
+        limit, terms, exact = 1 << cls._dim(space), terms or {}, True
         for mask in terms:
-            if not isinstance(mask, int) or isinstance(mask, bool):  # as blade_mask's indices
-                raise ValueError(f"blade mask {mask!r} is not an integer")
+            if type(mask) is not int:
+                if not isinstance(mask, int) or isinstance(mask, bool):  # as blade_mask's indices
+                    raise ValueError(f"blade mask {mask!r} is not an integer")
+                exact = False
             if not 0 <= mask < limit:
                 raise ValueError(f"blade mask {mask} out of range for {cls._describe(space)}")
-        return cls._combine(space, [(*_rational(coef), mask) for mask, coef in terms.items()])
+        items = terms.items() if exact else [(int(m), c) for m, c in terms.items()]  # stored as int
+        return cls._combine(space, [(*_rational(coef), mask) for mask, coef in items])
 
     @classmethod
     def zero(cls, space):

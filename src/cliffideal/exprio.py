@@ -24,6 +24,12 @@ canonical order, increasing indices ([] for the scalar) and the reduced
 coef ("a", or "a/b" when b > 1); structure_to_json splices it into
 {"structure": kind, field: value, ...}.  The reader combines like terms in any order.
 
+parse and from_json read the writers' own layouts directly, in one pass each: the
+printer's tokens in any term order, and to_json's bytes (one trailing newline allowed).
+Every other input, and every error, goes through the general readers (_scan, or json.loads
+and from_json_obj).  Both paths end in the same element builder, so they give the same
+values, and the general readers' messages are the only error texts.
+
 Numerators and denominators are bounded by the interpreter's limit on integer
 string conversion (4,300 digits by default) both ways: the reader reports a
 longer literal by position or path, and the writers name the blade whose
@@ -187,6 +193,32 @@ def _scan(text: str, n: int) -> Iterator[tuple[int, int, int]]:
             raise ParseError("expected '+' or '-'", m.end(1))
 
 
+def _read_printed(text: str, n: int) -> list[tuple[int, int, int]] | None:
+    """_scan's triples for text laid out as print_canonical writes it, terms in any order,
+    or None: ASCII terms N, N/D, eDIGITS or N[/D]*eDIGITS joined by ' + ' or ' - ' after
+    an optional '-', each blade one of n's in the shared digit table."""
+    if type(text) is not str or not text.isascii() or " + -" in text:
+        return None
+    digits, limit, terms = blade_table(9).digits, 1 << n, []
+    for term in text.replace(" - ", " + -").split(" + "):
+        sign = -1 if term[:1] == "-" else 1
+        coef, star, blade = term[sign < 0:].partition("*")
+        if not star and coef[:1] == "e":
+            coef, blade = "1", coef
+        mask = digits.get(blade[1:], limit) if blade[:1] == "e" else limit if star else 0
+        num, slash, den = coef.partition("/")
+        if mask >= limit or not num.isdigit() or slash and not den.isdigit():
+            return None
+        try:
+            num, den = int(num), int(den or 1)
+        except ValueError:  # past the interpreter's limit on integer string length
+            return None
+        if not den:
+            return None
+        terms.append((sign * num, den, mask))
+    return terms
+
+
 def _coerce_sig(sig, kind: str):
     if kind == "clifford":
         if isinstance(sig, Signature):
@@ -205,7 +237,9 @@ def parse(text: str, sig, kind: str = "clifford") -> Value:
     """Parse text into a Multivector (kind='clifford') or ExteriorForm (kind='form')."""
     target = _coerce_sig(sig, kind)
     n = target.n if isinstance(target, Signature) else target
-    return (Multivector if kind == "clifford" else ExteriorForm)._combine(target, _scan(text, n))
+    terms = _read_printed(text, n)
+    return (Multivector if kind == "clifford" else ExteriorForm)._combine(
+        target, _scan(text, n) if terms is None else terms)
 
 
 def _ratio(num: int, den: int) -> str:
@@ -362,5 +396,45 @@ def _decode(text: str):
         raise SchemaError(f"invalid JSON: {exc}", "") from None
 
 
+# one term of to_json's layout; the blade's text is checked by spelling its mask back
+_JSON_TERM = r'\{"blade": \[([0-9, ]*)\], "coef": "(-?[0-9]+)(?:/([0-9]+))?"\}'
+
+
+@cache
+def _json_layout() -> tuple:
+    """On first use: fullmatch of to_json's whole text (one trailing newline allowed),
+    findall of its terms, and the bit of each index text ('' for the scalar's none)."""
+    return (re.compile(r'\{"signature": \[(0|[1-9][0-9]?), (0|[1-9][0-9]?)\], "kind": '
+                       rf'"(clifford|form)", "terms": \[((?:{_JSON_TERM}(?:, {_JSON_TERM})*)?)\]'
+                       r'\}\n?').fullmatch, re.compile(_JSON_TERM).findall,
+            {"": 0, **{str(i): 1 << (i - 1) for i in range(1, MAX_DIM + 1)}})
+
+
+def _read_written(text: str) -> Value | None:
+    """The value of text laid out as to_json writes it, terms in any order, or None.  A
+    blade is read only when _json_indices spells its mask back: indices increasing, in 1..n
+    and without leading zeros."""
+    fullmatch, findall, bit = _json_layout()
+    if type(text) is not str or not (m := fullmatch(text)):
+        return None
+    p, q, kind, body = int(m[1]), int(m[2]), m[3], m[4]
+    if not 1 <= (n := p + q) <= MAX_DIM:
+        return None
+    (low, mid, high), terms = _json_indices(), []
+    for blade, num, den in findall(body):
+        try:
+            mask = sum(map(bit.__getitem__, blade.split(", ")))
+            num, den = int(num), int(den or 1)
+        except (KeyError, ValueError):  # an index outside 1..12, or past int()'s digit limit
+            return None
+        if mask >> n or not den or blade != (low[mask & 15] + mid[mask >> 4 & 15]
+                                             + high[mask >> 8])[:-2]:  # not spelled back
+            return None
+        terms.append((num, den, mask))
+    cls, space = (Multivector, Signature(p, q)) if kind == "clifford" else (ExteriorForm, n)
+    return cls._combine(space, terms)
+
+
 def from_json(text: str) -> Value:
-    return from_json_obj(_decode(text))
+    x = _read_written(text)
+    return from_json_obj(_decode(text)) if x is None else x

@@ -36,6 +36,10 @@ CERTIFICATE = [IDEALS + "test_f2_signs_accepts_what_the_row_oracle_accepts",
                IDEALS + "test_recorded_certificate_matches_the_derived_one"]
 CANONICAL = ["tests/test_algebra.py::test_equal_values_by_different_routes_are_equal_and_hash_alike",
              "tests/test_algebra.py::test_every_result_is_stored_canonical"]
+EXPRIO = "tests/test_exprio.py::"
+PRINTED = [EXPRIO + "test_direct_reader_leaves_every_other_layout_to_the_scanner",
+           EXPRIO + "test_parse_matches_character_scanner"]
+WRITTEN = [EXPRIO + "test_from_json_matches_the_general_reader_on_edited_writer_output"]
 
 MUTANTS: list[tuple[str, str, str, list[str]]] = [
     # the F_2 certificate derived from the coefficients (ideals._f2_certificate)
@@ -132,6 +136,35 @@ MUTANTS: list[tuple[str, str, str, list[str]]] = [
      "            elif (mask := digit_blades.get(digits, 1 << n)) >> n:",
      "            elif not (mask := digit_blades.get(digits, 0)):",
      ["tests/test_algebra.py::test_blade_table_order_rank_and_text"]),
+    # the direct readers of the writers' own layouts
+    ("exprio.py",  # ' - ' read as '+'
+     'text.replace(" - ", " + -").split(" + ")', 'text.replace(" - ", " + ").split(" + ")',
+     PRINTED),
+    ("exprio.py",  # the blade limit dropped: a blade past n read from the n = 9 table
+     "digits, limit, terms = blade_table(9).digits, 1 << n, []",
+     "digits, limit, terms = blade_table(9).digits, 1 << 9, []", PRINTED),
+    ("exprio.py",  # no zero-denominator refusal in the text reader
+     "        if not den:\n            return None\n        terms.append((sign * num, den, mask))",
+     "        terms.append((sign * num, den, mask))", PRINTED),
+    ("exprio.py",  # no ASCII guard: non-ASCII digits such as U+0663 go through int()
+     'if type(text) is not str or not text.isascii() or " + -" in text:',
+     'if type(text) is not str or " + -" in text:', PRINTED),
+    ("exprio.py",  # a sign after ' + ' read as the term's own
+     'if type(text) is not str or not text.isascii() or " + -" in text:',
+     "if type(text) is not str or not text.isascii():", PRINTED),
+    ("exprio.py",  # a text reader that always declines
+     "        terms.append((sign * num, den, mask))\n    return terms\n",
+     "        terms.append((sign * num, den, mask))\n    return None\n",
+     [EXPRIO + "test_parse_print_roundtrip_clifford"]),
+    ("exprio.py",  # no zero-denominator refusal in the JSON reader
+     "if mask >> n or not den or blade != (", "if mask >> n or blade != (", WRITTEN),
+    ("exprio.py",  # no spelled-back check: [3, 1], [1, 1] and [01] are read
+     "if mask >> n or not den or blade != (low[mask & 15] + mid[mask >> 4 & 15]\n"
+     "                                             + high[mask >> 8])[:-2]:",
+     "if mask >> n or not den:", WRITTEN),
+    ("exprio.py",  # a JSON reader that always declines
+     "    return cls._combine(space, terms)\n\n\ndef from_json",
+     "    return None\n\n\ndef from_json", [EXPRIO + "test_json_roundtrip_clifford"]),
     # the L0 sign kernel
     ("algebra.py",  # the suffix parity counts the blade's own bit
      "    a >>= 1\n    a ^= a >> 1\n", "    a ^= a >> 1\n",
@@ -249,6 +282,10 @@ MUTANTS: list[tuple[str, str, str, list[str]]] = [
     ("algebra.py",  # the constructor takes a bool mask, which blade_mask refuses as an index
      "            if not isinstance(mask, int) or isinstance(mask, bool):",
      "            if not isinstance(mask, int):",
+     ["tests/test_algebra.py::test_constructor_refuses_a_mask_that_is_not_an_int"]),
+    ("algebra.py",  # the constructor stores an int-subclass mask as it came
+     "items = terms.items() if exact else [(int(m), c) for m, c in terms.items()]",
+     "items = terms.items()",
      ["tests/test_algebra.py::test_constructor_refuses_a_mask_that_is_not_an_int"]),
     ("algebra.py",  # the constructor stores a mask outside 0..2^n - 1
      "            if not 0 <= mask < limit:\n", "            if False:\n",

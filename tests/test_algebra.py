@@ -319,15 +319,19 @@ def test_shared_element_api(cls, space):
 def test_constructor_refuses_a_mask_that_is_not_an_int(cls, space):
     """1.0 or Fraction(1) hashes like the mask 1 and used to build an element that equalled e1
     but that neither writer nor * could handle; a bool is refused, as blade_mask refuses a
-    bool index, and an int subclass is taken, as blade_mask takes one."""
+    bool index, and an int subclass is taken, as blade_mask takes one, and stored as an int."""
     for mask in (1.0, Fraction(1), Decimal(1), True, False, "1", None):
         with pytest.raises(ValueError, match=f"^blade mask {re.escape(repr(mask))} is not an integer$"):
             cls(space, {mask: 1})
     with pytest.raises(ValueError, match="^blade index True is not an integer$"):
         blade_mask((True,), 6)
-    x = cls(space, {IntEnum("Mask", {"E12": 0b11}).E12: 2})
+    members = IntEnum("Mask", {"E12": 0b11, "E3": 0b100})
+    x = cls(space, {members.E12: 2})
     assert x == cls.blade(space, (1, 2), 2) and print_canonical(x) == "2*e12"
     assert to_json(x) == to_json(cls.blade(space, (1, 2), 2))
+    # the key is stored as the exact int, as every other way in stores it
+    for y in (x, cls(space, {0b1: 1, members.E3: 3, members.E12: 2})):
+        assert {type(m) for m in y._terms} == {int}
 
 
 def test_multivector_hash_consistent(sig6):

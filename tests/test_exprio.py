@@ -1,7 +1,10 @@
 import copy
 import json
 import random
+import re
+from contextlib import contextmanager
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +31,7 @@ from cliffideal import (
 )
 from cliffideal import exprio
 from cliffideal.algebra import blade_table, mask_indices
-from cliffideal.exprio import _scan
+from cliffideal.exprio import _decode, _read_printed, _read_written, _scan, from_json_obj
 
 import oracles
 from conftest import forms, multivectors, signatures
@@ -119,16 +122,31 @@ def test_print_canonical_unit_coefficients_bare(sig6):
     assert print_canonical(parse("2/4*e12", sig6)) == "1/2*e12"
 
 
+def _refuse(*args):
+    raise AssertionError("a writer's own layout reached a general reader")
+
+
+@contextmanager
+def _direct_readers_only():
+    """parse and from_json with _scan and _decode made to fail: what the writers write
+    must be read by the direct readers alone (a reader that always returns None is
+    correct but useless)."""
+    with mock.patch.object(exprio, "_scan", _refuse), mock.patch.object(exprio, "_decode", _refuse):
+        yield
+
+
 @settings(max_examples=300)
 @given(signatures(8).flatmap(lambda s: multivectors(s, 6)))
 def test_parse_print_roundtrip_clifford(x):
-    assert parse(print_canonical(x), x.sig) == x
+    with _direct_readers_only():
+        assert parse(print_canonical(x), x.sig) == x
 
 
 @settings(max_examples=300)
 @given(st.integers(min_value=1, max_value=8).flatmap(lambda n: forms(n, 6)))
 def test_parse_print_roundtrip_form(a):
-    assert parse(print_canonical(a), a.n, kind="form") == a
+    with _direct_readers_only():
+        assert parse(print_canonical(a), a.n, kind="form") == a
 
 
 def test_json_frozen_scalar(sig6):
@@ -192,15 +210,18 @@ def test_parse_overlong_integer_is_positioned(text, position, sig6):
 
 
 @settings(max_examples=300)
-@given(signatures(8).flatmap(lambda s: multivectors(s, 6)))
+@given(signatures(12).flatmap(lambda s: multivectors(s, 6)))
 def test_json_roundtrip_clifford(x):
-    assert from_json(to_json(x)) == x
+    with _direct_readers_only():
+        assert from_json(to_json(x)) == x
+        assert from_json(to_json(x) + "\n") == x  # as print() saves --json output
 
 
 @settings(max_examples=200)
-@given(st.integers(min_value=1, max_value=8).flatmap(lambda n: forms(n, 6)))
+@given(st.integers(min_value=1, max_value=12).flatmap(lambda n: forms(n, 6)))
 def test_json_roundtrip_form(a):
-    assert from_json(to_json(a)) == a
+    with _direct_readers_only():
+        assert from_json(to_json(a)) == a
 
 
 def test_json_byte_stable(sig6):
@@ -318,6 +339,84 @@ def test_parse_terms_matches_character_scanner():
             assert _terms(text, n) == want, (text, n)
             accepted += 1
     assert accepted > 10_000
+
+
+def _near_printed(rng, n):
+    """Terms laid out as print_canonical writes them, in any order, with up to two
+    characters changed: the direct reader's input and its near misses."""
+    pieces = []
+    for i in range(rng.randint(1, 5)):
+        ind = sorted(rng.sample(range(1, min(n, 9) + 1), rng.randint(0, min(n, 9))))
+        blade = "e" + "".join(map(str, ind)) if ind else ""
+        coef = rng.choice(("", "", "3", "1/2", "7/4", "0", "12/0", "007", "99999999999/2"))
+        body = (f"{coef}*{blade}" if coef else blade) if blade else coef or "1"
+        sign = rng.choice(("", "-")) if i == 0 else rng.choice((" + ", " - "))
+        pieces.append(sign + body)
+    chars = list("".join(pieces))
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        i = rng.randrange(len(chars) + 1)
+        if rng.random() < 0.4 and i < len(chars):
+            del chars[i]
+        else:
+            chars.insert(i, rng.choice(FUZZ_ALPHABET))
+    return "".join(chars)
+
+
+def test_parse_matches_character_scanner():
+    """parse, direct reader first: the oracle's terms combined, or its error and position."""
+    rng = random.Random(2605)
+    direct = 0
+    for i in range(30_000):
+        n = rng.randint(1, 12)
+        text = _near_printed(rng, n) if i % 2 else _near_valid(rng, n)
+        try:
+            want = {}
+            for coef, indices in oracles.reference_parse_terms(text, n):
+                want[indices] = want.get(indices, 0) + coef
+        except oracles.ScanError as exc:
+            with pytest.raises(ParseError) as err:
+                parse(text, n, kind="form")
+            assert (str(err.value), err.value.position) == (str(exc), exc.position), (text, n)
+        else:
+            x = parse(text, n, kind="form")
+            assert {mask_indices(m): c for m, c in x.terms()} == {
+                k: c for k, c in want.items() if c}, (text, n)
+            direct += _read_printed(text, n) is not None
+    assert direct > 5_000
+
+
+@pytest.mark.parametrize("text", ["\u0663*e1", "e1 + \u0663", "1/\uff12*e1", "e\u0663",
+                                  "e1 + -e2", "e1 - -e2", "1*1", "e1  + e2", "e1 +\te2", "e{1}",
+                                  "3 * e1", "1/", "/2", "e", "-", "e1 +", "+e1", "e1 + 1/0"])
+def test_direct_reader_leaves_every_other_layout_to_the_scanner(text, sig6):
+    """Non-ASCII digits, a sign after ' + ', '*1', other whitespace and every error are
+    _scan's: the direct reader declines them, and parse gives _scan's value or error."""
+    assert _read_printed(text, 6) is None
+    try:
+        want = Multivector._combine(sig6, _scan(text, 6))
+    except ParseError as exc:
+        with pytest.raises(ParseError) as err:
+            parse(text, sig6)
+        assert (str(err.value), err.value.position) == (str(exc), exc.position)
+    else:
+        assert parse(text, sig6) == want
+
+
+def test_direct_reader_takes_readme_inputs_in_any_order(sig6):
+    with _direct_readers_only():
+        assert parse(F6_DISPLAY, sig6) == parse(F6_CANONICAL, sig6).scale(8)
+        assert parse("-e3456 + 1/8*e12 - 7 + e1", sig6) == parse("-7 + e1 + 1/8*e12 - e3456", sig6)
+        assert parse("e19", Signature(3, 9)) == Multivector.blade(Signature(3, 9), (1, 9))
+    assert _read_printed("e7", 6) is None and _read_printed("e7", 7) == [(1, 1, 64)]
+
+
+@pytest.mark.parametrize("arg", [b"e1", bytearray(b"e1"), None, 7, ["e1"]])
+def test_parse_refuses_what_is_not_str_as_the_scanner_does(arg, sig6):
+    with pytest.raises(TypeError) as want:
+        list(_scan(arg, 6))
+    with pytest.raises(TypeError) as err:
+        parse(arg, sig6)
+    assert str(err.value) == str(want.value)
 
 
 def test_like_terms_that_cancel_are_dropped(sig6):
@@ -462,6 +561,90 @@ def test_json_schema_fuzz_loads_and_round_trips_or_rejects():
     assert loaded > 500 and rejected > 500
 
 
+LONG_DIGITS = "1" * 4301
+# (pattern, replacements): a token of to_json's layout and what one edit puts in its place
+TOKEN_EDITS = (
+    (r"\[(\d+), (\d+)", (r"[\2, \1", r"[\1, \1", r"[0\1, \2", r"[\1,\2", r"[\1,  \2")),
+    (r"\[(\d+)\]", (r"[0\1]", r"[\1, \1]", "[0]", "[13]", "[100]", "[-1]", "[1.0]", r"[\1 ]")),
+    (r"\[\]", ("[0]", "[ ]", "[1]", '["1"]')),
+    (r'"coef": "[^"]*"', ('"coef": "-0"', '"coef": "1/0"', '"coef": "007"', '"coef": "1/"',
+                         '"coef": "1.5"', f'"coef": "{LONG_DIGITS}"', f'"coef": "1/{LONG_DIGITS}"',
+                         '"coef": "\\\\u0031"', '"coef": 1', '"coef": "+1"', '"coef": "\u0663"')),
+    (r'"signature": \[\d+, \d+\]', ('"signature": [-0, 6]', '"signature": [01, 6]',
+                                   '"signature": [0, 13]', '"signature": [7, 6]',
+                                   '"signature": [0, 0]', '"signature": [0,6]',
+                                   '"signature": [0, 6, 0]', f'"signature": [0, 6{LONG_DIGITS}]')),
+    (r'"(clifford|form)"', ('"cl\\\\u0069fford"', '"forms"', '"Clifford"', "null")),
+    (r'"kind": "\w+", ', ("",)),
+    (r'"blade": (\[[^]]*\]), "coef": ("[^"]*")', (r'"coef": \2, "blade": \1',
+                                              r'"blade": \1, "coef": \2, "x": 0')),
+    (r"\}$", ('}\n', '}\n\n', '} ', '}\r\n', ', "extra": 1}')),
+    (r"^", (" ", "\n", "\ufeff")),
+    (r"\}, \{", ("},{", "}, , {", "}]}, {")),
+)
+JSON_ALPHABET = '0123456789-/, []{}":\n\\abceflorsu\u0663'
+
+
+def _edit_written(rng, text):
+    """One edit of to_json text: a token from TOKEN_EDITS, or one character."""
+    if rng.random() < 0.7:
+        pattern, replacements = rng.choice(TOKEN_EDITS)
+        spots = list(re.finditer(pattern, text))
+        if spots:
+            m = rng.choice(spots)
+            return text[:m.start()] + m.expand(rng.choice(replacements)) + text[m.end():]
+    chars = list(text)
+    i = rng.randrange(len(chars) + 1)
+    if rng.random() < 0.4 and i < len(chars):
+        del chars[i]
+    else:
+        chars.insert(i, rng.choice(JSON_ALPHABET))
+    return "".join(chars)
+
+
+def _outcome(read, arg):
+    try:
+        x = read(arg)
+    except Exception as exc:  # the type, message and path are compared
+        return type(exc), str(exc), getattr(exc, "path", None)
+    return type(x), x
+
+
+def test_from_json_matches_the_general_reader_on_edited_writer_output(digit_limit):
+    """For every n <= 12 and both kinds: to_json text, edited, reads to the value of
+    from_json_obj(_decode(text)), or fails with the same exception type, message and path."""
+    rng = random.Random(2506)
+    direct = general = 0
+    for i in range(6_000):
+        n = i % 12 + 1
+        terms = {rng.randrange(1 << n): Fraction(rng.randint(-10**9, 10**9),
+                                                 rng.choice((1, 2, 8, 10**6)))
+                 for _ in range(rng.randint(0, 6))}
+        p = rng.randint(0, n)
+        x = Multivector(Signature(p, n - p), terms) if i % 24 < 12 else ExteriorForm(n, terms)
+        text = to_json(x)
+        for _ in range(rng.choice((0, 1, 1, 2))):
+            text = _edit_written(rng, text)
+        got, want = _outcome(from_json, text), _outcome(lambda t: from_json_obj(_decode(t)), text)
+        assert got == want, text
+        if _read_written(text) is None:
+            general += 1
+        else:
+            direct += 1
+    assert direct > 1_500 and general > 2_500
+
+
+EMPTY_FORM = b'{"signature": [0, 6], "kind": "form", "terms": []}'
+
+
+@pytest.mark.parametrize("arg", [EMPTY_FORM, bytearray(EMPTY_FORM),
+                                 EMPTY_FORM.replace(b"[]}", b'[{"blade": [2, 1]}]}'),
+                                 b"\xff", None, 7, ["{}"]])
+def test_from_json_takes_other_arguments_as_the_general_reader_does(arg):
+    assert _read_written(arg) is None
+    assert _outcome(from_json, arg) == _outcome(lambda t: from_json_obj(_decode(t)), arg)
+
+
 def test_to_json_is_json_dumps_of_to_json_obj():
     rng = random.Random(41)
     values = []
@@ -589,7 +772,11 @@ def test_digit_bound_edges_round_trip_or_fail_both_ways(digit_limit, part, sig6)
             assert print_canonical(x) == text and parse(text, sig6) == x
             assert to_json(x) == payload and from_json(payload) == x
             assert oracles.reference_to_json_obj(x) == json.loads(payload)
+            # both layouts are the direct readers' at the edge
+            assert Multivector._combine(sig6, _read_printed(text, 6)) == _read_written(payload) == x
         else:
+            # int() refuses the literal: the direct readers decline, the general ones name it
+            assert _read_printed(text, 6) is None and _read_written(payload) is None
             _refused(x, "e13")
             with pytest.raises(ParseError, match="integer literal too long"):
                 parse(text, sig6)
