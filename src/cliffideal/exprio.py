@@ -24,11 +24,12 @@ canonical order, increasing indices ([] for the scalar) and the reduced
 coef ("a", or "a/b" when b > 1); structure_to_json splices it into
 {"structure": kind, field: value, ...}.  The reader combines like terms in any order.
 
-parse and from_json read the writers' own layouts directly, in one pass each: the
-printer's tokens in any term order, and to_json's bytes (one trailing newline allowed).
-Every other input, and every error, goes through the general readers (_scan, or json.loads
-and from_json_obj).  Both paths end in the same element builder, so they give the same
-values, and the general readers' messages are the only error texts.
+Each format has two readers and no third.  The direct reader takes the writer's own
+layout in one pass: the printer's tokens in any term order (_read_printed), or to_json's
+bytes with one trailing newline allowed (_read_written).  The general reader takes every
+other input and names every error, each term by one plain path: _scan, or json.loads and
+from_json_obj.  Both end in the same element builder, so they give the same values, and
+the general readers' messages are the only error texts.
 
 Numerators and denominators are bounded by the interpreter's limit on integer
 string conversion (4,300 digits by default) both ways: the reader reports a
@@ -114,27 +115,22 @@ def _check_index(i: int, prev: int, n: int, position: int) -> None:
 
 
 def _blade(m: re.Match, group: int, n: int) -> int:
-    """Mask of the delimited blade in groups group..group+2, or the undelimited one's fault."""
+    """Mask of the blade in groups group..group+2: 'e' and one digit per index, or 'e{'
+    and comma-separated integers up to '}'."""
     braced, close, digits = m.group(group, group + 1, group + 2)
-    if digits is not None:
-        start = m.start(group + 2)
-        if not digits:
-            raise ParseError("expected blade indices after 'e'", start)
-        prev = 0
-        for offset, ch in enumerate(digits):  # raises: the table holds every valid blade
-            _check_index(int(ch), prev, n, start + offset)
-            prev = int(ch)
-    pos = m.start(group)
+    if digits == "":
+        raise ParseError("expected blade indices after 'e'", m.start(group + 2))
+    pos = m.start(group + 2 if digits else group)
     mask = prev = 0
-    for piece in braced.split(","):
+    for piece in digits or braced.split(","):
         if not piece:
             raise ParseError("expected a blade index", pos)
         i = _integer(piece, pos)
         _check_index(i, prev, n, pos)
         mask |= 1 << (i - 1)
         prev = i
-        pos += len(piece) + 1
-    if not close:
+        pos += len(piece) + (not digits)  # the comma after a delimited index
+    if not digits and not close:
         raise ParseError("expected ',' or '}'", pos - 1)
     return mask
 
@@ -144,8 +140,7 @@ def parse_blade(text: str, n: int) -> int:
     m = _grammar().match(text)
     if m.end(1) or m.group(2) or m.group(11, 13) == (None, None):  # no bare blade at 0
         raise ParseError("expected a blade", 0)
-    if (mask := blade_table(n).digits.get(m.group(13), 1 << n)) >> n:  # not a blade of n digits
-        mask = _blade(m, 11, n)
+    mask = _blade(m, 11, n)
     if m.end() != len(text):
         raise ParseError("unexpected text after the blade", m.end())
     return mask
@@ -154,7 +149,6 @@ def parse_blade(text: str, n: int) -> int:
 def _scan(text: str, n: int) -> Iterator[tuple[int, int, int]]:
     """(numerator, denominator, blade mask) of each signed term, left to right."""
     match = _grammar().match
-    digit_blades = blade_table(n).digits  # a mask at or past 1 << n is no blade of dimension n
     end = len(text)
     m = match(text)
     if m.group(2) is None and m.end(1) == end:
@@ -164,26 +158,21 @@ def _scan(text: str, n: int) -> Iterator[tuple[int, int, int]]:
     while True:
         _, op, num, slash, den, star, braced, _, digits, one, bare_braced, _, bare = m.groups()
         if num is not None:
-            try:
-                num, den = int(num), int(den) if slash else 1
-            except ValueError:  # an empty denominator, or an integer too long to convert
-                _integer(num, m.start(3))
-                if not den:
-                    raise ParseError("expected a denominator", m.start(5)) from None
-                _integer(den, m.start(5))
+            num = _integer(num, m.start(3))
+            if slash and not den:
+                raise ParseError("expected a denominator", m.start(5))
+            den = _integer(den, m.start(5)) if slash else 1
             if not den:
                 raise ParseError("zero denominator", m.start(5))
             if star is None or one is not None:
                 mask = 0
             elif braced is None and digits is None:
                 raise ParseError("expected a blade after '*'", m.end())
-            elif (mask := digit_blades.get(digits, 1 << n)) >> n:
+            else:
                 mask = _blade(m, 7, n)
             yield (-num if op == "-" else num), den, mask
         elif bare is not None or bare_braced is not None:
-            if (mask := digit_blades.get(bare, 1 << n)) >> n:
-                mask = _blade(m, 11, n)
-            yield (-1 if op == "-" else 1), 1, mask
+            yield (-1 if op == "-" else 1), 1, _blade(m, 11, n)
         else:
             raise ParseError("expected a term", m.end())
         m = match(text, m.end())
@@ -313,8 +302,8 @@ def _expect(cond: bool, message: str, path: str) -> None:
 
 
 def _json_term(item, n: int, tpath: str) -> tuple[int, int, int]:
-    """(numerator, denominator, mask) of one term, checked field by field: names the
-    first fault of a term the cheap tests reject, or accepts a dict or int subclass."""
+    """(numerator, denominator, mask) of one term, checked field by field; a refusal
+    names the first fault and its path."""
     _expect(isinstance(item, dict), "expected an object", tpath)
     _expect("blade" in item, "missing field 'blade'", tpath)
     _expect("coef" in item, "missing field 'coef'", tpath)
@@ -339,27 +328,6 @@ def _json_term(item, n: int, tpath: str) -> tuple[int, int, int]:
     return num, den, mask
 
 
-def _json_terms(raw_terms: list, n: int, path: str) -> Iterator[tuple[int, int, int]]:
-    """(numerator, denominator, mask) of each term, in order.  The cheap tests: a dict, a
-    sorted blade of exact ints in 1..n whose mask (the sum of 2^i, halved) has a bit per
-    index, and a string rational coef with a nonzero denominator; else _json_term."""
-    for i, item in enumerate(raw_terms):
-        if (type(item) is dict and type(blade := item.get("blade")) is list
-                and type(coef := item.get("coef")) is str and set(map(type, blade)) <= {int}
-                and blade == sorted(blade) and (not blade or 0 < blade[0] and blade[-1] <= n)
-                and (mask := sum(map((1).__lshift__, blade)) >> 1).bit_count() == len(blade)
-                and _JSON_RATIONAL.fullmatch(coef)):
-            num, _, den = coef.partition("/")
-            try:
-                num, den = int(num), int(den or 1)
-            except ValueError:  # too long to convert: _json_term names it
-                den = 0
-            if den:
-                yield num, den, mask
-                continue
-        yield _json_term(item, n, f"{path}[{i}]")
-
-
 def from_json_obj(obj, path: str = "") -> Value:
     prefix = f"{path}." if path else ""
     if not isinstance(obj, dict):
@@ -380,7 +348,8 @@ def from_json_obj(obj, path: str = "") -> Value:
     if not isinstance(raw_terms, list):
         raise SchemaError("expected a list", prefix + "terms")
     cls, space = (Multivector, Signature(p, q)) if kind == "clifford" else (ExteriorForm, n)
-    return cls._combine(space, _json_terms(raw_terms, n, prefix + "terms"))
+    return cls._combine(space, [_json_term(item, n, f"{prefix}terms[{i}]")
+                                for i, item in enumerate(raw_terms)])
 
 
 def _decode(text: str):

@@ -132,10 +132,14 @@ MUTANTS: list[tuple[str, str, str, list[str]]] = [
     ("algebra.py",  # the element builder over the first term's denominator instead of the lcm
      "        den = lcm(*[d for _, d, _ in terms])", "        den = terms[0][1] if terms else 1",
      CANONICAL),
-    ("exprio.py",  # a blade beyond n read from the shared digit table
-     "            elif (mask := digit_blades.get(digits, 1 << n)) >> n:",
-     "            elif not (mask := digit_blades.get(digits, 0)):",
-     ["tests/test_algebra.py::test_blade_table_order_rank_and_text"]),
+    # the general readers: one path per blade, term and coefficient
+    ("exprio.py",  # each blade index read one bit too high
+     "        mask |= 1 << (i - 1)\n        prev = i\n        pos +=",
+     "        mask |= 1 << i\n        prev = i\n        pos +=",
+     [EXPRIO + "test_parse_terms_matches_character_scanner"]),
+    ("exprio.py",  # no zero-denominator refusal in the general JSON reader
+     '    _expect(den != 0, "zero denominator", f"{tpath}.coef")\n', "",
+     [EXPRIO + "test_json_schema_fuzz_loads_and_round_trips_or_rejects"]),
     # the direct readers of the writers' own layouts
     ("exprio.py",  # ' - ' read as '+'
      'text.replace(" - ", " + -").split(" + ")', 'text.replace(" - ", " + ").split(" + ")',
@@ -269,6 +273,15 @@ MUTANTS: list[tuple[str, str, str, list[str]]] = [
      "            if flag not in flags or flags[flag][0] in seen:\n",
      "            if flag not in flags or flags[flag][0] in seen and flags[flag][2] is None:\n",
      ["tests/test_cli.py::test_table_reader_leaves_to_argparse"]),
+    # verify-paper exits 1 on a status that differs from the golden file
+    ("cli.py",  # --claim prints the drift and exits 0
+     "            return EXIT_SEMANTIC\n        return EXIT_OK\n\n    report = run_all()",
+     "            return EXIT_OK\n        return EXIT_OK\n\n    report = run_all()",
+     ["tests/test_cli.py::test_verify_paper_exits_1_on_status_drift"]),
+    ("cli.py",  # the full run prints the drift and exits 0
+     "            print(f\"status drift: {d}\", file=sys.stderr)\n        return EXIT_SEMANTIC\n",
+     "            print(f\"status drift: {d}\", file=sys.stderr)\n        return EXIT_OK\n",
+     ["tests/test_cli.py::test_verify_paper_exits_1_on_status_drift"]),
     # one element API for both element types, and one place that maps refusals to exit codes
     ("algebra.py",  # int * element no longer scales
      "    __rmul__ = __mul__\n", "",

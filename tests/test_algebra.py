@@ -314,6 +314,18 @@ def test_shared_element_api(cls, space):
             cls(space, {mask: 1})
 
 
+def test_a_multivector_and_a_form_neither_add_nor_equal():
+    """+, - and == return NotImplemented for the other element type, so + and - raise
+    TypeError both ways round and the two are never equal, even on the same blades."""
+    x, a = Multivector.blade(Signature(0, 6), (1, 2)), ExteriorForm.blade(6, (1, 2))
+    for left, right in ((x, a), (a, x)):
+        for way in (lambda: left + right, lambda: left - right):
+            with pytest.raises(TypeError, match="^unsupported operand type"):
+                way()
+        assert left.__add__(right) is left.__sub__(right) is left.__eq__(right) is NotImplemented
+        assert not left == right and left != right
+
+
 @pytest.mark.parametrize("cls, space", [(Multivector, Signature(0, 6)), (ExteriorForm, 6)],
                          ids=["Multivector", "ExteriorForm"])
 def test_constructor_refuses_a_mask_that_is_not_an_int(cls, space):

@@ -604,6 +604,17 @@ def test_verify_paper_reads_the_golden_file_once(capsys, monkeypatch, claim):
     assert (code, len(calls)) == (0, 1)
 
 
+@pytest.mark.parametrize("claim, drift", [([], "C1: expected FAIL, got PASS"),
+                                          (["--claim", "C1"], "C1 expected FAIL, got PASS")])
+def test_verify_paper_exits_1_on_status_drift(capsys, monkeypatch, claim, drift):
+    golden = dict(verifier.load_golden(), C1="FAIL")  # C1 computes PASS
+    monkeypatch.setattr(verifier, "load_golden", lambda: golden)
+    code, out, err = run(capsys, "verify-paper", *claim)
+    assert code == 1
+    assert out.split()[:2] == ["C1", "PASS"]  # stdout is the report, as without drift
+    assert err == f"status drift: {drift}\n"
+
+
 # -- the README commands, against the transcript of their output ---------------------
 
 TRANSCRIPT = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "paper_cli_transcript.json"

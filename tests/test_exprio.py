@@ -180,6 +180,20 @@ def test_json_schema_errors_name_fields():
         from_json("not json at all")
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: parse("e1", 6), ValueError, "clifford values need a Signature (p, q)"),
+    (lambda: parse("e1", "6", kind="form"), ValueError, "forms need a dimension n or a Signature"),
+    (lambda: parse("e1", Signature(0, 6), kind="spinor"), ValueError,
+     "unknown kind 'spinor' (expected 'clifford' or 'form')"),
+    (lambda: to_json(object()), TypeError, "cannot serialize object"),
+    (lambda: to_json(model_g2()), TypeError, "cannot serialize G2Structure"),
+], ids=["clifford-dimension", "form-string", "unknown-kind", "object", "structure"])
+def test_refusals_of_the_space_and_of_what_is_no_element(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error and str(err.value) == message
+
+
 LONG_LITERAL = "7" * 5000
 
 

@@ -55,6 +55,19 @@ def test_wedge_associative_and_distributive(triple):
     assert wedge(a, b + c) == wedge(a, b) + wedge(a, c)
 
 
+@given(st.integers(min_value=1, max_value=7).flatmap(lambda n: st.tuples(forms(n, 4), forms(n, 4))))
+def test_xor_spells_wedge(pair):
+    a, b = pair
+    assert a ^ b == wedge(a, b)
+
+
+def test_xor_refuses_what_is_no_form():
+    a = ExteriorForm.blade(6, (1, 2))
+    for other in (Multivector.blade(Signature(0, 6), (3,)), 3):
+        with pytest.raises(TypeError, match=r"^unsupported operand type\(s\) for \^"):
+            a ^ other
+
+
 @given(st.integers(min_value=1, max_value=7).flatmap(
     lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1))))
 def test_wedge_graded_commutativity(args):
@@ -128,6 +141,12 @@ def test_interior_product_blades():
                 assert got.is_zero()
             else:
                 assert got == ExteriorForm.blade(n, rest).scale(sign)
+
+
+@pytest.mark.parametrize("i", [0, 7, -1])
+def test_interior_product_refuses_an_index_outside_1_to_n(i):
+    with pytest.raises(ValueError, match=rf"^generator index {i} out of range 1\.\.6$"):
+        interior_product(i, ExteriorForm.blade(6, (1, 2)))
 
 
 @given(st.integers(min_value=2, max_value=7).flatmap(

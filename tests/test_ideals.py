@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import re
 from enum import IntEnum
 from fractions import Fraction
 from itertools import product
@@ -271,6 +272,12 @@ def test_ideal_membership(f6, sig6):
     assert ideal.contains(Multivector.blade(sig6, (2, 4)) * f6)
     assert not ideal.contains(Multivector.blade(sig6, (1,)))
     assert ideal.contains(Multivector.zero(sig6))
+
+
+@pytest.mark.parametrize("sig", [Signature(1, 5), Signature(0, 7), Signature(6, 0)])
+def test_ideal_membership_refuses_another_signature(f6, sig):
+    with pytest.raises(ValueError, match=rf"^signature mismatch: {re.escape(str(sig))} vs "):
+        left_ideal_basis(f6).contains(Multivector.blade(sig, (1,)))
 
 
 @settings(max_examples=50)

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ from cliffideal import (
     model_g2,
     model_spin7,
     model_su3,
+    parse,
     print_canonical,
     quantize,
     run_claim,
@@ -36,6 +38,7 @@ from cliffideal import (
     su3_idempotent,
     su3_recover,
     symbol,
+    to_json,
     volume_element,
     volume_form,
     wedge,
@@ -529,3 +532,27 @@ def test_structure_json_errors():
     with pytest.raises(SchemaError):
         structure_from_json(
             '{"structure": "g2", "phi": {"signature": [0, 6], "kind": "form", "terms": []}}')
+
+
+def _field(text, space, kind="form"):
+    """A structure field: the decoded to_json text of parse(text, space, kind)."""
+    return json.loads(to_json(parse(text, space, kind)))
+
+
+@pytest.mark.parametrize("function, arg, error, message, path", [
+    ("structure_to_json", object(), TypeError, "cannot serialize object", None),
+    ("structure_to_json", model_g2().phi, TypeError, "cannot serialize ExteriorForm", None),
+    ("structure_from_json_obj", [], SchemaError, "expected an object", ""),
+    ("structure_from_json_obj", {"structure": "g2", "phi": _field("e123", Signature(0, 7), "clifford")},
+     SchemaError, "phi.kind: expected kind 'form'", "phi.kind"),
+    ("structure_from_json_obj", {"structure": "g2", "phi": _field("e12", 7)},
+     SchemaError, "phi must be a pure 3-form", ""),
+    ("structure_from_json_obj", {"structure": "spin7", "cayley": _field("e123 + e1234", 8)},
+     SchemaError, "cayley must be a pure 4-form", ""),
+], ids=["to-json-object", "to-json-form", "not-an-object", "clifford-field", "g2-grade-2",
+        "spin7-mixed-grades"])
+def test_structure_json_refusals(function, arg, error, message, path):
+    with pytest.raises(error) as err:
+        getattr(structures, function)(arg)
+    assert type(err.value) is error and str(err.value) == message
+    assert getattr(err.value, "path", None) == path
