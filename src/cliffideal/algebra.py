@@ -20,17 +20,15 @@ importing the package, and so every command-line run, cheap.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping
 from functools import cache, cached_property, total_ordering
 from itertools import chain, combinations
 from math import gcd, lcm
-from typing import Iterable, Iterator, Mapping, Union
 
 MAX_DIM = 12
 
-Rational = Union[int, "Fraction"]
 
-
-def _rational(value: Rational) -> tuple[int, int]:
+def _rational(value: int | Fraction) -> tuple[int, int]:
     """(numerator, denominator) of a caller's int (bool included) or Fraction coefficient."""
     if not isinstance(value, int):
         from fractions import Fraction
@@ -226,14 +224,6 @@ class BladeTable:
         """Mask of each strictly increasing index tuple, keys in canonical order."""
         return dict(zip(_by_grade(self.n), self.order))
 
-    @cached_property
-    def digits(self) -> dict[str, int]:
-        """Mask of each undelimited index string at n = 9, one table every n reads:
-        'e' + key is text[mask] when mask < 2^n, and names a blade beyond n otherwise."""
-        if self.n != 9:
-            return blade_table(9).digits
-        return dict(zip(_index_table(1, 9, str)[1:], range(1, 512)))
-
 
 blade_table = cache(BladeTable)
 
@@ -260,6 +250,12 @@ def reorder_sign(a: int, b: int) -> int:
     b & _suffix_parity(a).
     """
     return -1 if (_suffix_parity(a) & b).bit_count() & 1 else 1
+
+
+def _sign_mask(sig: Signature, a: int) -> int:
+    """The mask s with e_a * e_m = (-1)^|s & m| e_{a xor m}, for every blade m: the
+    reordering parity _suffix_parity(a), plus a's generators that square to -1."""
+    return _suffix_parity(a) ^ (a >> sig.p << sig.p)
 
 
 def blade_product_masks(a: int, b: int, sig: Signature) -> tuple[int, int]:
@@ -292,7 +288,7 @@ class _BladeMap:
 
     __slots__ = ("_space", "_den", "_terms")
 
-    def __new__(cls, space, terms: Mapping[int, Rational] | None = None):
+    def __new__(cls, space, terms: Mapping[int, int | Fraction] | None = None):
         limit, terms, exact = 1 << cls._dim(space), terms or {}, True
         for mask in terms:
             if type(mask) is not int:
@@ -309,7 +305,7 @@ class _BladeMap:
         return cls(space, {})
 
     @classmethod
-    def blade(cls, space, indices: Iterable[int], coef: Rational = 1):
+    def blade(cls, space, indices: Iterable[int], coef: int | Fraction = 1):
         return cls(space, {blade_mask(indices, cls._dim(space)): coef})
 
     @classmethod
@@ -403,7 +399,7 @@ class _BladeMap:
     def __neg__(self):
         return self._from_canonical(self._space, self._den, {m: -c for m, c in self._terms.items()})
 
-    def scale(self, value: Rational):
+    def scale(self, value: int | Fraction):
         num, den = _rational(value)
         return self._reduced(self._space, self._den * den,
                              {m: v * num for m, v in self._terms.items()} if num else {})
@@ -449,7 +445,7 @@ class Multivector(_BladeMap):
     # ==, hash, copies and pickles leave it out
     __slots__ = ("_f2",)
 
-    def __new__(cls, sig: Signature, terms: Mapping[int, Rational] | None = None):
+    def __new__(cls, sig: Signature, terms: Mapping[int, int | Fraction] | None = None):
         return super().__new__(cls, sig, terms)
 
     sig = property(lambda self: self._space, doc="The Signature (p, q).")
@@ -458,7 +454,7 @@ class Multivector(_BladeMap):
     _describe = _repr_space = staticmethod(str)
 
     @classmethod
-    def scalar(cls, sig: Signature, value: Rational) -> "Multivector":
+    def scalar(cls, sig: Signature, value: int | Fraction) -> "Multivector":
         return cls(sig, {0: value})
 
     @classmethod
@@ -483,17 +479,16 @@ def geometric_product(x: Multivector, y: Multivector) -> Multivector:
 
     The integer numerators are accumulated per output blade over the
     product of the two denominators, and the result is reduced once.  The
-    sign of e_a * e_b is the parity of b & m for m = _suffix_parity(a) ^
-    (a & negative generators), so m is computed once per term of x.
+    sign of e_a * e_b is the parity of b & _sign_mask(sig, a), so the mask
+    is computed once per term of x.
     """
     x._check_space(y)
     sig = x.sig
-    negative = (1 << sig.n) - (1 << sig.p)
     y_terms = list(y._terms.items())
     acc: dict[int, int] = {}
     get = acc.get
     for a, ca in x._terms.items():
-        sign_mask = _suffix_parity(a) ^ (a & negative)
+        sign_mask = _sign_mask(sig, a)
         for b, cb in y_terms:
             mask = a ^ b
             if (sign_mask & b).bit_count() & 1:

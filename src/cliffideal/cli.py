@@ -98,8 +98,6 @@ def _cmd_eval(args) -> int:
             raise _UsageError(f"--op {op} expects exactly {count} expression(s), got {len(exprs)}")
 
     if op in ("product", "wedge"):
-        if not exprs:
-            raise _UsageError(f"--op {op} expects at least one expression")
         kind = "clifford" if op == "product" else "form"
         result = parse(exprs[0], sig, kind=kind)
         for text in exprs[1:]:
@@ -196,36 +194,26 @@ def _load_structure(kind: str, path: str):
     return s
 
 
-def _print_idempotent_report(f: Multivector, json_out: bool) -> None:
-    if json_out:
-        print(to_json(f))
-    else:
-        print(print_canonical(f))
-        print(f"primitive: true, ideal dim {left_ideal_basis(f).dimension}")
-
-
 # Each prints its kind's invariants; the verdict is whether the kind's idempotent builds.
-def _validate_su3(s) -> None:
-    from .structures import su3_idempotent
+def _validate_su3(s, idempotent) -> None:
     print(f"psi+ ^ psi-: {print_canonical(wedge(s.psi_plus, s.psi_minus))}")
     print(f"omega^3: {print_canonical(wedge(wedge(s.omega, s.omega), s.omega))}")
-    su3_idempotent(s)
+    idempotent(s)
     print("compatible: true")
 
 
-def _validate_g2(s) -> None:
-    from .structures import g2_idempotent, g2_metric
+def _validate_g2(s, idempotent) -> None:
+    from .structures import g2_metric
     report = g2_metric(s)
     identity = all(report.metric[i][j] == (1 if i == j else 0) for i in range(7) for j in range(7))
     print(f"metric: {'identity' if identity else 'nonidentity'}; orbit: {report.tag}")
-    g2_idempotent(s)
+    idempotent(s)
 
 
-def _validate_spin7(s) -> None:
-    from .structures import spin7_idempotent
+def _validate_spin7(s, idempotent) -> None:
     print(f"self-dual: {_bool(hodge_star(s.cayley) == s.cayley)}")
     print(f"Omega ^ Omega: {print_canonical(wedge(s.cayley, s.cayley))}")
-    f = spin7_idempotent(s)
+    f = idempotent(s)
     print(f"idempotent: primitive true, ideal dim {left_ideal_basis(f).dimension}")
 
 
@@ -233,25 +221,27 @@ _VALIDATE = {"su3": _validate_su3, "g2": _validate_g2, "spin7": _validate_spin7}
 
 
 def _cmd_structure(args) -> int:
-    from .structures import _IDEMPOTENT_OF, _KINDS, _RECOVER_OF, structure_to_json
+    from .structures import _KINDS, structure_to_json
     kind = args.kind
-    _, model, _, fields = _KINDS[kind]
+    _, model, _, fields, idempotent, recover = _KINDS[kind]
     if args.mode == "recover":
         if args.input is None:
             raise _UsageError("--recover needs --input with a JSON multivector")
         x = from_json(_read_file(args.input))
         if not isinstance(x, Multivector):
             raise ValueError("--recover expects a Clifford value, not a form")
-        s = _RECOVER_OF[kind](x)
+        s = recover(x)
         print(structure_to_json(s) if args.json else
               "\n".join(f"{label}: {print_canonical(getattr(s, field))}" for field, label in fields))
         return EXIT_OK
 
     s = model() if args.input is None else _load_structure(kind, args.input)
-    if args.mode == "to-idempotent":
-        _print_idempotent_report(_IDEMPOTENT_OF[kind](s), args.json)
-    else:
-        _VALIDATE[kind](s)
+    if args.mode == "validate":
+        _VALIDATE[kind](s, idempotent)
+        return EXIT_OK
+    f = idempotent(s)
+    print(to_json(f) if args.json else
+          f"{print_canonical(f)}\nprimitive: true, ideal dim {left_ideal_basis(f).dimension}")
     return EXIT_OK
 
 
@@ -266,13 +256,13 @@ def _cmd_classify(args) -> int:
 # -- verify-paper --------------------------------------------------------
 
 def _cmd_verify_paper(args) -> int:
-    from .verifier import Report, _claim_by_id, _detail_lines, load_golden, run_all, run_claim
+    from .verifier import Report, _catalog, _detail_lines, load_golden, run_all, run_claim
     if args.claim is not None:
         try:
             result = run_claim(args.claim)
         except KeyError as exc:
             raise _UsageError(str(exc.args[0])) from None
-        claim = _claim_by_id(result.id)
+        claim = _catalog()[result.id]
         print(Report(results=(result,)).to_json() if args.format == "json" else "\n".join(
             [f"{result.id} {result.status} [{claim.category}] {claim.statement}", *_detail_lines(result)]))
         expected = load_golden().get(result.id)
@@ -367,8 +357,8 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
 def _read_argv(argv: list[str]) -> SimpleNamespace | None:
     """The namespace _build_parser's parser returns for argv, read from _COMMANDS alone; None
     for argparse to read: help, an abbreviated or unknown flag, '--', a flag given twice or
-    two of one group, a value starting with '-' (save --gens= and --from=), positionals split
-    by a flag, a bad int or choice, or a missing required argument."""
+    two of one group, a value starting with '-' (save --gens= and --from= other than '--'),
+    positionals split by a flag, a bad int or choice, or a missing required argument."""
     if not argv or argv[0] not in _COMMANDS:
         return None
     fn, _, arguments = _COMMANDS[argv[0]]
@@ -416,7 +406,7 @@ def _read_argv(argv: list[str]) -> SimpleNamespace | None:
                 if i == len(argv) or argv[i].startswith("-") and argv[i] != "-":
                     return None
                 value, i = argv[i], i + 1
-            elif not value or value.startswith("-") and flag not in _DASH_VALUES:
+            elif value in ("", "--") or value.startswith("-") and flag not in _DASH_VALUES:
                 return None
             values[dest] = read(spec, value)
         if not required <= seen or where and where[-1] - where[0] != len(where) - 1:
@@ -447,6 +437,10 @@ def main(argv: list[str] | None = None) -> int:
     argv = _merge_dash_values(sys.argv[1:] if argv is None else argv)
     args = _read_argv(argv)
     if args is None:
+        for flag, _, value in (token.partition("=") for token in argv):
+            # '--' as a value: argparse releases read it differently (3.11 as an empty list)
+            if value == "--" and len(flag) > 2 and any(key.startswith(flag) for key in _DASH_VALUES):
+                _build_parser().error(f"argument {flag}: expected one argument")
         args = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     if args.fn is _cmd_structure and args.model == (args.input is not None):
         _build_parser().error("structure needs exactly one of --model or --input")

@@ -42,13 +42,11 @@ from __future__ import annotations
 import re
 import sys
 from functools import cache
+from collections.abc import Iterator
 from math import gcd
-from typing import Iterator, Union
 
 from .algebra import MAX_DIM, Multivector, Signature, _index_table, blade_mask, blade_table
 from .exterior import ExteriorForm, _dimension
-
-Value = Union[Multivector, ExteriorForm]
 
 
 class ParseError(ValueError):
@@ -71,7 +69,7 @@ class _DigitLimitError(ValueError):
     """A coefficient with a numerator or denominator too long for str() to write."""
 
 
-def _digit_limit(x: Value) -> _DigitLimitError:
+def _digit_limit(x: Multivector | ExteriorForm) -> _DigitLimitError:
     """The writers' error, naming the first blade whose coefficient str() refuses.
 
     Built only after a conversion failed, so writing pays no per-term test.
@@ -182,13 +180,20 @@ def _scan(text: str, n: int) -> Iterator[tuple[int, int, int]]:
             raise ParseError("expected '+' or '-'", m.end(1))
 
 
+@cache
+def _digits() -> dict[str, int]:
+    """Mask of each undelimited index string of a blade at n = 9, built on first use: 'e' +
+    key is blade_table(n).text[mask] when mask < 2^n, and names a blade beyond n otherwise."""
+    return dict(zip(_index_table(1, 9, str)[1:], range(1, 512)))
+
+
 def _read_printed(text: str, n: int) -> list[tuple[int, int, int]] | None:
     """_scan's triples for text laid out as print_canonical writes it, terms in any order,
     or None: ASCII terms N, N/D, eDIGITS or N[/D]*eDIGITS joined by ' + ' or ' - ' after
-    an optional '-', each blade one of n's in the shared digit table."""
+    an optional '-', each blade one of n's in the digit table."""
     if type(text) is not str or not text.isascii() or " + -" in text:
         return None
-    digits, limit, terms = blade_table(9).digits, 1 << n, []
+    digits, limit, terms = _digits(), 1 << n, []
     for term in text.replace(" - ", " + -").split(" + "):
         sign = -1 if term[:1] == "-" else 1
         coef, star, blade = term[sign < 0:].partition("*")
@@ -222,7 +227,7 @@ def _coerce_sig(sig, kind: str):
     raise ValueError(f"unknown kind {kind!r} (expected 'clifford' or 'form')")
 
 
-def parse(text: str, sig, kind: str = "clifford") -> Value:
+def parse(text: str, sig, kind: str = "clifford") -> Multivector | ExteriorForm:
     """Parse text into a Multivector (kind='clifford') or ExteriorForm (kind='form')."""
     target = _coerce_sig(sig, kind)
     n = target.n if isinstance(target, Signature) else target
@@ -239,7 +244,7 @@ def _ratio(num: int, den: int) -> str:
     return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
-def print_canonical(x: Value) -> str:
+def print_canonical(x: Multivector | ExteriorForm) -> str:
     """Canonical text: terms by grade, then lexicographic blade order."""
     table = blade_table(x.sig.n if isinstance(x, Multivector) else x.n)
     text, t, den = table.text, x._terms, x._den
@@ -267,7 +272,7 @@ def print_canonical(x: Value) -> str:
 _JSON_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
-def _space(x: Value) -> tuple[int, int, str]:
+def _space(x: Multivector | ExteriorForm) -> tuple[int, int, str]:
     """(p, q, kind) of the JSON signature and kind fields."""
     if isinstance(x, Multivector):
         return x.sig.p, x.sig.q, "clifford"
@@ -282,7 +287,7 @@ def _json_indices() -> tuple[list[str], ...]:
     return tuple(_index_table(first, 4, "{}, ".format) for first in range(1, MAX_DIM, 4))
 
 
-def to_json(x: Value) -> str:
+def to_json(x: Multivector | ExteriorForm) -> str:
     """Byte-stable JSON for a multivector or form, in the layout the module docstring gives."""
     p, q, kind = _space(x)
     low, mid, high = _json_indices()
@@ -328,7 +333,7 @@ def _json_term(item, n: int, tpath: str) -> tuple[int, int, int]:
     return num, den, mask
 
 
-def from_json_obj(obj, path: str = "") -> Value:
+def from_json_obj(obj, path: str = "") -> Multivector | ExteriorForm:
     prefix = f"{path}." if path else ""
     if not isinstance(obj, dict):
         raise SchemaError("expected an object", path)
@@ -379,7 +384,7 @@ def _json_layout() -> tuple:
             {"": 0, **{str(i): 1 << (i - 1) for i in range(1, MAX_DIM + 1)}})
 
 
-def _read_written(text: str) -> Value | None:
+def _read_written(text: str) -> Multivector | ExteriorForm | None:
     """The value of text laid out as to_json writes it, terms in any order, or None.  A
     blade is read only when _json_indices spells its mask back: indices increasing, in 1..n
     and without leading zeros."""
@@ -404,6 +409,6 @@ def _read_written(text: str) -> Value | None:
     return cls._combine(space, terms)
 
 
-def from_json(text: str) -> Value:
+def from_json(text: str) -> Multivector | ExteriorForm:
     x = _read_written(text)
     return from_json_obj(_decode(text)) if x is None else x

@@ -24,12 +24,11 @@ coincide for odd n; the CLIFF variants relate to EXT_DUAL_FIRST by
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 from .algebra import (
     MAX_DIM,
     Multivector,
-    Rational,
     Signature,
     _BladeMap,
     _rational,
@@ -71,7 +70,7 @@ class ExteriorForm(_BladeMap):
 
     __slots__ = ()
 
-    def __new__(cls, n: int, terms: Mapping[int, Rational] | None = None):
+    def __new__(cls, n: int, terms: Mapping[int, int | Fraction] | None = None):
         return super().__new__(cls, _dimension(n), terms)
 
     n = property(lambda self: self._space, doc="The dimension n.")
@@ -81,7 +80,7 @@ class ExteriorForm(_BladeMap):
     _repr_space = staticmethod(lambda n: f"n={n}")
 
     @classmethod
-    def from_terms(cls, n: int, pairs: Iterable[tuple[Rational, Iterable[int]]]) -> "ExteriorForm":
+    def from_terms(cls, n: int, pairs: Iterable[tuple[int | Fraction, Iterable[int]]]) -> "ExteriorForm":
         n = _dimension(n)
         return cls._combine(n, [(*_rational(coef), blade_mask(indices, n)) for coef, indices in pairs])
 

@@ -31,14 +31,14 @@ signature e_a e_b = (-1)^{|a||b| - |a & b|} e_b e_a (Lounesto 2001).
 from __future__ import annotations
 
 from functools import cache
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain, product as _iterproduct
-from typing import Iterable, Iterator, Sequence
 
 from .algebra import (
     Multivector,
     Signature,
     _Record,
-    _suffix_parity,
+    _sign_mask,
     blade_mask,
     blade_table,
     mask_indices,
@@ -254,15 +254,6 @@ def _require_generator(f, caller: str) -> None:
         raise ValueError("left ideal of the zero element is trivial")
 
 
-def _sign_mask(sig: Signature, b: int) -> int:
-    """The mask s with e_b * e_m = (-1)^|s & m| e_{b xor m}, for every blade m.
-
-    As in geometric_product: the reordering parity _suffix_parity(b), plus
-    b's generators that square to -1 (indices above p).
-    """
-    return _suffix_parity(b) ^ (b >> sig.p << sig.p)
-
-
 def _signed_rows(sig: Signature, terms: Iterable[tuple[int, int]],
                  masks: Iterable[int]) -> Iterator[dict[int, int]]:
     """The term maps of e_b * x for b in masks, x given by its (mask, coefficient) terms.
@@ -346,10 +337,9 @@ def _in_cosets(sig: Signature, signs: dict[int, int], terms: dict[int, int]) -> 
     if len(terms) % len(signs):  # supp x must be a union of cosets
         return False
     nums = dict(terms)
-    negative = -1 << sig.p
     while nums:
         b, num = nums.popitem()
-        sign_mask = _suffix_parity(b) ^ (b & negative)  # _sign_mask(sig, b)
+        sign_mask = _sign_mask(sig, b)
         for t, s in signs.items():
             if t:
                 if (sign_mask & t).bit_count() & 1:

@@ -371,21 +371,18 @@ def lift_idempotent_6_to_7(f6: Multivector) -> Multivector:
 
 # -- the structure kinds ------------------------------------------------
 
-# kind -> (class, model, dimension, (JSON field, text label) per tensor)
+# kind -> (class, model, dimension, (JSON field, text label) per tensor, idempotent, recovery)
 _KINDS = {
-    "su3": (SU3Structure, model_su3, 6, (("omega", "omega"), ("psi_plus", "psi+"), ("psi_minus", "psi-"))),
-    "g2": (G2Structure, model_g2, 7, (("phi", "phi"),)),
-    "spin7": (Spin7Structure, model_spin7, 8, (("cayley", "cayley"),)),
+    "su3": (SU3Structure, model_su3, 6, (("omega", "omega"), ("psi_plus", "psi+"), ("psi_minus", "psi-")),
+            su3_idempotent, su3_recover),
+    "g2": (G2Structure, model_g2, 7, (("phi", "phi"),), g2_idempotent, g2_recover),
+    "spin7": (Spin7Structure, model_spin7, 8, (("cayley", "cayley"),), spin7_idempotent, spin7_recover),
 }
-# the function columns of the same table, as plain kind -> function dicts, so that
-# whoever wraps a module's functions (perfbench/tracer.py) finds them here too
-_IDEMPOTENT_OF = {"su3": su3_idempotent, "g2": g2_idempotent, "spin7": spin7_idempotent}
-_RECOVER_OF = {"su3": su3_recover, "g2": g2_recover, "spin7": spin7_recover}
 
 
 def structure_to_json(s) -> str:
     """{"structure": kind, field: to_json(tensor), ...}, in the exprio writer's layout."""
-    for kind, (cls, _, _, fields) in _KINDS.items():
+    for kind, (cls, _, _, fields, *_) in _KINDS.items():
         if isinstance(s, cls):
             return "".join([f'{{"structure": "{kind}"',
                             *[f', "{field}": {to_json(getattr(s, field))}' for field, _ in fields], "}"])
@@ -398,7 +395,7 @@ def structure_from_json_obj(obj):
     kind = obj.get("structure")
     if not isinstance(kind, str) or kind not in _KINDS:
         raise SchemaError("expected 'su3', 'g2' or 'spin7'", "structure")
-    cls, _, n, fields = _KINDS[kind]
+    cls, _, n, fields, *_ = _KINDS[kind]
     forms = {}
     for field, _ in fields:
         if field not in obj:

@@ -18,10 +18,10 @@ run_all flags only deviations from the pinned expectations.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from fractions import Fraction
 from functools import cache
 from importlib import resources
-from typing import Callable, Optional
 
 from .algebra import Multivector, Signature, _Record, blade_table, volume_element
 from .exterior import (
@@ -84,7 +84,7 @@ class Claim(_Record):
     statement: str
     paper_value: str
     uses_clifford_star: bool
-    evaluate: Callable[[Optional[HodgeConvention]], tuple[bool, str, str]]
+    evaluate: Callable[[HodgeConvention], tuple[bool, str, str]]
 
 
 class ClaimResult(_Record):
@@ -125,16 +125,16 @@ def _diff_note(computed: Multivector, stated: Multivector) -> str:
 
 
 @cache
-def _catalog() -> tuple[Claim, ...]:
+def _catalog() -> dict[str, Claim]:
     su3 = model_su3()
     g2 = model_g2()
     spin7 = model_spin7()
     su3_square = wedge(su3.psi_plus, su3.psi_minus)
     spin7_square = wedge(spin7.cayley, spin7.cayley)
-    claims: list[Claim] = []
+    claims: dict[str, Claim] = {}
 
     def add(id, paper_ref, category, statement, paper_value, uses_star, evaluate):
-        claims.append(Claim(id, paper_ref, category, statement, paper_value, uses_star, evaluate))
+        claims[id] = Claim(id, paper_ref, category, statement, paper_value, uses_star, evaluate)
 
     def wedge_constant(id, paper_ref, lhs, a, b, k, note=""):
         """a ^ b equals k times the volume form."""
@@ -353,38 +353,24 @@ def _catalog() -> tuple[Claim, ...]:
         "dual-identity", "the signed recovery maps reproduce the model tensors from W = 8f",
         f"psi+ = {_pc(su3.psi_plus)}; psi- = {_pc(su3.psi_minus)}; omega = {_pc(su3.omega)}", True, eval_c26)
 
-    return tuple(claims)
-
-
-def _claim_by_id(claim_id: str) -> Claim:
-    for claim in _catalog():
-        if claim.id == claim_id:
-            return claim
-    raise KeyError(f"unknown claim id {claim_id!r}")
+    return claims
 
 
 def run_claim(claim_id: str) -> ClaimResult:
-    """Evaluate one claim exactly; deterministic."""
-    claim = _claim_by_id(claim_id)
-    if not claim.uses_clifford_star:
-        ok, computed, extra = claim.evaluate(None)
-        status = PASS if ok else FAIL
-        note = extra
-    else:
-        outcomes = {c: claim.evaluate(c) for c in _ALL_CONVENTIONS}
-        validating = [c for c in _ALL_CONVENTIONS if outcomes[c][0]]
-        _, computed, extra = outcomes[_NORMATIVE]
-        if len(validating) == len(_ALL_CONVENTIONS):
-            status = PASS
-            note = "holds under all four Hodge conventions"
-        elif validating:
-            status = CONVENTION_DEPENDENT
-            note = "holds under: " + ", ".join(c.value for c in validating)
-        else:
-            status = FAIL
-            note = "fails under all four Hodge conventions"
-        if extra:
-            note = f"{note}; {extra}" if note else extra
+    """Evaluate one claim exactly, under the four Hodge conventions when it uses the
+    Clifford star and under the normative one alone otherwise; deterministic."""
+    claim = _catalog().get(claim_id)
+    if claim is None:
+        raise KeyError(f"unknown claim id {claim_id!r}")
+    conventions = _ALL_CONVENTIONS if claim.uses_clifford_star else (_NORMATIVE,)
+    outcomes = {c: claim.evaluate(c) for c in conventions}
+    validating = [c.value for c in conventions if outcomes[c][0]]
+    _, computed, note = outcomes[_NORMATIVE]
+    status = PASS if len(validating) == len(conventions) else CONVENTION_DEPENDENT if validating else FAIL
+    if claim.uses_clifford_star:
+        held = ("holds under: " + ", ".join(validating) if status == CONVENTION_DEPENDENT else
+                f"{'holds' if validating else 'fails'} under all four Hodge conventions")
+        note = f"{held}; {note}" if note else held
     return ClaimResult(id=claim.id, status=status, computed=computed,
                        paper=claim.paper_value, note=note)
 
@@ -415,7 +401,7 @@ class Report(_Record):
         return json.dumps(payload, separators=(", ", ": "))
 
     def to_text(self) -> str:
-        claims = {c.id: c for c in _catalog()}
+        claims = _catalog()
         id_w = max(len(r.id) for r in self.results)
         st_w = max(len(r.status) for r in self.results)
         cat_w = max(len(claims[r.id].category) for r in self.results)
@@ -449,7 +435,7 @@ class Report(_Record):
 
 def run_all() -> Report:
     """Evaluate the whole catalog in id order; Report.to_text and Report.to_json render it."""
-    return Report(results=tuple(run_claim(c.id) for c in _catalog()))
+    return Report(results=tuple(map(run_claim, _catalog())))
 
 
 def load_golden() -> dict[str, str]:

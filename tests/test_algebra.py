@@ -35,7 +35,7 @@ from cliffideal import (
 )
 from cliffideal.algebra import (MAX_DIM, BladeTable, _by_grade, blade_mask, blade_product_masks,
                                blade_table, grade_of, mask_indices)
-from cliffideal.exprio import ParseError, parse_blade
+from cliffideal.exprio import ParseError, _digits, parse_blade
 
 from conftest import coefficients, multivectors, signatures
 from oracles import clifford_blade_product, multiply_dicts, reference_to_json_obj, wedge_dicts
@@ -473,6 +473,7 @@ def test_every_result_is_stored_canonical(data):
 
 
 def test_blade_table_order_rank_and_text():
+    digits = _digits()  # one table, whatever n reads it
     for n in (1, 4, 9, 10, 12):
         table = blade_table(n)
         assert list(table.order) == sorted(range(1 << n),
@@ -482,13 +483,13 @@ def test_blade_table_order_rank_and_text():
             ind = mask_indices(m)
             if ind[-1] < 10:
                 assert table.text[m] == "e" + "".join(map(str, ind))
-                assert table.digits[table.text[m][1:]] == m
+                assert digits[table.text[m][1:]] == m
             else:
                 assert table.text[m] == "e{" + ",".join(map(str, ind)) + "}"
         assert table.text[0] == "1"
         # one digit table for every n; a blade beyond n is rejected at its first index > n
-        assert table.digits is blade_table(9).digits
-        for key, m in table.digits.items():
+        assert _digits() is digits
+        for key, m in digits.items():
             if m >> n:
                 first = next(i for i, ch in enumerate(key) if int(ch) > n)
                 for text, at in ((f"e{key}", 1), (f"-3/4*e{key}", 6), (f"1 + 2*e{key}", 7)):
@@ -527,8 +528,7 @@ def test_blade_table_text_and_digits_match_combinations():
                                    else "e{" + ",".join(map(str, ind)) + "}")
         table = BladeTable(n)  # a fresh build, not the cached table
         assert table.text == tuple(text[m] for m in range(1 << n))
-        assert table.digits == digits
-    assert BladeTable(9).digits == digits
+    assert _digits.__wrapped__() == digits == _digits()  # a fresh build, and the cached table
 
 
 def test_mask_indices_lists_the_set_bits():

@@ -7,7 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cliffideal import (G2Structure, SchemaError, Signature, Spin7Structure, SU3Structure, from_json,
@@ -673,6 +673,7 @@ def test_table_reader_reads_every_recorded_command_as_argparse_does():
     ["lift"], ["classify", "0"], ["classify", "0", "6", "7"],
     ["structure", "su3", "--model", "--validate", "--json=1"],
     ["eval", "--sig=", "--op", "wedge", "e1"],
+    ["idempotent", "--sig", "0,6", "--gens", "--", "--ideal"], ["lift", "--from=--"],
 ])
 def test_table_reader_leaves_to_argparse(argv):
     assert cli._read_argv(cli._merge_dash_values(argv)) is None
@@ -708,29 +709,35 @@ def _units(argv: list[str]) -> list[list[str]]:
     return units
 
 
-@settings(max_examples=400, deadline=None)
-@given(st.data())
-def test_table_reader_returns_what_argparse_returns(data):
+@st.composite
+def _argvs(draw) -> list[str]:
     """Commands, exact, abbreviated and unknown flags, '=' forms, '-', '--', help, negative
     numbers and choice values, alone or edited into a recorded command whose flags are
-    shuffled: whenever the table reader returns a namespace, argparse returns one with the
-    same vars()."""
-    if data.draw(st.integers(0, 3)) == 0:
-        argv = [data.draw(st.sampled_from([*cli._COMMANDS, "bogus"])),
-                *data.draw(st.lists(_TOKENS, max_size=7))]
-    else:
-        recorded = data.draw(st.sampled_from(_PLAIN))
-        argv = [recorded[0], *(t for unit in data.draw(st.permutations(_units(recorded)))
-                               for t in unit)]
-        for _ in range(data.draw(st.integers(0, 2))):
-            at = data.draw(st.integers(1, len(argv)))
-            edit = data.draw(st.sampled_from(["insert", "replace", "delete"]))
-            if edit == "insert" or at == len(argv):
-                argv.insert(at, data.draw(_TOKENS))
-            elif edit == "replace":
-                argv[at] = data.draw(_TOKENS)
-            else:
-                del argv[at]
+    shuffled."""
+    if draw(st.integers(0, 3)) == 0:
+        return [draw(st.sampled_from([*cli._COMMANDS, "bogus"])), *draw(st.lists(_TOKENS, max_size=7))]
+    recorded = draw(st.sampled_from(_PLAIN))
+    argv = [recorded[0], *(t for unit in draw(st.permutations(_units(recorded))) for t in unit)]
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(1, len(argv)))
+        edit = draw(st.sampled_from(["insert", "replace", "delete"]))
+        if edit == "insert" or at == len(argv):
+            argv.insert(at, draw(_TOKENS))
+        elif edit == "replace":
+            argv[at] = draw(_TOKENS)
+        else:
+            del argv[at]
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(_argvs())
+# '--' as the value of --gens or --from: argparse 3.11 reads it as an empty list
+@example(["idempotent", "--sig", "0,6", "--gens", "--", "--ideal"])
+@example(["lift", "--from=--", "--json"])
+def test_table_reader_returns_what_argparse_returns(argv):
+    """Whenever the table reader returns a namespace, argparse returns one with the same
+    vars()."""
     argv = cli._merge_dash_values(argv)
     ours = cli._read_argv(argv)
     if ours is not None:

@@ -134,6 +134,10 @@ def _commands() -> list[list[str]]:
                                "-e{1,6,11,12}")):
         out += [["idempotent", "--sig", sig, "--gens", gens, mode] for mode in ("--check", "--ideal")]
     out += [["idempotent", "--sig", "0,6", "--gens", "+e135,+e136,-e246", "--decompose"]]
+    # '--' as the value of --gens or --from, which argparse releases read differently
+    out += [["idempotent", "--sig", "0,6", "--gens=--", "--ideal", "--ideal"],
+            ["idempotent", "--sig", "0,6", "--gens", "--", "--ideal"],
+            ["lift", "--from=--", "--json", "--json"], ["lift", "--from", "--"]]
     return out
 
 

@@ -238,7 +238,7 @@ def test_signature_orders_by_p_then_q():
 def _copyable():
     """Every public record type and both element types."""
     values = dict(_records())
-    values["catalog Claim"] = _catalog()[0]  # its evaluate is a closure: copies, no pickle
+    values["catalog Claim"] = _catalog()["C1"]  # its evaluate is a closure: copies, no pickle
     values["Multivector"] = Multivector(Signature(0, 6), {0: Fraction(1, 8), 0b10101: -3})
     values["ExteriorForm"] = ExteriorForm.from_terms(7, [(2, (1, 2, 3)), (Fraction(-1, 3), (4,))])
     return values
@@ -281,14 +281,17 @@ def test_cli_import_skips_introspection_modules():
     package_root = str(Path(cliffideal.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    # argparse (with gettext and locale) runs only for help and refusals, and fractions
-    # (with decimal and numbers) only where a Fraction is built or read
+    # argparse (with gettext and locale) runs only for help and refusals, fractions (with
+    # decimal and numbers) only where a Fraction is built or read, and typing never: the
+    # annotations are strings, and their names come from collections.abc
     never = {"cliffideal.structures", "cliffideal.verifier", "argparse", "gettext", "locale",
-             "fractions", "decimal", "numbers"}
+             "fractions", "decimal", "numbers", "typing"}
     cases = [(["classify", "0", "6"], {"dataclasses", "inspect", "json", *never}),
              (["eval", "--sig", "0,6", "--op", "product", "e135", "e246"], {"json", *never}),
              (["idempotent", "--sig", "0,6", "--gens", "+e135,-e146,-e236", "--ideal"], never),
-             (["idempotent", "--sig", "0,6", "--gens", "+e135,-e146,-e236", "--decompose"], never)]
+             (["idempotent", "--sig", "0,6", "--gens", "+e135,-e146,-e236", "--decompose"], never),
+             (["structure", "su3", "--model", "--to-idempotent"],
+              {"cliffideal.verifier", "argparse", "typing"})]
     for argv, unloaded in cases:
         # -S: no site hooks, so only the package's own imports are counted
         code = ("import sys; from cliffideal.cli import main; code = main(sys.argv[2:]); "

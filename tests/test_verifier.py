@@ -39,7 +39,8 @@ def report():
 
 
 def test_catalog_well_formed():
-    claims = _catalog()
+    assert all(key == claim.id for key, claim in _catalog().items())
+    claims = list(_catalog().values())
     assert len(claims) >= 18
     ids = [c.id for c in claims]
     assert len(set(ids)) == len(ids)
@@ -53,7 +54,7 @@ def test_catalog_well_formed():
 
 def test_golden_file_covers_catalog():
     golden = load_golden()
-    assert set(golden) == {c.id for c in _catalog()}
+    assert set(golden) == {c.id for c in _catalog().values()}
     assert set(golden.values()) <= ALLOWED_STATUSES
 
 
