@@ -329,19 +329,15 @@ _COMMANDS = {
 _DASH_VALUES = ("--gens", "--from")  # flags whose value may start with '-'
 
 
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The whole parser, or for one of _COMMANDS only its subparser, whose usage and help
-    are the same; the top-level usage lists every command, so the whole parser prints errors."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of _COMMANDS, which reads help and the argvs _read_argv refuses."""
     import argparse
     parser = argparse.ArgumentParser(
         prog="cliffideal",
         description="Exact Clifford/exterior algebra, idempotents, ideals and structure tensors.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    if command is not None:
-        parser.error = lambda message: _build_parser().error(message)
-    for name in _COMMANDS if command is None else [command]:
-        fn, help_line, arguments = _COMMANDS[name]
+    for name, (fn, help_line, arguments) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_line)
         for key, spec in arguments:
             if isinstance(spec, tuple):
@@ -441,7 +437,7 @@ def main(argv: list[str] | None = None) -> int:
             # '--' as a value: argparse releases read it differently (3.11 as an empty list)
             if value == "--" and len(flag) > 2 and any(key.startswith(flag) for key in _DASH_VALUES):
                 _build_parser().error(f"argument {flag}: expected one argument")
-        args = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
+        args = _build_parser().parse_args(argv)
     if args.fn is _cmd_structure and args.model == (args.input is not None):
         _build_parser().error("structure needs exactly one of --model or --input")
     try:

@@ -9,23 +9,22 @@ product.  With k = q - r_{q-p} (r the Radon-Hurwitz numbers) the result
 is primitive and its left ideal has dimension 2^{p+q-k}.  Ideal
 dimensions are computed by exact identities (an F_2 coset certificate,
 or the trace 2^n <f>_0 of x -> x*f for an idempotent f) or by
-elimination, never assumed.  For a blade b the product
-b*f is a signed permutation of f's terms.  f passes the certificate when
-its coefficients are +-<f>_0 on an F_2 subspace T and e_t*f = +-f for each
-t in a basis of T, which is a parity test on the signs alone.  Then the
-rows b*f fall into the cosets b xor T: rows of one coset are +-each other,
-rows of distinct cosets have disjoint supports (Lounesto, Clifford
-Algebras and Spinors, 2nd ed., 2001; Ablamowicz, Comput. Phys. Commun.
-115, 1998), so the first blade of each coset is exactly what elimination
-would keep, membership in A*f is a sign check coset by coset, and f*f is
-len(f) <f>_0 f.  Any other f goes through fraction-free integer
-elimination of the rows b*f, scaled to integers once, with no geometric
-product.  build_idempotent records the certificate, its group's signs, on
-the f it writes; any other element derives it once, on first use, and
-keeps it.  The basis elements of a certified f's ideal are built when
-IdealBasis.basis is first read.  Generator sets are checked by parities
-of masks: e_a^2 = (-1)^{|a|(|a|-1)/2 + |a & negatives|}, and in every
-signature e_a e_b = (-1)^{|a||b| - |a & b|} e_b e_a (Lounesto 2001).
+elimination, never assumed.  For a blade b the product b*f is a signed
+permutation of f's terms.  f passes the certificate when e_t*f = +-f for
+every t in supp f, which makes supp f an F_2 subspace T and every
+coefficient +-<f>_0.  Then the rows b*f fall into the cosets b xor T:
+rows of one coset are +-each other, rows of distinct cosets have disjoint
+supports (Lounesto, Clifford Algebras and Spinors, 2nd ed., 2001;
+Ablamowicz, Comput. Phys. Commun. 115, 1998), so the first blade of each
+coset is exactly what elimination would keep, membership in A*f is a sign
+check coset by coset, and f*f is len(f) <f>_0 f.  Any other f goes through
+fraction-free integer elimination of the rows b*f, scaled to integers once,
+with no geometric product.  build_idempotent records the certificate, its
+group's signs, on the f it writes; any other element derives it once, on
+first use, and keeps it.  The basis elements of a certified f's ideal are
+built when IdealBasis.basis is first read.  Generator sets are checked by
+parities of masks: e_a^2 = (-1)^{|a|(|a|-1)/2 + |a & negatives|}, and in
+every signature e_a e_b = (-1)^{|a||b| - |a & b|} e_b e_a (Lounesto 2001).
 """
 
 from __future__ import annotations
@@ -101,26 +100,19 @@ class GeneratorReport(_Record):
     violations: tuple[str, ...]
 
 
-def _f2_reduce(mask: int, basis: Sequence[int]) -> int:
-    """mask reduced by an F_2 echelon basis listed by decreasing leading bit.
-
-    Each step clears the basis vector's leading bit if mask has it set, so
-    the result is 0 iff mask is in the span, and the same for every mask of
-    one coset of the span.
-    """
-    for vec in basis:
-        mask = min(mask, mask ^ vec)
-    return mask
+def _f2_fresh(masks: Iterable[int]) -> Iterator[int]:
+    """Each mask outside the F_2-span of the masks before it, in order."""
+    span = {0}
+    for mask in masks:
+        if mask not in span:
+            yield mask
+            span |= {s ^ mask for s in span}
 
 
 def _f2_dependent(masks: Sequence[int]) -> int | None:
     """Index of the first mask in the F_2-span of its predecessors, else None."""
-    span = {0}
-    for pos, mask in enumerate(masks):
-        if mask in span:
-            return pos
-        span |= {s ^ mask for s in span}
-    return None
+    fresh = [*_f2_fresh(masks), None]  # a subsequence of masks: it first differs at that index
+    return next((pos for pos, (a, b) in enumerate(zip(masks, fresh)) if a != b), None)
 
 
 def _violations(sig: Signature, masks: Sequence[int]) -> tuple[int, list[str]]:
@@ -286,43 +278,26 @@ def _f2_signs(f: Multivector) -> dict[int, int] | None:
 
 
 def _f2_certificate(f: Multivector) -> dict[int, int] | None:
-    """_f2_signs derived from f's coefficients.
+    """_f2_signs derived from f's coefficients: f passes when e_t * f = +-f for every t in supp f.
 
-    f passes when every coefficient is +-<f>_0, supp f is an F_2 subspace T
-    (it holds 0, and its masks span exactly log2 len(f) dimensions), and
-    e_t * f = +-f for each vector t of an echelon basis of T.  Comparing the
-    e_{t xor m} terms of both sides, that last condition reads
-    sign(t, m) s_m = e_t^2 s_t s_{t xor m} for every m in T, a parity test.
-    Then e_t * f = +-f for every t in T, so e_b * f and e_{b xor t} * f are
-    +-each other, while rows of distinct cosets b xor T have disjoint
-    supports: the rank is 2^n / |T|, and elimination in any order keeps
-    exactly the first candidate of each coset.  Idempotency is not needed.
+    Such a row maps supp f onto t xor supp f, so supp f holds t xor t = 0 and
+    is closed under xor: it is an F_2 subspace T.  The e_t term of e_t * f is
+    <f>_0 e_t, so every coefficient is +-<f>_0.  A row is read only for a t
+    outside the span of the t's read before it; e_{t xor u} is +-e_t e_u, so
+    the other rows follow.  Then e_b * f and e_{b xor t} * f are +-each other,
+    while rows of distinct cosets b xor T have disjoint supports: the rank is
+    2^n / |T|, and elimination in any order keeps exactly the first candidate
+    of each coset.  Idempotency is not needed.
     """
     terms = f._terms  # numerators over one denominator: compared as they are
     c0 = terms.get(0)
-    if c0 is None:  # implied by the count below; a cheap early out
+    if c0 is None:  # f is zero, or no row can pass
         return None
-    signs = {}
-    for m, c in terms.items():
-        if c != c0 and c != -c0:
-            return None
-        signs[m] = 1 if c == c0 else -1
-    basis: list[int] = []
-    for mask in terms:
-        m = _f2_reduce(mask, basis)
-        if m:
-            basis.append(m)
-            basis.sort(reverse=True)
-    if 1 << len(basis) != len(terms):  # supp f fills its span only if it is a subspace
+    neg = {m: -c for m, c in terms.items()}
+    rows = _signed_rows(f.sig, terms.items(), _f2_fresh(terms))  # lazy: any() stops at a failure
+    if any(row != terms and row != neg for row in rows):
         return None
-    for t in basis:
-        sign_mask = _sign_mask(f.sig, t)
-        # e_t^2 s_t, with e_t^2 = sign(t, t)
-        scale = -signs[t] if (sign_mask & t).bit_count() & 1 else signs[t]
-        for m, s in signs.items():
-            if (-s if (sign_mask & m).bit_count() & 1 else s) != scale * signs[t ^ m]:
-                return None
-    return signs
+    return {m: 1 if c == c0 else -1 for m, c in terms.items()}
 
 
 def _in_cosets(sig: Signature, signs: dict[int, int], terms: dict[int, int]) -> bool:

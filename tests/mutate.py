@@ -43,14 +43,16 @@ WRITTEN = [EXPRIO + "test_from_json_matches_the_general_reader_on_edited_writer_
 
 MUTANTS: list[tuple[str, str, str, list[str]]] = [
     # the F_2 certificate derived from the coefficients (ideals._f2_certificate)
-    ("ideals.py",  # no parity test: e_t * f = +-f is never checked
-     "    for t in basis:\n        sign_mask = _sign_mask(f.sig, t)\n",
-     "    for t in basis[:0]:\n        sign_mask = _sign_mask(f.sig, t)\n", CERTIFICATE),
-    ("ideals.py",  # no magnitude test: any coefficient passes as +-<f>_0
-     "        if c != c0 and c != -c0:\n            return None\n",
-     "        if False:\n            return None\n", CERTIFICATE),
-    ("ideals.py",  # no subspace test: supp f need not fill its span
-     "    if 1 << len(basis) != len(terms):", "    if False:", CERTIFICATE),
+    ("ideals.py",  # only e_t * f = +f passes, not -f
+     "if any(row != terms and row != neg for row in rows):",
+     "if any(row != terms for row in rows):", CERTIFICATE),
+    ("ideals.py",  # rows compared by their supports alone
+     "if any(row != terms and row != neg for row in rows):",
+     "if any(row.keys() != terms.keys() for row in rows):", CERTIFICATE),
+    ("ideals.py",  # no span skip: a row read for every t in supp f, len(f) rows
+     "_signed_rows(f.sig, terms.items(), _f2_fresh(terms))",
+     "_signed_rows(f.sig, terms.items(), terms)",
+     [IDEALS + "test_certificate_reads_one_row_per_dimension_of_the_span"]),
     ("ideals.py",  # numerators compared without denominators: each term's own reduced one
      "    terms = f._terms  # numerators over one denominator",
      "    terms = {m: c.numerator for m, c in f.term_map().items()}  #",
@@ -257,16 +259,13 @@ MUTANTS: list[tuple[str, str, str, list[str]]] = [
     ("ideals.py",  # a wrong d = 7 row: R_{0,7} as M_8(C), which has the same dimension
      'ring, summands, m = "R", 2, 1 << ((n - 1) // 2)', 'ring, summands, m = "C", 1, 1 << ((n - 1) // 2)',
      ["tests/test_matrix_oracle.py::test_generators_anticommute_and_square_to_minus_one"]),
-    # a command loads only what it runs: lazy package names and one subparser
+    # a command loads only what it runs: lazy package names
     ("__init__.py",  # the verifier's names looked up in structures
      '    ("verifier", "Claim ClaimResult', '    ("structures", "Claim ClaimResult',
      ["tests/test_records.py::test_cli_import_skips_introspection_modules"]),
     ("__init__.py",  # a lazy name resolved on every access, never bound in the package
      "    value = globals()[name] = getattr(", "    value = getattr(",
      ["tests/test_records.py::test_cli_import_skips_introspection_modules"]),
-    ("cli.py",  # a one-command parser prints its own usage for a top-level error
-     "        parser.error = lambda message: _build_parser().error(message)\n", "        pass\n",
-     ["tests/test_cli_transcript.py::test_cli_transcript"]),
     # a plain argv is read from the command table, and argparse reads every other one
     ("cli.py",  # the table reader resolves a flag prefix, as argparse's abbreviations do
      "            if flag not in flags or flags[flag][0] in seen:\n",

@@ -633,8 +633,7 @@ def test_golden_transcript(capsys, monkeypatch, entry):
 
 def _argparse_vars(argv: list[str]) -> dict:
     """vars() of the namespace main's argparse parser returns for an argv already merged."""
-    return vars(cli._build_parser(argv[0] if argv and argv[0] in cli._COMMANDS else None)
-                .parse_args(argv))
+    return vars(cli._build_parser().parse_args(argv))
 
 
 def _transcript_argvs() -> list[tuple[list[str], bool]]:

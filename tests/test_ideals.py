@@ -522,6 +522,38 @@ def test_f2_signs_accepts_what_the_row_oracle_accepts():
     assert seen[True] >= 70 and seen[False] >= 150
 
 
+def test_certificate_reads_one_row_per_dimension_of_the_span(monkeypatch):
+    """A row e_t * f is read only for a t outside the span of the t's read before it:
+    log2 len(f) rows for a certified f, at most n for any f, and the 4,096-term all-ones
+    element of R_{0,12} is refused after at most 12 rows, not one row per term."""
+    rng = random.Random(1971)
+    idempotents = [_fresh(_random_idempotent(Signature(p, n - p), rng))
+                   for n in range(2, 11) for p in range(n + 1)]
+    elements = idempotents + [g for _, g in _conjugates(1971)]
+    elements += [parse(text, sig)
+                 for text, sig, _ in NON_IDEMPOTENTS_CERTIFIED + NON_IDEMPOTENTS_REJECTED]
+    elements += [mutant for f in idempotents for mutant in _mutants(f, rng)]
+    elements.append(Multivector(Signature(0, 12), dict.fromkeys(range(1 << 12), 1)))
+    read = []
+    signed_rows = ideals._signed_rows
+
+    def counted(sig, terms, masks):
+        for row in signed_rows(sig, terms, masks):
+            read.append(row)
+            yield row
+
+    monkeypatch.setattr(ideals, "_signed_rows", counted)
+    certified = 0
+    for f in elements:
+        read.clear()
+        signs = ideals._f2_certificate(f)
+        assert len(read) <= f.sig.n, f
+        if signs is not None:
+            assert 1 << len(read) == len(f), f
+            certified += 1
+    assert certified >= 50 and signs is None  # the all-ones element comes last
+
+
 def test_c13_eliminates_over_every_blade(monkeypatch):
     calls = []
     add = RowBasis.add
