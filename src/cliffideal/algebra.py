@@ -501,6 +501,8 @@ def geometric_product(x: Multivector, y: Multivector) -> Multivector:
 def grade_project(x: _BladeMap, k: int) -> _BladeMap:
     """The grade-k part of a Multivector or an ExteriorForm."""
     n = x._dim(x._space)
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise ValueError(f"grade {k!r} is not an integer")
     if not 0 <= k <= n:
         raise ValueError(f"grade {k} out of range 0..{n}")
     return x._reduced(x._space, x._den, {m: c for m, c in x._terms.items() if m.bit_count() == k})

@@ -15,7 +15,6 @@ usage, help and error text is argparse's.
 from __future__ import annotations
 
 import os
-import re
 import sys
 from types import SimpleNamespace
 
@@ -70,16 +69,9 @@ def _parse_sig(text: str) -> Signature:
 
 
 def _read_exprs(raw: list[str]) -> list[str]:
-    stdin_text: str | None = None
-    out = []
-    for item in raw:
-        if item == "-":
-            if stdin_text is None:
-                stdin_text = sys.stdin.read()
-            out.append(stdin_text)
-        else:
-            out.append(item)
-    return out
+    """raw with each '-' replaced by stdin's text, read once."""
+    stdin_text = sys.stdin.read() if "-" in raw else None
+    return [stdin_text if item == "-" else item for item in raw]
 
 
 def _bool(x: bool) -> str:
@@ -126,9 +118,23 @@ def _cmd_eval(args) -> int:
 
 # -- idempotent ----------------------------------------------------------
 
+def _split_generators(text: str) -> list[str]:
+    """text cut at each comma whose first brace after it is not '}' (a comma inside e{...}
+    separates indices), in one right-to-left pass."""
+    chunks, end, inside = [], len(text), False
+    for i in range(len(text) - 1, -1, -1):
+        if text[i] in "{}":
+            inside = text[i] == "}"
+        elif text[i] == "," and not inside:
+            chunks.append(text[i + 1:end])
+            end = i
+    chunks.append(text[:end])
+    return chunks[::-1]
+
+
 def _parse_generators(text: str, n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     gens = []
-    for chunk in re.split(r",(?![^{]*\})", text):  # a comma inside e{...} separates indices
+    for chunk in _split_generators(text):
         token = chunk.strip()
         if not token:
             raise _UsageError("empty generator in --gens")

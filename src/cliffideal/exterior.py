@@ -98,7 +98,7 @@ class ExteriorForm(_BladeMap):
 
 
 def volume_form(n: int) -> ExteriorForm:
-    return ExteriorForm._from_canonical(n, 1, {(1 << n) - 1: 1})
+    return ExteriorForm._from_canonical(_dimension(n), 1, {(1 << n) - 1: 1})
 
 
 def wedge(a: ExteriorForm, b: ExteriorForm) -> ExteriorForm:
@@ -129,6 +129,8 @@ def interior_product(i: int, a: ExteriorForm) -> ExteriorForm:
     On a blade containing i, drops i with sign (-1)^{position of i in
     the increasing index list, counted from zero}; kills other blades.
     """
+    if not isinstance(i, int) or isinstance(i, bool):
+        raise ValueError(f"generator index {i!r} is not an integer")
     if not 1 <= i <= a.n:
         raise ValueError(f"generator index {i} out of range 1..{a.n}")
     bit = 1 << (i - 1)

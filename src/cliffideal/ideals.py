@@ -44,7 +44,11 @@ from .algebra import (
 )
 from .linalg import RowBasis
 
-_RH_BASE = (0, 1, 2, 2, 3, 3, 3, 3)
+# the periodicity table, by i = q - p mod 8 (Lawson & Michelsohn, Spin Geometry,
+# 1989, I.4): R_{p,q} is summands copies of M_m(ring), m = 2^((p + q - j) / 2),
+# and r_i is the Radon-Hurwitz number
+_PERIODICITY = (("R", 1, 0, 0), ("C", 1, 1, 1), ("H", 1, 2, 2), ("H", 2, 3, 2),
+                ("H", 1, 2, 3), ("C", 1, 1, 3), ("R", 1, 0, 3), ("R", 2, 1, 3))
 
 
 class GeneratorError(ValueError):
@@ -60,15 +64,15 @@ def radon_hurwitz(i: int) -> int:
     r_0..r_7 = 0,1,2,2,3,3,3,3 with r_{i+8} = r_i + 4; extended to
     negative arguments by r_{-1} = -1 and r_{-i} = 1 - i + r_{i-2}.
     """
+    if not isinstance(i, int) or isinstance(i, bool):
+        raise ValueError(f"radon_hurwitz argument {i!r} is not an integer")
     if i < -12:
         raise ValueError(f"radon_hurwitz argument {i} below supported range -12")
     if i == -1:
         return -1
     if i < 0:
         return 1 + i + radon_hurwitz(-i - 2)
-    if i < 8:
-        return _RH_BASE[i]
-    return radon_hurwitz(i - 8) + 4
+    return 4 * (i >> 3) + _PERIODICITY[i & 7][3]
 
 
 class IdempotentSpec(_Record):
@@ -109,12 +113,6 @@ def _f2_fresh(masks: Iterable[int]) -> Iterator[int]:
             span |= {s ^ mask for s in span}
 
 
-def _f2_dependent(masks: Sequence[int]) -> int | None:
-    """Index of the first mask in the F_2-span of its predecessors, else None."""
-    fresh = [*_f2_fresh(masks), None]  # a subsequence of masks: it first differs at that index
-    return next((pos for pos, (a, b) in enumerate(zip(masks, fresh)) if a != b), None)
-
-
 def _violations(sig: Signature, masks: Sequence[int]) -> tuple[int, list[str]]:
     """The expected generator count, and every violation of these masks, by parity, in order."""
     def name(mask: int) -> str:  # the text column is built only to report a violation
@@ -125,9 +123,10 @@ def _violations(sig: Signature, masks: Sequence[int]) -> tuple[int, list[str]]:
     violations += [f"generators {name(a)} and {name(b)} anticommute"
                    for i, a in enumerate(masks) for b in masks[i + 1:]
                    if (a.bit_count() * b.bit_count() ^ (a & b).bit_count()) & 1]
-    dep = _f2_dependent(masks)
+    fresh = [*_f2_fresh(masks), None]  # a subsequence of masks: it first differs at a dependent one
+    dep = next((a for a, b in zip(masks, fresh) if a != b), None)
     if dep is not None:
-        violations.append(f"generator {name(masks[dep])} is a product of earlier generators")
+        violations.append(f"generator {name(dep)} is a product of earlier generators")
     expected = sig.q - radon_hurwitz(sig.q - sig.p)
     if len(masks) != expected:
         violations.append(f"expected {expected} generators for {sig}, got {len(masks)}")
@@ -230,7 +229,8 @@ class IdealBasis(_Record):
         if name != "basis":  # only an unset slot gets here
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         n = self.idempotent.sig.n
-        kept = _first_per_coset(blade_table(n).order, self._rows, n)
+        order = blade_table(n).order
+        kept = map(order.__getitem__, _first_per_coset(order, self._rows, n))
         object.__setattr__(self, "basis", _products(self.idempotent, kept))
         return self.basis
 
@@ -325,14 +325,14 @@ def _in_cosets(sig: Signature, signs: dict[int, int], terms: dict[int, int]) -> 
 
 
 def _first_per_coset(masks: Iterable[int], span: Iterable[int], n: int) -> list[int]:
-    """The first mask met in each coset b xor span (a subspace), in order, until all are met."""
+    """Positions of the first mask met in each coset b xor span (a subspace), until all are met."""
     span = list(span)
     cosets = (1 << n) // len(span)
     seen: set[int] = set()
     kept = []
-    for b in masks:
+    for pos, b in enumerate(masks):
         if b not in seen:
-            kept.append(b)
+            kept.append(pos)
             if len(kept) == cosets:
                 break
             seen.update(map(b.__xor__, span))
@@ -342,12 +342,12 @@ def _first_per_coset(masks: Iterable[int], span: Iterable[int], n: int) -> list[
 def _eliminate(f: Multivector, masks: Sequence[int]) -> tuple[RowBasis, list[int]]:
     """Integer elimination of the rows D * (e_b * f), b in masks, in order, D f's denominator.
 
-    Returns the echelon of the accepted rows and the masks b whose rows
-    enlarged the span.
+    Returns the echelon of the accepted rows and the positions in masks of
+    the rows that enlarged the span.
     """
     rows = _signed_rows(f.sig, f._terms.items(), masks)
     echelon = RowBasis()
-    kept = [b for b, row in zip(masks, rows) if echelon.add(row)]
+    kept = [pos for pos, row in enumerate(rows) if echelon.add(row)]
     return echelon, kept
 
 
@@ -370,27 +370,12 @@ def left_ideal_basis(f: Multivector) -> IdealBasis:
     _require_generator(f, "left_ideal_basis")
     signs = _f2_signs(f)
     if signs is None:
-        rows, kept = _eliminate(f, blade_table(f.sig.n).order)
-        return IdealBasis(idempotent=f, dimension=len(kept), basis=_products(f, kept), _rows=rows)
+        order = blade_table(f.sig.n).order
+        rows, kept = _eliminate(f, order)
+        return IdealBasis(f, len(kept), _products(f, map(order.__getitem__, kept)), rows)
     ideal = IdealBasis(f, (1 << f.sig.n) // len(f), None, signs)
     object.__delattr__(ideal, "basis")  # left unset until IdealBasis.__getattr__ builds it
     return ideal
-
-
-def _candidate_masks(candidates: Iterable[Iterable[int]], n: int) -> list[int]:
-    """blade_mask of each candidate, in order, by one table lookup each.
-
-    The lookup is taken only when every index has type exactly int (True,
-    1.0, Fraction(1) and IntEnum members hash like 1); a miss then means a
-    malformed blade.  Otherwise blade_mask runs over the candidates in
-    order and raises on the first bad one.
-    """
-    cands = list(map(tuple, candidates))
-    if set(map(type, chain.from_iterable(cands))) <= {int}:
-        masks = list(map(blade_table(n).index.get, cands))
-        if None not in masks:
-            return masks
-    return [blade_mask(cand, n) for cand in cands]
 
 
 def coset_basis(f: Multivector, candidates: Iterable[Iterable[int]]) -> list[tuple[int, ...]]:
@@ -405,13 +390,22 @@ def coset_basis(f: Multivector, candidates: Iterable[Iterable[int]]) -> list[tup
     n = f.sig.n
     certified = _f2_signs(f) is not None
     target = (1 << n) // len(f) if certified else _eliminate(f, blade_table(n).order)[0].rank
-    masks = _candidate_masks(candidates, n)
+    cands = list(map(tuple, candidates))
+    # the table lookup is taken only when every index has type exactly int (True, 1.0,
+    # Fraction(1) and IntEnum members hash like 1); a miss then means a malformed blade.
+    # Otherwise blade_mask reads the candidates in order, raising on the first bad one,
+    # and each is rebuilt as an int tuple.
+    exact = set(map(type, chain.from_iterable(cands))) <= {int}
+    masks = list(map(blade_table(n).index.get, cands)) if exact else [None]
+    if None in masks:
+        masks = [blade_mask(cand, n) for cand in cands]
+        cands = list(map(mask_indices, masks))
     kept = _first_per_coset(masks, f._terms, n) if certified else _eliminate(f, masks)[1]
     if len(kept) != target:
         raise ValueError(
             f"candidates insufficient to span the ideal (got rank {len(kept)} of {target})"
         )
-    return [mask_indices(m) for m in kept]
+    return [cands[pos] for pos in kept]
 
 
 class AlgebraClass(_Record):
@@ -441,18 +435,8 @@ def classify(sig: Signature) -> AlgebraClass:
 
 @cache  # one entry per valid (p, q): 90 at most
 def _classify(p: int, q: int) -> AlgebraClass:
-    n = p + q
-    d = (q - p) % 8
-    if d in (0, 6):
-        ring, summands, m = "R", 1, 1 << (n // 2)
-    elif d in (1, 5):
-        ring, summands, m = "C", 1, 1 << ((n - 1) // 2)
-    elif d in (2, 4):
-        ring, summands, m = "H", 1, 1 << ((n - 2) // 2)
-    elif d == 3:
-        ring, summands, m = "H", 2, 1 << ((n - 3) // 2)
-    else:  # d == 7
-        ring, summands, m = "R", 2, 1 << ((n - 1) // 2)
+    ring, summands, j, _ = _PERIODICITY[(q - p) % 8]
+    m = 1 << ((p + q - j) >> 1)
     return AlgebraClass(ring=ring, matrix_size=m, summands=summands,
                         minimal_ideal_dim=m * _RING_DIM[ring])
 

@@ -89,8 +89,13 @@ MUTANTS: list[tuple[str, str, str, list[str]]] = [
      [IDEALS + "test_signed_permutation_rows_match_products",
       "tests/test_algebra.py::test_geometric_product_dense_against_oracle"]),
     ("ideals.py",  # a wrong Radon-Hurwitz step
-     "    return radon_hurwitz(i - 8) + 4", "    return radon_hurwitz(i - 8) + 3",
+     "    return 4 * (i >> 3) + _PERIODICITY", "    return 3 * (i >> 3) + _PERIODICITY",
      [IDEALS + "test_classification_consistent_with_radon_hurwitz"]),
+    ("ideals.py",  # one wrong r_i in the periodicity table: r_4 = 2
+     '("H", 1, 2, 3),', '("H", 1, 2, 2),', [IDEALS + "test_radon_hurwitz_frozen_table"]),
+    ("ideals.py",  # coset_basis returns each kept candidate's successor
+     "    return [cands[pos] for pos in kept]", "    return [cands[pos + 1] for pos in kept]",
+     [IDEALS + "test_coset_basis_stated_representatives"]),
     ("ideals.py",  # decompose_algebra validates once more per sign choice
      "    return [_expand(spec.sig, signs, masks) for signs",
      "    return [build_idempotent(IdempotentSpec(spec.sig, tuple(zip(signs, (t for _, t in "
@@ -127,6 +132,9 @@ MUTANTS: list[tuple[str, str, str, list[str]]] = [
      "    return x._reduced(x._space, x._den, {m: c for m, c in x._terms.items()",
      "    return x._from_canonical(x._space, x._den, {m: c for m, c in x._terms.items()",
      CANONICAL),
+    ("exterior.py",  # volume_form of any n: 0, 13 or 40 builds a form
+     "_from_canonical(_dimension(n), 1, {(1 << n) - 1: 1})", "_from_canonical(n, 1, {(1 << n) - 1: 1})",
+     ["tests/test_exterior.py::test_volume_form_refuses_a_dimension_outside_1_to_12"]),
     ("exterior.py",  # interior_product without renormalising
      "    return ExteriorForm._reduced(a.n, a._den, out)",
      "    return ExteriorForm._from_canonical(a.n, a._den, out)", CANONICAL),
@@ -257,7 +265,7 @@ MUTANTS: list[tuple[str, str, str, list[str]]] = [
      "",
      ["tests/test_structures.py::test_g2_idempotent_decides_as_the_metric_first_reference"]),
     ("ideals.py",  # a wrong d = 7 row: R_{0,7} as M_8(C), which has the same dimension
-     'ring, summands, m = "R", 2, 1 << ((n - 1) // 2)', 'ring, summands, m = "C", 1, 1 << ((n - 1) // 2)',
+     '("R", 2, 1, 3))', '("C", 1, 1, 3))',
      ["tests/test_matrix_oracle.py::test_generators_anticommute_and_square_to_minus_one"]),
     # a command loads only what it runs: lazy package names
     ("__init__.py",  # the verifier's names looked up in structures
@@ -317,6 +325,12 @@ MUTANTS: list[tuple[str, str, str, list[str]]] = [
     ("algebra.py",  # the constructor stores a mask outside 0..2^n - 1
      "            if not 0 <= mask < limit:\n", "            if False:\n",
      ["tests/test_algebra.py::test_shared_element_api"]),
+    ("cli.py",  # the --gens split's brace test inverted: commas inside e{...} split
+     'inside = text[i] == "}"', 'inside = text[i] == "{"',
+     ["tests/test_cli.py::test_gens_split_matches_the_lookahead_rule"]),
+    ("cli.py",  # stdin read once per '-': the second '-' reads nothing
+     '    stdin_text = sys.stdin.read() if "-" in raw else None\n    return [stdin_text if',
+     "    return [sys.stdin.read() if", ["tests/test_cli.py::test_eval_stdin"]),
     ("cli.py",  # a usage error exits 1, as a refusal does
      "    except (_UsageError, ParseError, SchemaError) as exc:\n"
      "        print(f\"error: {exc}\", file=sys.stderr)\n        return EXIT_PARSE\n"

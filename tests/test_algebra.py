@@ -293,6 +293,9 @@ def test_shared_element_api(cls, space):
     for k in (-1, 7):
         with pytest.raises(ValueError, match=rf"^grade {k} out of range 0\.\.6$"):
             x.grade(k)
+    for k in (True, False, 1.0, Fraction(2)):  # as a blade index: an int, not a bool
+        with pytest.raises(ValueError, match=f"^grade {re.escape(repr(k))} is not an integer$"):
+            x.grade(k)
     other = (ExteriorForm.blade(6, (1,)) if cls is Multivector
              else Multivector.blade(Signature(0, 6), (1,)))
     # one reader takes every coefficient in: an int, a bool or a Fraction, and nothing it

@@ -1,6 +1,8 @@
 import io
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -211,6 +213,22 @@ def test_idempotent_gens_delimited_blades(capsys):
     code, out, _ = run(capsys, "idempotent", "--sig", "0,10", "--gens", "+e{1,2,3,10}", "--check")
     assert code == 1
     assert out == "k: 1 (expected 4)\nvalid: false\nviolation: expected 4 generators for R_{0,10}, got 1\n"
+
+
+def test_gens_split_matches_the_lookahead_rule():
+    # a comma separates generators unless the first brace after it is '}'
+    rng = random.Random(2030)
+    for _ in range(20000):
+        text = "".join(rng.choice("{},e12+- ") for _ in range(rng.randint(0, 14)))
+        assert cli._split_generators(text) == re.split(r",(?![^{]*\})", text), text
+
+
+def test_gens_split_reads_a_128_kb_argument():
+    text = "+e1," * 32000  # about the most one Linux argument carries
+    assert len(text) == 128_000
+    chunks = cli._split_generators(text)
+    assert len(chunks) == 32001 and chunks[-1] == "" and set(chunks[:-1]) == {"+e1"}
+    assert cli._parse_generators(text[:-1], 12) == ((1, (1,)),) * 32000
 
 
 def test_eval_delimited_blade_for_n_ge_10(capsys):

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -149,6 +150,12 @@ def test_interior_product_refuses_an_index_outside_1_to_n(i):
         interior_product(i, ExteriorForm.blade(6, (1, 2)))
 
 
+@pytest.mark.parametrize("i", [True, False, 1.0, Fraction(1)])
+def test_interior_product_refuses_an_index_that_is_not_an_int(i):
+    with pytest.raises(ValueError, match=f"^generator index {re.escape(repr(i))} is not an integer$"):
+        interior_product(i, ExteriorForm.blade(6, (1, 2)))
+
+
 @given(st.integers(min_value=2, max_value=7).flatmap(
     lambda n: st.tuples(st.just(n), st.integers(1, n),
                         st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1))))
@@ -201,6 +208,12 @@ def test_form_embed_lifts_dimension():
 def test_volume_form_and_element_agree():
     for n in range(1, 9):
         assert symbol(volume_element(Signature(0, n))) == volume_form(n)
+
+
+@pytest.mark.parametrize("n", [0, 13, 40, -1, True, 6.0])
+def test_volume_form_refuses_a_dimension_outside_1_to_12(n):
+    with pytest.raises(ValueError, match=rf"^dimension must be in 1\.\.12, got {n}$"):
+        volume_form(n)
 
 
 def test_convention_tokens_roundtrip():

@@ -6,6 +6,7 @@ from enum import IntEnum
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -82,6 +83,17 @@ def test_radon_hurwitz_negative_extension():
         assert radon_hurwitz(j) == 1 + j + radon_hurwitz(-j - 2)
     with pytest.raises(ValueError):
         radon_hurwitz(-13)
+
+
+def test_radon_hurwitz_reads_any_int_and_refuses_the_rest():
+    r = [0, 1, 2, 2, 3, 3, 3, 3]
+    for i in range(8, 8000):  # r_{i+8} = r_i + 4, walked up past any recursion depth
+        r.append(r[i - 8] + 4)
+    assert [radon_hurwitz(i) for i in range(8000)] == r
+    assert radon_hurwitz(10 ** 4) == 5000 and radon_hurwitz(10 ** 30) == 5 * 10 ** 29
+    for bad in (True, False, -1.5, 2.0, Fraction(3), "3", None):
+        with pytest.raises(ValueError, match=r"^radon_hurwitz argument .* is not an integer$"):
+            radon_hurwitz(bad)
 
 
 def test_generator_counts_match_radon_hurwitz():
@@ -311,7 +323,7 @@ def _random_spec(sig, rng):
             if (blade_square_sign(mask_indices(m), sig) == 1
                     and all(blade_product_masks(m, c, sig) == blade_product_masks(c, m, sig)
                             for c in chosen)
-                    and ideals._f2_dependent(chosen + [m]) is None):
+                    and len([*ideals._f2_fresh(chosen + [m])]) == len(chosen) + 1):
                 chosen.append(m)
         if len(chosen) == k:
             gens = tuple((rng.choice((1, -1)), mask_indices(m)) for m in chosen)
@@ -361,8 +373,9 @@ def test_left_ideal_basis_recomputes_each_call(f6, f7, sig6):
 def _eliminated(f):
     """left_ideal_basis(f) as elimination over every blade computes it, with the
     basis multiplied out: the reference the certified path must reproduce."""
-    echelon, kept = ideals._eliminate(f, blade_table(f.sig.n).order)
-    basis = tuple(Multivector(f.sig, {b: 1}) * f for b in kept)
+    order = blade_table(f.sig.n).order
+    echelon, kept = ideals._eliminate(f, order)
+    basis = tuple(Multivector(f.sig, {order[pos]: 1}) * f for pos in kept)
     return ideals.IdealBasis(f, echelon.rank, basis, echelon)
 
 
@@ -370,7 +383,7 @@ def _eliminated_cosets(f, candidates):
     """The candidates elimination keeps, in order, and the rank they reach."""
     masks = [blade_mask(c, f.sig.n) for c in candidates]
     echelon, kept = ideals._eliminate(f, masks)
-    return [mask_indices(b) for b in kept], echelon.rank
+    return [mask_indices(masks[pos]) for pos in kept], echelon.rank
 
 
 def _certified(f):
@@ -573,6 +586,7 @@ def test_ideal_basis_elements_are_blade_products(f6):
 def test_coset_basis_stated_representatives(f6, f7):
     cands6 = [(), (2,), (3,), (5,), (2, 3), (2, 5), (3, 5), (2, 3, 5)]
     assert coset_basis(f6, cands6) == cands6
+    assert all(r is c for r, c in zip(coset_basis(f6, cands6), cands6))  # the caller's own tuples
     cands7 = [()] + [(i,) for i in range(1, 8)]
     assert coset_basis(f7, cands7) == cands7
 
@@ -649,14 +663,15 @@ def test_coset_basis_lookup_matches_blade_mask(f6, monkeypatch):
             fast = _outcome(f, cands)
             assert _outcome(f, (iter(t) for t in cands)) == fast  # generators of generators
             with monkeypatch.context() as m:
-                m.setattr(ideals, "_candidate_masks",
-                          lambda cands, n: [blade_mask(c, n) for c in cands])
+                m.setattr(ideals, "blade_table",  # no lookup hits: blade_mask reads every candidate
+                          lambda n: SimpleNamespace(index={}, order=blade_table(n).order))
                 assert _outcome(f, cands) == fast, cands
     assert _outcome(f6, order[:10] + [(3, 2)] + order[10:]) == (
         ValueError, "blade indices must be strictly increasing, got index 2")
     assert _outcome(f6, [(True,)]) == (ValueError, "blade index True is not an integer")
     reps = coset_basis(f6, [tuple(Index(i) for i in t) for t in order])
     assert reps == coset_basis(f6, order) and len(reps) == 8
+    assert {type(i) for t in reps for i in t} == {int}  # rebuilt from the masks
 
 
 def test_non_multivector_arguments_raise_type_error(f6):
@@ -928,7 +943,7 @@ def test_classify_is_built_once_per_signature():
 
 def test_classification_total_dimension_law():
     ring_dim = {"R": 1, "C": 2, "H": 4}
-    for n in range(1, 11):
+    for n in range(1, 13):
         for p in range(n + 1):
             cls = classify(Signature(p, n - p))
             total = cls.summands * cls.matrix_size ** 2 * ring_dim[cls.ring]
@@ -937,8 +952,8 @@ def test_classification_total_dimension_law():
 
 def test_classification_consistent_with_radon_hurwitz():
     # the minimal ideal dimension from the matrix type equals 2^(n-k)
-    # with k = q - r_{q-p} commuting generators
-    for n in range(1, 11):
+    # with k = q - r_{q-p} commuting generators, on all 90 signatures
+    for n in range(1, 13):
         for p in range(n + 1):
             q = n - p
             k = q - radon_hurwitz(q - p)
