@@ -172,6 +172,10 @@ _OTHER_HALF = {7: (1, "x lies in the vol*x = +x half; the G2 correspondence uses
 
 def _rebuilt(s, x: Multivector, idempotent):
     """s when idempotent(s) is a multiple of x, else a StructureError that says why."""
+    # a rebuilt idempotent lies in its own half, so an x in the other half is refused unbuilt
+    sign, half = _OTHER_HALF.get(x.sig.n, (0, ""))
+    if sign and volume_element(x.sig) * x == x.scale(sign):
+        raise StructureError(f"cannot recover a structure: {half}")
     try:
         f = idempotent(s)
         if f.scale(x.scalar_part / f.scalar_part) == x:
@@ -179,9 +183,6 @@ def _rebuilt(s, x: Multivector, idempotent):
         reason = "x is not a multiple of the idempotent its tensors build"
     except StructureError as exc:
         reason = str(exc)
-    sign, half = _OTHER_HALF.get(x.sig.n, (0, ""))
-    if sign and volume_element(x.sig) * x == x.scale(sign):
-        reason = half
     raise StructureError(f"cannot recover a structure: {reason}")
 
 

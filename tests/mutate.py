@@ -211,6 +211,16 @@ MUTANTS: list[tuple[str, str, str, list[str]]] = [
      "lambda conv: _su3_formula(su3, conv, 4, su3_square),",
      "lambda conv: _su3_formula(su3, conv, -4, su3_square),",
      ["tests/test_verifier.py::test_report_statuses_frozen"]),
+    # one rule for every claim: the value decides, one printer shows both values, a failure notes why
+    ("verifier.py",  # no differing-blades note for a failing claim without an erratum
+     'erratum or (_diff_note(x, stated) if isinstance(x, Multivector) else "")', "erratum",
+     ["tests/test_verifier.py::test_display_errata_notes_name_blades"]),
+    ("verifier.py",  # paper printed from the engine's value instead of the stated one
+     "paper or show(stated)", "paper or show(value(_NORMATIVE))",
+     ["tests/test_verifier.py::test_c3_fails_with_correction"]),
+    ("verifier.py",  # a claim decided by its printed text instead of its value
+     "        if x == stated:\n", "        if show(x) == show(stated):\n",
+     ["tests/test_verifier.py::test_claims_are_decided_by_value_not_by_printed_text"]),
     ("structures.py",  # the library's Spin(7) constant replaced by the displayed 1/128
      "f = _spin7_formula(omega, _STAR, Fraction(1, 16 * c), square)",
      "f = _spin7_formula(omega, _STAR, Fraction(1, 128), square)",

@@ -395,6 +395,27 @@ def test_every_decomposition_piece_rebuilds_or_names_its_half(n):
     assert (rebuilt, len(pieces)) == (8, 16 if sign else 8)
 
 
+@pytest.mark.parametrize("n, rebuilders", [(7, ("g2_idempotent", "g2_metric")), (8, ("spin7_idempotent",))])
+def test_recover_names_the_other_half_before_rebuilding(n, rebuilders, monkeypatch):
+    """The 8 pieces in the half a correspondence never builds are refused with no idempotent built."""
+    recover, _, sign, why = RECOVERIES[n]
+    calls = dict.fromkeys(rebuilders, 0)
+    for name in rebuilders:
+        def counting(*args, name=name, real=getattr(structures, name)):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(structures, name, counting)
+    vol = volume_element(Signature(0, n))
+    pieces = decompose_algebra(IdempotentSpec(Signature(0, n), verifier._GENS[n]))
+    other = [f for f in pieces if vol * f == f.scale(sign)]
+    assert len(other) == 8
+    for f in other:
+        with pytest.raises(StructureError) as exc:
+            recover(f)
+        assert str(exc.value) == why
+    assert calls == dict.fromkeys(rebuilders, 0)
+
+
 @pytest.mark.parametrize("n", RECOVERIES)
 def test_recover_rejects_what_its_tensors_do_not_rebuild(n, f6, f7, f8):
     recover, idempotent, _, _ = RECOVERIES[n]

@@ -108,6 +108,14 @@ def test_display_errata_notes_name_blades():
         assert blade in c20.note
 
 
+def test_claims_are_decided_by_value_not_by_printed_text(monkeypatch):
+    """Reversed coset representatives print as 'accepted 8 of 8' too, but are not the stated ones."""
+    monkeypatch.setattr(verifier, "coset_basis", lambda f, cands: list(cands)[::-1])
+    result = run_claim("C16")
+    assert result.computed == "accepted 8 of 8 in R_(0,6); accepted 8 of 8 in R_(0,7)"
+    assert result.status == "FAIL"
+
+
 def test_every_fail_carries_computed_value(report):
     for result in report.results:
         if result.status == "FAIL":
