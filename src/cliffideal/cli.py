@@ -10,12 +10,21 @@ ParseError and SchemaError to 2, any other ValueError to 1.
 _COMMANDS lists each command's arguments once.  A plain argv is read from it
 directly; argparse, built from it, runs only for help and refusals, so every
 usage, help and error text is argparse's.
+main registers gc.freeze to run at interpreter exit, once per process: the
+collections at shutdown then skip the heap, a walk that would cost more
+than most commands.  So cyclic garbage still alive at exit is not collected
+and its __del__ methods do not run (Python does not promise that they do);
+weakref.finalize callbacks still run through their own atexit hook.  An
+in-process caller of main is frozen only at its own exit, never while it runs.
 """
 
 from __future__ import annotations
 
+import atexit
+import gc
 import os
 import sys
+from functools import cache
 from types import SimpleNamespace
 
 from .algebra import Multivector, Signature, blade_table, mask_indices
@@ -435,7 +444,13 @@ def _merge_dash_values(argv: list[str]) -> list[str]:
     return out
 
 
+@cache  # once per process; unregistering per call would leave 3.11's atexit a dead slot each time
+def _freeze_at_exit() -> None:
+    atexit.register(gc.freeze)
+
+
 def main(argv: list[str] | None = None) -> int:
+    _freeze_at_exit()
     argv = _merge_dash_values(sys.argv[1:] if argv is None else argv)
     args = _read_argv(argv)
     if args is None:

@@ -268,8 +268,10 @@ def print_canonical(x: Multivector | ExteriorForm) -> str:
 
 # -- JSON ---------------------------------------------------------------
 
-# integer ['/' positive-integer], as for the text grammar
-_JSON_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+@cache
+def _json_rational() -> re.Pattern:
+    """integer ['/' positive-integer], as for the text grammar; compiled on first use."""
+    return re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 def _space(x: Multivector | ExteriorForm) -> tuple[int, int, str]:
@@ -322,7 +324,7 @@ def _json_term(item, n: int, tpath: str) -> tuple[int, int, int]:
         raise SchemaError(str(exc), f"{tpath}.blade") from None
     coef = item["coef"]
     _expect(isinstance(coef, str), "expected a string rational", f"{tpath}.coef")
-    _expect(_JSON_RATIONAL.fullmatch(coef) is not None,
+    _expect(_json_rational().fullmatch(coef) is not None,
             "expected integer ['/' positive-integer]", f"{tpath}.coef")
     num, _, den = coef.partition("/")
     try:

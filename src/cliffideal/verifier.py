@@ -27,7 +27,6 @@ from __future__ import annotations
 from collections.abc import Callable
 from fractions import Fraction
 from functools import cache
-from importlib import resources
 from operator import attrgetter
 
 from .algebra import Multivector, Signature, _Record, blade_table, volume_element
@@ -371,8 +370,14 @@ def run_all() -> Report:
 
 
 def load_golden() -> dict[str, str]:
-    """The pinned expected statuses shipped with the package."""
+    """The pinned expected statuses shipped with the package: the file beside this module, or
+    through importlib.resources where there is no such file (a zip import)."""
     import json
+    import os
 
-    text = resources.files("cliffideal").joinpath("data/golden_claims.json").read_text()
-    return json.loads(text)
+    path = os.path.join(os.path.dirname(__file__), "data", "golden_claims.json")
+    if os.path.isfile(path):
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    from importlib import resources
+    return json.loads(resources.files("cliffideal").joinpath("data/golden_claims.json").read_text())

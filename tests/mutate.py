@@ -349,6 +349,23 @@ MUTANTS: list[tuple[str, str, str, list[str]]] = [
      "        print(f\"error: {exc}\", file=sys.stderr)\n        return EXIT_PARSE\n"
      "    except (ValueError, _UsageError) as exc:",
      ["tests/test_cli.py::test_eval_unknown_op_exit_2"]),
+    # what happens at exit: gc.freeze registered once, and the exit code of a closed pipe
+    ("cli.py",  # the heap frozen at once, while an in-process caller still runs
+     "    atexit.register(gc.freeze)\n", "    gc.freeze()\n",
+     ["tests/test_cli.py::test_in_process_main_leaves_the_heap_unfrozen"]),
+    ("cli.py",  # no registration: the shutdown collections walk the whole heap again
+     "    _freeze_at_exit()\n", "",
+     ["tests/test_cli.py::test_exit_freeze_runs_after_main_before_earlier_callbacks"]),
+    ("cli.py",  # registered on every call: two main calls freeze twice at exit
+     "@cache  # once", "# once",
+     ["tests/test_cli.py::test_main_registers_the_exit_freeze_once"]),
+    ("cli.py",  # a closed stdout pipe exits 1, as a refusal does
+     "        return EXIT_PIPE\n", "        return EXIT_SEMANTIC\n",
+     ["tests/test_cli.py::test_closed_stdout_pipe_exits_141"]),
+    # the golden file read without importlib.resources
+    ("verifier.py",  # importlib.resources back at module level
+     "from functools import cache\n", "from functools import cache\nfrom importlib import resources\n",
+     ["tests/test_records.py::test_cli_import_skips_introspection_modules"]),
 ]
 
 

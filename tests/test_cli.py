@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import os
@@ -18,6 +19,7 @@ from cliffideal import (G2Structure, SchemaError, Signature, Spin7Structure, SU3
 from cliffideal import cli, ideals, structures, verifier
 from cliffideal.cli import main
 
+PACKAGE_ROOT = str(Path(cli.__file__).resolve().parents[1])  # for children: the package under test
 PSI_PLUS = "e135 - e146 - e236 - e245"
 PSI_MINUS = "e136 + e145 + e235 - e246"
 
@@ -768,8 +770,7 @@ def test_table_reader_returns_what_argparse_returns(argv):
                                   ["idempotent", "--sig", "0,8", "--ideal",
                                    "--gens=-e1234,-e1256,-e1278,-e1357"]])
 def test_closed_stdout_pipe_exits_141(argv, unbuffered):
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+    env = dict(os.environ, PYTHONPATH=PACKAGE_ROOT, PYTHONUNBUFFERED=unbuffered)
     read_end, write_end = os.pipe()
     os.close(read_end)  # closed before the child writes a byte
     try:
@@ -779,3 +780,41 @@ def test_closed_stdout_pipe_exits_141(argv, unbuffered):
         os.close(write_end)
     assert proc.returncode == 141
     assert b"Traceback" not in proc.stderr and b"BrokenPipeError" not in proc.stderr
+
+
+# -- the heap at exit --------------------------------------------------------
+
+def test_in_process_main_leaves_the_heap_unfrozen(capsys):
+    """main only registers gc.freeze for the exit: a caller's heap stays collectable."""
+    assert run(capsys, "classify", "0", "6")[0] == 0
+    assert gc.get_freeze_count() == 0
+
+
+def _child(code: str) -> list[str]:
+    """stdout lines of python -c code, with the package the tests import."""
+    env = dict(os.environ, PYTHONPATH=PACKAGE_ROOT)
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True, timeout=60).stdout.splitlines()
+
+
+def test_main_registers_the_exit_freeze_once():
+    """Two main calls in one process: gc.freeze runs once, at exit."""
+    lines = _child("import gc\n"
+                   "gc.freeze = lambda: print('freeze')\n"
+                   "from cliffideal.cli import main\n"
+                   "main(['classify', '0', '6']); main(['classify', '0', '7'])\n")
+    assert lines == ["M_8(R), minimal ideal dim 8", "M_8(R) ⊕ M_8(R), minimal ideal dim 8", "freeze"]
+
+
+def test_exit_freeze_runs_after_main_before_earlier_callbacks():
+    """atexit runs last in, first out: a callback registered before main sees the heap
+    frozen, and the weakref.finalize callback of an object alive at exit still runs."""
+    lines = _child("import atexit, gc, weakref\n"
+                   "atexit.register(lambda: print('frozen at exit:', gc.get_freeze_count() > 0))\n"
+                   "class Node: pass\n"
+                   "node = Node(); node.self = node\n"
+                   "weakref.finalize(node, print, 'finalized')\n"
+                   "from cliffideal.cli import main\n"
+                   "print('frozen after main:', gc.get_freeze_count() > 0, main(['classify', '0', '6']))\n")
+    assert lines[:2] == ["M_8(R), minimal ideal dim 8", "frozen after main: False 0"]
+    assert sorted(lines[2:]) == ["finalized", "frozen at exit: True"]

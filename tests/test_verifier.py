@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import zipfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import cliffideal
 import cliffideal.verifier as verifier
 from cliffideal import (
     HodgeConvention,
@@ -56,6 +62,29 @@ def test_golden_file_covers_catalog():
     golden = load_golden()
     assert set(golden) == {c.id for c in _catalog().values()}
     assert set(golden.values()) <= ALLOWED_STATUSES
+
+
+def test_golden_file_is_read_through_resources_where_it_is_not_beside_the_module(
+        monkeypatch, tmp_path):
+    """load_golden opens the file beside verifier.py, and falls back to importlib.resources
+    only where there is none: here a module path without the file, and a zip import."""
+    golden = load_golden()
+    monkeypatch.setattr(verifier, "__file__", str(tmp_path / "verifier.py"))
+    assert load_golden() == golden
+
+    package = Path(cliffideal.__file__).resolve().parent
+    archive = tmp_path / "cliffideal.zip"
+    with zipfile.ZipFile(archive, "w") as zf:
+        for path in package.rglob("*"):
+            if path.is_file() and "__pycache__" not in path.parts:
+                zf.write(path, path.relative_to(package.parent))
+    code = ("import json, sys; from cliffideal import verifier; "
+            "print(verifier.__file__.startswith(sys.argv[1]), json.dumps(verifier.load_golden()))")
+    out = subprocess.run([sys.executable, "-S", "-c", code, str(archive)],
+                         env=dict(os.environ, PYTHONPATH=str(archive)), capture_output=True,
+                         text=True, check=True, timeout=60)
+    flag, _, text = out.stdout.partition(" ")
+    assert flag == "True" and json.loads(text) == golden
 
 
 def test_report_matches_golden(report):
