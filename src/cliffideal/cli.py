@@ -13,9 +13,12 @@ usage, help and error text is argparse's.
 main registers gc.freeze to run at interpreter exit, once per process: the
 collections at shutdown then skip the heap, a walk that would cost more
 than most commands.  So cyclic garbage still alive at exit is not collected
-and its __del__ methods do not run (Python does not promise that they do);
-weakref.finalize callbacks still run through their own atexit hook.  An
-in-process caller of main is frozen only at its own exit, never while it runs.
+and its __del__ methods do not run (Python does not promise that they do):
+a buffered file or a socket left open in a reference cycle is then neither
+flushed nor closed, and its unwritten data is lost.  weakref.finalize
+callbacks still run through their own atexit hook.  This holds for every
+program that calls main in-process too, at its own exit; its heap is never
+frozen while it runs.
 """
 
 from __future__ import annotations

@@ -370,14 +370,10 @@ def run_all() -> Report:
 
 
 def load_golden() -> dict[str, str]:
-    """The pinned expected statuses shipped with the package: the file beside this module, or
-    through importlib.resources where there is no such file (a zip import)."""
+    """The pinned expected statuses shipped with the package, read by this module's loader
+    from beside it: a file on disk, or a member of the archive under a zip import."""
     import json
     import os
 
     path = os.path.join(os.path.dirname(__file__), "data", "golden_claims.json")
-    if os.path.isfile(path):
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    from importlib import resources
-    return json.loads(resources.files("cliffideal").joinpath("data/golden_claims.json").read_text())
+    return json.loads(__loader__.get_data(path))

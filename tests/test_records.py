@@ -292,8 +292,8 @@ def test_cli_import_skips_introspection_modules():
              (["idempotent", "--sig", "0,6", "--gens", "+e135,-e146,-e236", "--decompose"], never),
              (["structure", "su3", "--model", "--to-idempotent"],
               {"cliffideal.verifier", "argparse", "typing"}),
-             # the golden file is read with open, not through importlib.resources and its zip
-             # and temporary-file machinery
+             # the golden file is read by the module's loader, not through importlib.resources
+             # and its zip and temporary-file machinery
              (["verify-paper"], {"importlib.resources", "zipfile", "tempfile", "argparse", "typing"})]
     for argv, unloaded in cases:
         # -S: no site hooks, so only the package's own imports are counted
