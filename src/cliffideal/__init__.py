@@ -17,7 +17,6 @@ from types import ModuleType as _ModuleType
 from .algebra import (
     Multivector,
     Signature,
-    blade_square_sign,
     geometric_product,
     grade_project,
     reverse,

@@ -183,10 +183,6 @@ def mask_indices(mask: int) -> tuple[int, ...]:
     return tuple(_LOW_INDICES[mask & 255] + _HIGH_INDICES[mask >> 8])
 
 
-def grade_of(mask: int) -> int:
-    return mask.bit_count()
-
-
 def _by_grade(n: int) -> Iterator[tuple[int, ...]]:
     """Index tuples of every blade of dimension n, by grade, then lexicographically."""
     return (c for k in range(n + 1) for c in combinations(range(1, n + 1), k))
@@ -231,7 +227,11 @@ blade_table = cache(BladeTable)
 def _suffix_parity(a: int) -> int:
     """Mask whose bit j is the parity of the bits of a above position j.
 
-    The suffix xor spans 16 positions, enough for every n <= MAX_DIM.
+    Moving blade b past blade a into increasing order transposes each
+    generator j of b past every generator i > j of a (Dorst, Fontijne &
+    Mann, Geometric Algebra for Computer Science, 2007), so the reordering
+    sign is the parity of b & _suffix_parity(a).  The suffix xor spans 16
+    positions, enough for every n <= MAX_DIM.
     """
     a >>= 1
     a ^= a >> 1
@@ -241,38 +241,10 @@ def _suffix_parity(a: int) -> int:
     return a
 
 
-def reorder_sign(a: int, b: int) -> int:
-    """Sign of reordering blade a followed by blade b into increasing order.
-
-    Each generator j of b transposes past every generator i > j of a
-    (Dorst, Fontijne & Mann, Geometric Algebra for Computer Science,
-    2007).  Only the parity of that count matters: it is the parity of
-    b & _suffix_parity(a).
-    """
-    return -1 if (_suffix_parity(a) & b).bit_count() & 1 else 1
-
-
 def _sign_mask(sig: Signature, a: int) -> int:
     """The mask s with e_a * e_m = (-1)^|s & m| e_{a xor m}, for every blade m: the
     reordering parity _suffix_parity(a), plus a's generators that square to -1."""
     return _suffix_parity(a) ^ (a >> sig.p << sig.p)
-
-
-def blade_product_masks(a: int, b: int, sig: Signature) -> tuple[int, int]:
-    """(sign, mask) of e_a * e_b, mask arguments."""
-    sign = reorder_sign(a, b)
-    # each repeated generator with square -1 contracts to a sign flip
-    if ((a & b) >> sig.p).bit_count() & 1:
-        sign = -sign
-    return sign, a ^ b
-
-
-def blade_square_sign(a: Iterable[int], sig: Signature) -> int:
-    """Sign of (e_a)^2: (-1)^{k(k-1)/2} times the product of metric signs."""
-    am = blade_mask(a, sig.n)
-    sign, mask = blade_product_masks(am, am, sig)
-    assert mask == 0
-    return sign
 
 
 class _BladeMap:
@@ -366,7 +338,7 @@ class _BladeMap:
         return {m: Fraction(c, den) for m, c in self._terms.items()}
 
     def grades(self) -> tuple[int, ...]:
-        return tuple(sorted({grade_of(m) for m in self._terms}))
+        return tuple(sorted({m.bit_count() for m in self._terms}))
 
     def is_zero(self) -> bool:
         return not self._terms

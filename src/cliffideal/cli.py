@@ -150,11 +150,13 @@ def _parse_generators(text: str, n: int) -> tuple[tuple[int, tuple[int, ...]], .
         token = chunk.strip()
         if not token:
             raise _UsageError("empty generator in --gens")
+        signed = token[0] in "+-"
         try:
-            mask = parse_blade(token[1:] if token[0] in "+-" else token, n)
-        except ParseError as exc:
+            mask = parse_blade(token[signed:], n)
+        except ParseError as exc:  # the position counted in the quoted token, sign included
+            reason = str(exc).removesuffix(f"(at position {exc.position})")
             raise _UsageError(f"generator {token!r} is not a signed blade like '+e135' or "
-                              f"'+e{{1,10}}': {exc}") from None
+                              f"'+e{{1,10}}': {reason}(at position {exc.position + signed})") from None
         gens.append((-1 if token[0] == "-" else 1, mask_indices(mask)))
     return tuple(gens)
 

@@ -34,7 +34,6 @@ from .algebra import (
     _rational,
     _suffix_parity,
     blade_mask,
-    reorder_sign,
     volume_element,
 )
 
@@ -155,8 +154,8 @@ def hodge_star(a: ExteriorForm, c: HodgeConvention = HodgeConvention.EXT_DUAL_FI
     out: dict[int, int] = {}
     for mask, coef in a._terms.items():  # complements are distinct: no like terms
         comp = full ^ mask
-        sign = reorder_sign(comp, mask) if dual_first else reorder_sign(mask, comp)
-        out[comp] = coef if sign > 0 else -coef
+        odd = (_suffix_parity(comp) & mask if dual_first else _suffix_parity(mask) & comp).bit_count() & 1
+        out[comp] = -coef if odd else coef
     return ExteriorForm._from_canonical(a.n, a._den, out)
 
 

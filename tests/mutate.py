@@ -183,14 +183,21 @@ MUTANTS: list[tuple[str, str, str, list[str]]] = [
     # the L0 sign kernel
     ("algebra.py",  # the suffix parity counts the blade's own bit
      "    a >>= 1\n    a ^= a >> 1\n", "    a ^= a >> 1\n",
-     ["tests/test_algebra.py::test_blade_product_masks_all_pairs_against_oracle"]),
+     ["tests/test_algebra.py::test_sign_mask_all_pairs_against_oracle"]),
     ("algebra.py",  # the suffix xor stops at 8 positions
      "    a ^= a >> 8\n", "    a ^= a >> 16\n",
-     ["tests/test_algebra.py::test_blade_product_masks_all_pairs_against_oracle"]),
-    ("algebra.py",  # reorder_sign with its operands swapped
-     "return -1 if (_suffix_parity(a) & b).bit_count() & 1 else 1",
-     "return -1 if (_suffix_parity(b) & a).bit_count() & 1 else 1",
-     ["tests/test_algebra.py::test_blade_product_exhaustive_small_dims"]),
+     ["tests/test_algebra.py::test_sign_mask_all_pairs_against_oracle"]),
+    ("algebra.py",  # the metric sign read off the generators that square to +1
+     "(a >> sig.p << sig.p)", "(a & ((1 << sig.p) - 1))",
+     ["tests/test_algebra.py::test_sign_mask_exhaustive_small_dims"]),
+    ("exterior.py",  # the dual-first Hodge sign read with its operands swapped
+     "(_suffix_parity(comp) & mask if dual_first",
+     "(_suffix_parity(mask) & comp if dual_first",
+     ["tests/test_exterior.py::test_hodge_star_both_exterior_conventions_exhaustive"]),
+    ("exterior.py",  # the alpha-first Hodge sign read with its operands swapped
+     "else _suffix_parity(mask) & comp)",
+     "else _suffix_parity(comp) & mask)",
+     ["tests/test_exterior.py::test_hodge_star_both_exterior_conventions_exhaustive"]),
     # exact linear algebra and the Hodge star
     ("linalg.py",  # Bareiss without the swap sign
      "            sign = -sign\n", "            sign = sign\n",
@@ -199,8 +206,8 @@ MUTANTS: list[tuple[str, str, str, list[str]]] = [
      "        row = dict(row)  # the copy", "        row = row  # the copy",
      [IDEALS + "test_row_basis_integer_rows_and_caller_rows"]),
     ("exterior.py",  # the two Hodge sign rules swapped
-     "sign = reorder_sign(comp, mask) if dual_first else reorder_sign(mask, comp)",
-     "sign = reorder_sign(mask, comp) if dual_first else reorder_sign(comp, mask)",
+     "_suffix_parity(comp) & mask if dual_first else _suffix_parity(mask) & comp",
+     "_suffix_parity(mask) & comp if dual_first else _suffix_parity(comp) & mask",
      ["tests/test_exterior.py::test_hodge_star_both_exterior_conventions_exhaustive"]),
     # one formula per structure, and one table of structure kinds
     ("verifier.py",  # one status rule for every claim: PASS once any convention validates

@@ -564,36 +564,41 @@ def validate_generators_reference(spec):
     """The generator checks by blade products, the reference for ideals.validate_generators.
 
     Each generator's square and each pair's two products come from
-    blade_product_masks, and F_2 dependence from an echelon basis, so a
+    clifford_blade_product, and F_2 dependence from an echelon basis, so a
     differential test against it checks the parity identities the package
     uses instead.  Returns the package's GeneratorReport, violations in the
     package's order and words.
     """
-    from cliffideal.algebra import blade_mask, blade_product_masks, blade_square_sign, blade_table
     from cliffideal.ideals import GeneratorReport, radon_hurwitz
+
+    def name(t):  # '1', 'e135', or 'e{1,10}' once an index exceeds 9
+        if not t:
+            return "1"
+        return "e" + "".join(map(str, t)) if t[-1] < 10 else "e{" + ",".join(map(str, t)) + "}"
 
     sig = spec.sig
     violations = []
-    masks = [blade_mask(t, sig.n) for _, t in spec.generators]
-    name = blade_table(sig.n).text.__getitem__
+    blades = [tuple(t) for _, t in spec.generators]
 
-    for (_, t), mask in zip(spec.generators, masks):
-        if blade_square_sign(t, sig) != 1:
-            violations.append(f"generator {name(mask)} squares to -1")
-    for i in range(len(masks)):
-        for j in range(i + 1, len(masks)):
-            if blade_product_masks(masks[i], masks[j], sig) != blade_product_masks(masks[j], masks[i], sig):
-                violations.append(f"generators {name(masks[i])} and {name(masks[j])} anticommute")
+    for t in blades:
+        if clifford_blade_product(t, t, sig.p)[0] != 1:
+            violations.append(f"generator {name(t)} squares to -1")
+    for i in range(len(blades)):
+        for j in range(i + 1, len(blades)):
+            a, b = blades[i], blades[j]
+            if clifford_blade_product(a, b, sig.p) != clifford_blade_product(b, a, sig.p):
+                violations.append(f"generators {name(a)} and {name(b)} anticommute")
     basis = []  # echelon vectors with distinct leading bits
-    for mask in masks:
-        for vec in sorted(basis, reverse=True):
-            mask = min(mask, mask ^ vec)
-        if not mask:
-            violations.append(f"generator {name(masks[len(basis)])} is a product of earlier generators")
+    for t in blades:
+        vec = sum(1 << i for i in t)
+        for other in sorted(basis, reverse=True):
+            vec = min(vec, vec ^ other)
+        if not vec:
+            violations.append(f"generator {name(blades[len(basis)])} is a product of earlier generators")
             break
-        basis.append(mask)
+        basis.append(vec)
     expected = sig.q - radon_hurwitz(sig.q - sig.p)
-    if len(masks) != expected:
-        violations.append(f"expected {expected} generators for {sig}, got {len(masks)}")
-    return GeneratorReport(ok=not violations, k=len(masks), expected_k=expected,
+    if len(blades) != expected:
+        violations.append(f"expected {expected} generators for {sig}, got {len(blades)}")
+    return GeneratorReport(ok=not violations, k=len(blades), expected_k=expected,
                            violations=tuple(violations))

@@ -33,18 +33,22 @@ from cliffideal import (
     model_su3,
     parse,
     print_canonical,
+    quantize,
     radon_hurwitz,
+    reverse,
     run_all,
     run_claim,
     spin7_idempotent,
     spin7_recover,
     su3_idempotent,
     su3_recover,
+    symbol,
     to_json,
     volume_element,
     volume_form,
     wedge,
 )
+from cliffideal import ideals, verifier
 from cliffideal.algebra import mask_indices
 
 GENS6 = ((1, (1, 3, 5)), (-1, (1, 4, 6)), (-1, (2, 3, 6)))
@@ -311,3 +315,71 @@ def test_acceptance_10_census_of_factored_primitive_idempotents():
     }
     _report("A10", "census: 30/240, 30/480 and 270/4320 subspaces/idempotents at n = 6, 7, 8, "
             "all primitive; each round-trips or raises the reason for its half", budget)
+
+
+# n -> (model, its idempotent, recovery, the tensor fields)
+_MODELS = {6: (model_su3, su3_idempotent, su3_recover, ("omega", "psi_plus", "psi_minus")),
+           7: (model_g2, g2_idempotent, g2_recover, ("phi",)),
+           8: (model_spin7, spin7_idempotent, spin7_recover, ("cayley",))}
+
+
+_ROTOR_COEFFICIENTS = (1, 2, -3, Fraction(1, 2), Fraction(-2, 3))
+
+
+def _rotor(sig, rng):
+    """(u, u^-1) for u = (1 + a e_ij)(1 + b e_kl)(1 + c e_mn), a, b, c from _ROTOR_COEFFICIENTS.
+
+    Each factor times its reverse is 1 + a^2, so u u~ is a rational scalar and u^-1 = u~ / (u u~).
+    """
+    one = Multivector.scalar(sig, 1)
+    u = one
+    for _ in range(3):
+        plane = tuple(sorted(rng.sample(range(1, sig.n + 1), 2)))
+        u = u * (one + Multivector.blade(sig, plane, rng.choice(_ROTOR_COEFFICIENTS)))
+    norm = (u * reverse(u)).scalar_part
+    assert u * reverse(u) == Multivector.scalar(sig, norm)
+    return u, reverse(u).scale(1 / norm)
+
+
+def test_acceptance_11_rotations_through_the_structure_maps():
+    """Conjugating a model idempotent f by a rotor u rotates its tensors: g = u f u^-1 is
+    primitive with the minimal ideal dimension, each recovery returns the rotated tensors
+    symbol(u q(t) u^-1), and they rebuild g.  A rotated piece of the half a correspondence
+    never builds is refused with the unrotated piece's words."""
+    budget = _Budget(5.0)  # a backstop: about 0.1 s untraced
+    rng = random.Random(24)
+    uncertified = 0
+    for n, (model, idempotent, recover, fields) in _MODELS.items():
+        sig = Signature(0, n)
+        s = model()
+        f = idempotent(s)
+        for _ in range(4):
+            u, u_inv = _rotor(sig, rng)
+            g = u * f * u_inv
+            assert g != f and is_primitive(g)
+            dimension = left_ideal_basis(g).dimension
+            assert dimension == classify(sig).minimal_ideal_dim == (1 << n) * g.scalar_part
+            rotated = recover(g)
+            for field in fields:
+                assert getattr(rotated, field) == symbol(u * quantize(getattr(s, field)) * u_inv), (n, field)
+            assert idempotent(rotated) == g
+            uncertified += ideals._f2_signs(g) is None  # only elimination decides this g
+    assert uncertified >= 1
+    refused = 0
+    for n in (7, 8):
+        sig = Signature(0, n)
+        recover = _MODELS[n][2]
+        for f in decompose_algebra(IdempotentSpec(sig, verifier._GENS[n])):
+            try:
+                recover(f)
+            except StructureError as exc:
+                u, u_inv = _rotor(sig, rng)
+                try:
+                    recover(u * f * u_inv)
+                except StructureError as rotated:
+                    assert str(rotated) == str(exc)
+                    refused += 1
+    assert refused == 16
+    _report("A11", f"rotations: 12 conjugated model idempotents ({uncertified} without an F_2 "
+            "certificate) primitive, recovered as the rotated tensors and rebuilt; 16 rotated "
+            "other-half pieces refused as unrotated", budget)

@@ -17,7 +17,6 @@ from cliffideal import (
     HodgeConvention,
     Multivector,
     Signature,
-    blade_square_sign,
     clifford_hodge,
     from_json,
     geometric_product,
@@ -33,8 +32,8 @@ from cliffideal import (
     volume_element,
     wedge,
 )
-from cliffideal.algebra import (MAX_DIM, BladeTable, _by_grade, blade_mask, blade_product_masks,
-                               blade_table, grade_of, mask_indices)
+from cliffideal.algebra import (MAX_DIM, BladeTable, _by_grade, _sign_mask, blade_mask, blade_table,
+                               mask_indices)
 from cliffideal.exprio import ParseError, _digits, parse_blade
 
 from conftest import coefficients, multivectors, signatures
@@ -75,29 +74,34 @@ def test_blade_mask_rejects_bad_indices():
         blade_mask((0,), 6)
 
 
-def test_blade_product_exhaustive_small_dims():
+def _kernel_product(ma, mb, sig):
+    """(sign, mask) of e_a * e_b as the kernel reads it: the parity of _sign_mask(sig, a) & b."""
+    return -1 if (_sign_mask(sig, ma) & mb).bit_count() & 1 else 1, ma ^ mb
+
+
+def test_sign_mask_exhaustive_small_dims():
     for n in range(1, 5):
         for p in range(n + 1):
             sig = Signature(p, n - p)
             for ma, mb in product(range(1 << n), repeat=2):
-                sign, mask = blade_product_masks(ma, mb, sig)
+                sign, mask = _kernel_product(ma, mb, sig)
                 want = clifford_blade_product(_indices(ma), _indices(mb), p)
                 assert (sign, _indices(mask)) == want, (sig, ma, mb)
 
 
-def test_blade_product_random_large_dims():
+def test_sign_mask_random_large_dims():
     rng = random.Random(20260815)
     for _ in range(500):
         n = rng.randint(5, 8)
         p = rng.randint(0, n)
         sig = Signature(p, n - p)
         ma, mb = rng.randrange(1 << n), rng.randrange(1 << n)
-        sign, mask = blade_product_masks(ma, mb, sig)
+        sign, mask = _kernel_product(ma, mb, sig)
         want = clifford_blade_product(_indices(ma), _indices(mb), p)
         assert (sign, _indices(mask)) == want
 
 
-def test_blade_product_masks_all_pairs_against_oracle():
+def test_sign_mask_all_pairs_against_oracle():
     for n in range(1, 9):
         indices = [_indices(m) for m in range(1 << n)]
         for p in sorted({0, n // 2, n}):
@@ -105,7 +109,7 @@ def test_blade_product_masks_all_pairs_against_oracle():
             for ma, a in enumerate(indices):
                 for mb, b in enumerate(indices):
                     sign, ind = clifford_blade_product(a, b, p)
-                    assert blade_product_masks(ma, mb, sig) == (sign, blade_mask(ind, n)), \
+                    assert _kernel_product(ma, mb, sig) == (sign, blade_mask(ind, n)), \
                         (sig, ma, mb)
     rng = random.Random(2007)
     for n in range(9, 13):  # sampled: the sign kernel's bit windows reach these dimensions
@@ -114,18 +118,17 @@ def test_blade_product_masks_all_pairs_against_oracle():
             for _ in range(500):
                 ma, mb = rng.randrange(1 << n), rng.randrange(1 << n)
                 sign, ind = clifford_blade_product(_indices(ma), _indices(mb), p)
-                assert blade_product_masks(ma, mb, sig) == (sign, blade_mask(ind, n)), \
+                assert _kernel_product(ma, mb, sig) == (sign, blade_mask(ind, n)), \
                     (sig, ma, mb)
 
 
-def test_blade_square_sign_matches_product():
+def test_sign_mask_squares_against_oracle():
     for n in range(1, 7):
         for p in range(n + 1):
             sig = Signature(p, n - p)
             for mask in range(1 << n):
-                sign, back = blade_product_masks(mask, mask, sig)
-                assert back == 0
-                assert blade_square_sign(_indices(mask), sig) == sign
+                ind = _indices(mask)
+                assert _kernel_product(mask, mask, sig) == (clifford_blade_product(ind, ind, p)[0], 0)
 
 
 def test_generator_relations():
@@ -165,7 +168,7 @@ def test_reverse_antihomomorphism(pair):
 def test_reverse_sign_per_grade():
     sig = Signature(0, 8)
     for mask in range(0, 1 << 8, 7):  # sampled blades
-        k = grade_of(mask)
+        k = mask.bit_count()
         b = Multivector(sig, {mask: Fraction(1)})
         expected = (-1) ** (k * (k - 1) // 2)
         assert b.reverse() == b.scale(expected)
@@ -177,7 +180,7 @@ def test_grade_projection_partitions(x):
     for k in range(x.sig.n + 1):
         part = grade_project(x, k)
         assert part == x.grade(k)
-        assert all(grade_of(m) == k for m, _ in part.terms())
+        assert all(m.bit_count() == k for m, _ in part.terms())
         rebuilt = rebuilt + part
     assert rebuilt == x
 
@@ -480,7 +483,7 @@ def test_blade_table_order_rank_and_text():
     for n in (1, 4, 9, 10, 12):
         table = blade_table(n)
         assert list(table.order) == sorted(range(1 << n),
-                                           key=lambda m: (grade_of(m), mask_indices(m)))
+                                           key=lambda m: (m.bit_count(), mask_indices(m)))
         assert [table.rank[m] for m in table.order] == list(range(1 << n))
         for m in range(1, 1 << n):
             ind = mask_indices(m)

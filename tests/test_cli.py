@@ -207,6 +207,15 @@ def test_idempotent_gens_non_ascii_or_malformed_is_usage_error(capsys, gens):
     assert "is not a signed blade" in err and "invalid literal" not in err
 
 
+@pytest.mark.parametrize("token, position", [("+e7", 2), ("e7", 1), ("-e{1,,2}", 5), ("e{1,,2}", 4),
+                                             ("+e0", 2), ("e0", 1)])
+def test_idempotent_gens_error_position_counts_the_sign(capsys, token, position):
+    """The position is of the quoted token: the bad index 7 or 0, or the second of two commas."""
+    code, out, err = run(capsys, "idempotent", "--sig", "0,6", f"--gens={token}", "--check")
+    assert (code, out) == (2, "") and err.startswith(f"error: generator {token!r} is not a signed blade")
+    assert err.endswith(f" (at position {position})\n") and token[position] in "70,", err
+
+
 def test_idempotent_gens_delimited_blades(capsys):
     plain = run(capsys, "idempotent", "--sig", "0,6", "--gens", "+e135,-e146,-e236", "--ideal")
     braced = run(capsys, "idempotent", "--sig", "0,6", "--gens", "+e{1,3,5}, -e{1,4,6},-e236",
@@ -647,6 +656,14 @@ def test_golden_transcript(capsys, monkeypatch, entry):
     code, out, _ = run(capsys, *entry["argv"])
     assert code == entry["exit"]
     assert out.encode("utf-8") == entry["stdout"].encode("utf-8")
+
+
+def test_readme_library_example_runs():
+    """The README's one python block, run as written against the package under test."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme.read_text(encoding="utf-8"), re.S | re.M)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(readme), "exec"), {})
 
 
 # -- the table reader, against the argparse parser built from the same table --------

@@ -1,3 +1,4 @@
+import random
 import re
 from fractions import Fraction
 from itertools import product
@@ -20,7 +21,7 @@ from cliffideal import (
     volume_form,
     wedge,
 )
-from cliffideal.algebra import grade_of, mask_indices
+from cliffideal.algebra import MAX_DIM, mask_indices
 
 from conftest import forms, multivectors
 from oracles import hodge_blade, interior_blade, sort_sign, wedge_dicts
@@ -75,13 +76,14 @@ def test_wedge_graded_commutativity(args):
     n, ma, mb = args
     a = ExteriorForm.blade(n, mask_indices(ma))
     b = ExteriorForm.blade(n, mask_indices(mb))
-    sign = (-1) ** (grade_of(ma) * grade_of(mb))
+    sign = (-1) ** (ma.bit_count() * mb.bit_count())
     assert wedge(a, b) == wedge(b, a).scale(sign)
 
 
 def test_hodge_star_both_exterior_conventions_exhaustive():
-    for n in range(1, 8):
-        for mask in range(1 << n):
+    rng = random.Random(1145)
+    for n in range(1, MAX_DIM + 1):  # every blade to n = 10; sampled above, where the xor spans 16 bits
+        for mask in range(1 << n) if n <= 10 else rng.sample(range(1 << n), 500):
             ind = mask_indices(mask)
             blade = ExteriorForm.blade(n, ind)
             for conv, dual_first in (
@@ -96,7 +98,7 @@ def test_hodge_star_double_application_sign_law():
     for n in range(1, 8):
         for mask in range(1 << n):
             blade = ExteriorForm.blade(n, mask_indices(mask))
-            k = grade_of(mask)
+            k = mask.bit_count()
             sign = (-1) ** (k * (n - k))
             for conv in (HodgeConvention.EXT_DUAL_FIRST, HodgeConvention.EXT_ALPHA_FIRST):
                 assert hodge_star(hodge_star(blade, conv), conv) == blade.scale(sign)
@@ -124,7 +126,7 @@ def test_clifford_and_exterior_stars_differ_by_documented_sign():
         sig = Signature(0, n)
         for mask in range(1 << n):
             x = Multivector(sig, {mask: Fraction(1)})
-            k = grade_of(mask)
+            k = mask.bit_count()
             via_ext = quantize(hodge_star(symbol(x), HodgeConvention.EXT_DUAL_FIRST), sig)
             sign = (-1) ** (k * (k + 1) // 2)
             assert clifford_hodge(x, HodgeConvention.CLIFF_LEFT) == via_ext.scale(sign), (n, mask)
@@ -165,7 +167,7 @@ def test_interior_product_antiderivation(args):
     b = ExteriorForm.blade(n, mask_indices(mb))
     lhs = interior_product(i, wedge(a, b))
     rhs = wedge(interior_product(i, a), b) + wedge(a, interior_product(i, b)).scale(
-        (-1) ** grade_of(ma))
+        (-1) ** ma.bit_count())
     assert lhs == rhs
 
 

@@ -31,18 +31,12 @@ from cliffideal import (
     validate_generators,
 )
 from cliffideal import algebra, ideals
-from cliffideal.algebra import (
-    blade_mask,
-    blade_product_masks,
-    blade_square_sign,
-    blade_table,
-    mask_indices,
-)
+from cliffideal.algebra import blade_mask, blade_table, mask_indices
 from cliffideal.linalg import RowBasis, det, leading_principal_minors
 
 from conftest import multivectors
-from oracles import (dense_rank, f2_coset_certified, is_sub_idempotent, multiply_dicts,
-                     principal_minors, validate_generators_reference)
+from oracles import (clifford_blade_product, dense_rank, f2_coset_certified, is_sub_idempotent,
+                     multiply_dicts, principal_minors, validate_generators_reference)
 
 GENS6 = ((1, (1, 3, 5)), (-1, (1, 4, 6)), (-1, (2, 3, 6)))
 GENS7 = ((1, (1, 2, 3)), (1, (1, 4, 5)), (-1, (2, 5, 7)), (1, (1, 6, 7)))
@@ -230,7 +224,7 @@ def test_generator_checks_match_the_product_reference(n):
 @pytest.mark.parametrize("n", range(1, 13))
 def test_parity_identities_match_blade_products(n):
     """The square and commutation parities of _violations, and _expand's term sign, against
-    blade_product_masks: every blade and blade pair for n <= 6, a sample above."""
+    clifford_blade_product: every blade and blade pair for n <= 6, a sample above."""
     rng = random.Random(n)
     for p in range(n + 1):
         sig = Signature(p, n - p)
@@ -240,15 +234,21 @@ def test_parity_identities_match_blade_products(n):
             blades = rng.sample(range(1 << n), 100)
             pairs = [(rng.randrange(1, 1 << n), rng.randrange(1, 1 << n)) for _ in range(400)]
         for a in blades:
-            squares = blade_product_masks(a, a, sig)[0]
+            squares = _blade_product(a, a, p)[0]
             found = ideals._violations(sig, (a,))[1]
             assert (f"generator {blade_table(n).text[a]} squares to -1" in found) == (squares < 0)
         for a, b in pairs:
             if a == b:
                 continue
-            anticommute = blade_product_masks(a, b, sig) != blade_product_masks(b, a, sig)
+            ab = _blade_product(a, b, p)
+            anticommute = ab != _blade_product(b, a, p)
             assert any("anticommute" in v for v in ideals._violations(sig, (a, b))[1]) == anticommute
-            assert ideals._expand(sig, (1, 1), (a, b))._terms[a ^ b] == blade_product_masks(a, b, sig)[0]
+            assert ideals._expand(sig, (1, 1), (a, b))._terms[a ^ b] == ab[0]
+
+
+def _blade_product(a, b, p):
+    """(sign, indices) of e_a * e_b for blade masks a and b, from the sorting oracle."""
+    return clifford_blade_product(mask_indices(a), mask_indices(b), p)
 
 
 def test_sub_idempotent_chain(f6, sig6):
@@ -320,9 +320,8 @@ def _random_spec(sig, rng):
         for m in blades:
             if len(chosen) == k:
                 break
-            if (blade_square_sign(mask_indices(m), sig) == 1
-                    and all(blade_product_masks(m, c, sig) == blade_product_masks(c, m, sig)
-                            for c in chosen)
+            if (_blade_product(m, m, sig.p)[0] == 1
+                    and all(_blade_product(m, c, sig.p) == _blade_product(c, m, sig.p) for c in chosen)
                     and len([*ideals._f2_fresh(chosen + [m])]) == len(chosen) + 1):
                 chosen.append(m)
         if len(chosen) == k:
