@@ -164,23 +164,18 @@ def blade_mask(indices: Iterable[int], n: int) -> int:
     return mask
 
 
-def _index_table(first: int, bits: int, piece) -> list:
-    """Entry m joins the bytes or str piece(first + j) over the set bits j of m, in order."""
-    table = [piece(first)[:0]]
+def _index_table(first: int, bits: int, piece) -> list[str]:
+    """Entry m joins the strings piece(first + j) over the set bits j of m, in order."""
+    table = [""]
     for i in range(first, first + bits):
         one = piece(i)
         table += [t + one for t in table]
     return table
 
 
-# the indices of bits 0-7 and 8-11 of a mask, as bytes: 256 + 16 entries cover MAX_DIM
-_LOW_INDICES = _index_table(1, 8, lambda i: bytes((i,)))
-_HIGH_INDICES = _index_table(9, MAX_DIM - 8, lambda i: bytes((i,)))
-
-
 def mask_indices(mask: int) -> tuple[int, ...]:
-    """Unpack a bitmask below 1 << MAX_DIM into the strictly increasing index tuple."""
-    return tuple(_LOW_INDICES[mask & 255] + _HIGH_INDICES[mask >> 8])
+    """Unpack a bitmask into the strictly increasing index tuple."""
+    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def _by_grade(n: int) -> Iterator[tuple[int, ...]]:
@@ -261,16 +256,14 @@ class _BladeMap:
     __slots__ = ("_space", "_den", "_terms")
 
     def __new__(cls, space, terms: Mapping[int, int | Fraction] | None = None):
-        limit, terms, exact = 1 << cls._dim(space), terms or {}, True
+        limit, terms = 1 << cls._dim(space), terms or {}
         for mask in terms:
-            if type(mask) is not int:
-                if not isinstance(mask, int) or isinstance(mask, bool):  # as blade_mask's indices
-                    raise ValueError(f"blade mask {mask!r} is not an integer")
-                exact = False
+            if not isinstance(mask, int) or isinstance(mask, bool):  # as blade_mask's indices
+                raise ValueError(f"blade mask {mask!r} is not an integer")
             if not 0 <= mask < limit:
                 raise ValueError(f"blade mask {mask} out of range for {cls._describe(space)}")
-        items = terms.items() if exact else [(int(m), c) for m, c in terms.items()]  # stored as int
-        return cls._combine(space, [(*_rational(coef), mask) for mask, coef in items])
+        # an int-subclass mask is stored as the int it equals
+        return cls._combine(space, [(*_rational(coef), int(mask)) for mask, coef in terms.items()])
 
     @classmethod
     def zero(cls, space):
@@ -350,23 +343,16 @@ class _BladeMap:
         if self._space != other._space:
             raise ValueError(f"{self._space_name} mismatch: {self._space} vs {other._space}")
 
-    def __add__(self, other):
+    def __add__(self, other, sign: int = 1):
+        """self + sign * other, built by _combine from both operands' terms."""
         if not isinstance(other, type(self)):
             return NotImplemented
         self._check_space(other)
-        den = lcm(self._den, other._den)
-        fx, fy = den // self._den, den // other._den
-        out = {m: c * fx for m, c in self._terms.items()}
-        for mask, coef in other._terms.items():
-            c = out.pop(mask, 0) + coef * fy
-            if c:
-                out[mask] = c
-        return self._reduced(self._space, den, out)
+        return self._combine(self._space, [(c, self._den, m) for m, c in self._terms.items()]
+                             + [(sign * c, other._den, m) for m, c in other._terms.items()])
 
     def __sub__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self + (-other)
+        return self.__add__(other, -1)
 
     def __neg__(self):
         return self._from_canonical(self._space, self._den, {m: -c for m, c in self._terms.items()})

@@ -145,8 +145,8 @@ def _split_generators(text: str) -> list[str]:
 
 
 def _parse_generators(text: str, n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    gens = []
-    for chunk in _split_generators(text):
+    chunks, read = _split_generators(text), {}
+    for chunk in dict.fromkeys(chunks):  # each distinct chunk once, in order: the first bad one fails
         token = chunk.strip()
         if not token:
             raise _UsageError("empty generator in --gens")
@@ -157,8 +157,8 @@ def _parse_generators(text: str, n: int) -> tuple[tuple[int, tuple[int, ...]], .
             reason = str(exc).removesuffix(f"(at position {exc.position})")
             raise _UsageError(f"generator {token!r} is not a signed blade like '+e135' or "
                               f"'+e{{1,10}}': {reason}(at position {exc.position + signed})") from None
-        gens.append((-1 if token[0] == "-" else 1, mask_indices(mask)))
-    return tuple(gens)
+        read[chunk] = (-1 if token[0] == "-" else 1, mask_indices(mask))
+    return tuple(map(read.get, chunks))
 
 
 def _cmd_idempotent(args) -> int:

@@ -246,7 +246,8 @@ def _ratio(num: int, den: int) -> str:
 
 def print_canonical(x: Multivector | ExteriorForm) -> str:
     """Canonical text: terms by grade, then lexicographic blade order."""
-    table = blade_table(x.sig.n if isinstance(x, Multivector) else x.n)
+    p, q, _ = _space(x)  # a TypeError for anything but an element
+    table = blade_table(p + q)
     text, t, den = table.text, x._terms, x._den
     out = []
     try:

@@ -147,6 +147,8 @@ def hodge_star(a: ExteriorForm, c: HodgeConvention = HodgeConvention.EXT_DUAL_FI
     by e^I ^ (star e^I) = vol.  For the Clifford-side duals see
     clifford_hodge.
     """
+    if not isinstance(c, HodgeConvention):
+        raise TypeError(f"hodge_star needs a HodgeConvention, got {type(c).__name__}")
     if not c.is_exterior:
         raise ValueError(f"hodge_star on forms supports only the EXT conventions, got {c.value}")
     full = (1 << a.n) - 1
@@ -183,6 +185,8 @@ def clifford_hodge(x: Multivector, c: HodgeConvention = HodgeConvention.EXT_DUAL
     The EXT variants transport the exterior star through quantize/symbol;
     the CLIFF variants multiply by the volume element on the stated side.
     """
+    if not isinstance(c, HodgeConvention):
+        raise TypeError(f"clifford_hodge needs a HodgeConvention, got {type(c).__name__}")
     if c.is_exterior:
         return quantize(hodge_star(symbol(x), c), x.sig)
     omega = volume_element(x.sig)

@@ -114,27 +114,35 @@ def _f2_fresh(masks: Iterable[int]) -> Iterator[int]:
 
 
 def _violations(sig: Signature, masks: Sequence[int]) -> tuple[int, list[str]]:
-    """The expected generator count, and every violation of these masks, by parity, in order."""
+    """The expected generator count, and the violations of these masks, by parity, in order.
+
+    A valid set has at most n generators, so the square, pair and dependence
+    checks read only the first n: a longer list is refused by its count, and
+    one more line says how many generators were not checked.
+    """
     def name(mask: int) -> str:  # the text column is built only to report a violation
         return blade_table(sig.n).text[mask]
 
+    checked = masks[:sig.n]
     violations = [f"generator {name(a)} squares to -1"
-                  for a in masks if (a.bit_count() >> 1 ^ (a >> sig.p).bit_count()) & 1]
+                  for a in checked if (a.bit_count() >> 1 ^ (a >> sig.p).bit_count()) & 1]
     violations += [f"generators {name(a)} and {name(b)} anticommute"
-                   for i, a in enumerate(masks) for b in masks[i + 1:]
+                   for i, a in enumerate(checked) for b in checked[i + 1:]
                    if (a.bit_count() * b.bit_count() ^ (a & b).bit_count()) & 1]
-    fresh = [*_f2_fresh(masks), None]  # a subsequence of masks: it first differs at a dependent one
-    dep = next((a for a, b in zip(masks, fresh) if a != b), None)
+    fresh = [*_f2_fresh(checked), None]  # a subsequence: it first differs at a dependent one
+    dep = next((a for a, b in zip(checked, fresh) if a != b), None)
     if dep is not None:
         violations.append(f"generator {name(dep)} is a product of earlier generators")
     expected = sig.q - radon_hurwitz(sig.q - sig.p)
     if len(masks) != expected:
         violations.append(f"expected {expected} generators for {sig}, got {len(masks)}")
+    if len(masks) > sig.n:
+        violations.append(f"generators after the first {sig.n} not checked: {len(masks) - sig.n}")
     return expected, violations
 
 
 def validate_generators(spec: IdempotentSpec) -> GeneratorReport:
-    """Check the four conditions for a generator set, reporting every violation."""
+    """Check the four conditions for a generator set, reporting what _violations finds."""
     masks = spec.masks()
     expected, violations = _violations(spec.sig, masks)
     return GeneratorReport(ok=not violations, k=len(masks), expected_k=expected,

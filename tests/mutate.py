@@ -40,6 +40,8 @@ EXPRIO = "tests/test_exprio.py::"
 PRINTED = [EXPRIO + "test_direct_reader_leaves_every_other_layout_to_the_scanner",
            EXPRIO + "test_parse_matches_character_scanner"]
 WRITTEN = [EXPRIO + "test_from_json_matches_the_general_reader_on_edited_writer_output"]
+SUMS = "tests/test_algebra.py::test_sum_and_difference_match_fraction_dict_arithmetic"
+WRONG_TYPES = IDEALS + "test_wrong_argument_types_raise_type_error_naming_the_type"
 
 MUTANTS: list[tuple[str, str, str, list[str]]] = [
     # the F_2 certificate derived from the coefficients (ideals._f2_certificate)
@@ -102,6 +104,9 @@ MUTANTS: list[tuple[str, str, str, list[str]]] = [
      "spec.generators))))) for signs",
      [IDEALS + "test_decompose_validates_the_generators_once"]),
     # generator checks and the expansion by parities of masks, and classify once per signature
+    ("ideals.py",  # the generator bound dropped: every square and pair of a long list checked
+     "    checked = masks[:sig.n]\n", "    checked = masks\n",
+     [IDEALS + "test_generator_checks_read_at_most_n_generators"]),
     ("ideals.py",  # the commutation parity without the |a & b| term
      "if (a.bit_count() * b.bit_count() ^ (a & b).bit_count()) & 1]",
      "if (a.bit_count() * b.bit_count()) & 1]",
@@ -209,6 +214,16 @@ MUTANTS: list[tuple[str, str, str, list[str]]] = [
      "_suffix_parity(comp) & mask if dual_first else _suffix_parity(mask) & comp",
      "_suffix_parity(mask) & comp if dual_first else _suffix_parity(comp) & mask",
      ["tests/test_exterior.py::test_hodge_star_both_exterior_conventions_exhaustive"]),
+    # a wrong argument type refused by type, not met with an AttributeError from inside
+    ("exterior.py",  # hodge_star reads .is_exterior off any convention argument
+     "    if not isinstance(c, HodgeConvention):\n        raise TypeError(f\"hodge_star needs",
+     "    if False:\n        raise TypeError(f\"hodge_star needs", [WRONG_TYPES]),
+    ("exterior.py",  # clifford_hodge reads .is_exterior off any convention argument
+     "    if not isinstance(c, HodgeConvention):\n        raise TypeError(f\"clifford_hodge needs",
+     "    if False:\n        raise TypeError(f\"clifford_hodge needs", [WRONG_TYPES]),
+    ("exprio.py",  # print_canonical reads .n off anything that is not a Multivector
+     "    p, q, _ = _space(x)  # a TypeError for anything but an element\n    table = blade_table(p + q)",
+     "    table = blade_table(x.sig.n if isinstance(x, Multivector) else x.n)", [WRONG_TYPES]),
     # one formula per structure, and one table of structure kinds
     ("verifier.py",  # one status rule for every claim: PASS once any convention validates
      "status = PASS if len(validating) == len(conventions) else",
@@ -336,9 +351,17 @@ MUTANTS: list[tuple[str, str, str, list[str]]] = [
      "            if not isinstance(mask, int):",
      ["tests/test_algebra.py::test_constructor_refuses_a_mask_that_is_not_an_int"]),
     ("algebra.py",  # the constructor stores an int-subclass mask as it came
-     "items = terms.items() if exact else [(int(m), c) for m, c in terms.items()]",
-     "items = terms.items()",
+     "(*_rational(coef), int(mask)) for mask, coef in terms.items()]",
+     "(*_rational(coef), mask) for mask, coef in terms.items()]",
      ["tests/test_algebra.py::test_constructor_refuses_a_mask_that_is_not_an_int"]),
+    ("algebra.py",  # - computed as +
+     "        return self.__add__(other, -1)\n", "        return self.__add__(other, 1)\n",
+     [SUMS]),
+    ("algebra.py",  # the second operand's numerators read over the first one's denominator
+     "(sign * c, other._den, m)", "(sign * c, self._den, m)", [SUMS]),
+    ("algebra.py",  # mask_indices stops one bit short: the highest index is lost
+     "range(mask.bit_length()) if", "range(mask.bit_length() - 1) if",
+     ["tests/test_algebra.py::test_mask_indices_lists_the_set_bits"]),
     ("algebra.py",  # the constructor stores a mask outside 0..2^n - 1
      "            if not 0 <= mask < limit:\n", "            if False:\n",
      ["tests/test_algebra.py::test_shared_element_api"]),

@@ -5,6 +5,8 @@ import random
 import time
 from fractions import Fraction
 
+import pytest
+
 from cliffideal import (
     ExteriorForm,
     HodgeConvention,
@@ -383,3 +385,44 @@ def test_acceptance_11_rotations_through_the_structure_maps():
     _report("A11", f"rotations: 12 conjugated model idempotents ({uncertified} without an F_2 "
             "certificate) primitive, recovered as the rotated tensors and rebuilt; 16 rotated "
             "other-half pieces refused as unrotated", budget)
+
+
+def test_acceptance_12_rotated_census_pieces():
+    """A seeded sample of the census, 8 pieces per n at n = 6, 7, 8, each conjugated by a
+    rotor: g = u f u^-1 is primitive, and its ideal has the minimal dimension both by the
+    trace 2^n <g>_0 and by elimination over every blade.  A piece of a correspondence's half
+    recovers as the rotated tensors, which rebuild g; any other piece is refused with the
+    unrotated piece's words."""
+    budget = _Budget(5.0)  # a backstop: about 0.2 s untraced
+    rng = random.Random(2412)
+    uncertified = recovered = refused = 0
+    for n, (recover, idempotent, _) in _CENSUS.items():
+        sig = Signature(0, n)
+        minimal = classify(sig).minimal_ideal_dim
+        fields = _MODELS[n][3]
+        for basis in rng.sample(_commuting_plus_subspaces(n, n - radon_hurwitz(n)), 8):
+            f = rng.choice(decompose_algebra(IdempotentSpec(sig, tuple((1, mask_indices(b))
+                                                                       for b in basis))))
+            u, u_inv = _rotor(sig, rng)
+            g = u * f * u_inv
+            assert is_primitive(g)
+            assert (1 << n) * g.scalar_part == minimal
+            assert ideals._eliminate(g, range(1 << n))[0].rank == minimal
+            uncertified += ideals._f2_signs(g) is None
+            try:
+                tensors = recover(f)
+            except StructureError as exc:
+                with pytest.raises(StructureError) as rotated:
+                    recover(g)
+                assert str(rotated.value) == str(exc)
+                refused += 1
+                continue
+            turned = recover(g)
+            for field in fields:
+                assert getattr(turned, field) == symbol(u * quantize(getattr(tensors, field)) * u_inv)
+            assert idempotent(turned) == g
+            recovered += 1
+    assert uncertified >= 1 and recovered and refused
+    _report("A12", f"rotated census: 24 sampled pieces conjugated ({uncertified} without an F_2 "
+            f"certificate), all primitive with the minimal ideal; {recovered} recovered as the "
+            f"rotated tensors and rebuilt, {refused} refused as unrotated", budget)

@@ -332,6 +332,49 @@ def test_a_multivector_and_a_form_neither_add_nor_equal():
         assert not left == right and left != right
 
 
+class _Mask(int):
+    """An int subclass, as a caller's mask type may be."""
+
+
+def _fraction_sum(x, y, sign):
+    """x + sign * y for {mask: Fraction} dicts, zero terms dropped."""
+    out = dict(x)
+    for m, c in y.items():
+        out[m] = out.get(m, 0) + sign * c
+    return {m: c for m, c in out.items() if c}
+
+
+def test_sum_and_difference_match_fraction_dict_arithmetic():
+    """x + y and x - y of both element types against Fraction-dict sums, for a sample of every
+    n <= 12: mixed denominators, blades shared so that terms cancel in the sum or in the
+    difference, zero operands, and int-subclass masks passed through the constructor."""
+    rng = random.Random(3700)
+    dens = (1, 2, 3, 4, 6, 7, 12)
+    for n in range(1, MAX_DIM + 1):
+        for _ in range(10):
+            p = rng.randint(0, n)
+            shared = rng.sample(range(1 << n), min(1 << n, rng.randint(0, 6)))
+
+            def terms(blades):
+                return {m: Fraction(rng.randint(-9, 9), rng.choice(dens)) for m in blades}
+
+            dx = terms(shared + [rng.randrange(1 << n) for _ in range(rng.randint(0, 6))])
+            dy = terms([rng.randrange(1 << n) for _ in range(rng.randint(0, 6))])
+            for i, m in enumerate(shared):  # cancels in x + y, or in x - y
+                dy[m] = -dx[m] if i % 2 else dx[m]
+            for cls, space in ((Multivector, Signature(p, n - p)), (ExteriorForm, n)):
+                x, y = (cls(space, {rng.choice((int, _Mask))(m): c for m, c in d.items()})
+                        for d in (dx, dy))
+                zero = cls.zero(space)
+                assert x.term_map() == _fraction_sum({}, dx, 1)
+                for a, b, da, db in ((x, y, dx, dy), (y, x, dy, dx), (x, zero, dx, {}),
+                                     (zero, y, {}, dy), (x, x, dx, dx)):
+                    for got, sign in ((a + b, 1), (a - b, -1)):
+                        assert got.term_map() == _fraction_sum(_fraction_sum({}, da, 1), db, sign)
+                        _assert_stored_canonical(got)
+                        assert {type(m) for m in got._terms} <= {int}
+
+
 @pytest.mark.parametrize("cls, space", [(Multivector, Signature(0, 6)), (ExteriorForm, 6)],
                          ids=["Multivector", "ExteriorForm"])
 def test_constructor_refuses_a_mask_that_is_not_an_int(cls, space):
@@ -540,3 +583,4 @@ def test_blade_table_text_and_digits_match_combinations():
 def test_mask_indices_lists_the_set_bits():
     for m in range(1 << MAX_DIM):
         assert mask_indices(m) == tuple(i + 1 for i in range(MAX_DIM) if m >> i & 1)
+        assert blade_mask(mask_indices(m), MAX_DIM) == m

@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -240,6 +241,61 @@ def test_gens_split_reads_a_128_kb_argument():
     chunks = cli._split_generators(text)
     assert len(chunks) == 32001 and chunks[-1] == "" and set(chunks[:-1]) == {"+e1"}
     assert cli._parse_generators(text[:-1], 12) == ((1, (1,)),) * 32000
+
+
+def _random_braced_gens(rng, size):
+    """Signed random blades of R_{0,12}, each spelled e{i,j,...}, about size bytes in all."""
+    tokens, total = [], 0
+    while total < size - 60:
+        mask = rng.randrange(1, 1 << 12)
+        tokens.append(rng.choice("+-") + "e{" + ",".join(str(i + 1) for i in range(12)
+                                                         if mask >> i & 1) + "}")
+        total += len(tokens[-1]) + 1
+    return ",".join(tokens)
+
+
+def test_idempotent_check_of_32000_generators_reports_the_first_12(capsys):
+    code, out, _ = run(capsys, "idempotent", "--sig", "0,12", "--gens", ",".join(["+e1"] * 32000),
+                       "--check")
+    assert code == 1
+    assert out.splitlines() == [
+        "k: 32000 (expected 5)", "valid: false",
+        *["violation: generator e1 squares to -1"] * 12,
+        "violation: generator e1 is a product of earlier generators",
+        "violation: expected 5 generators for R_{0,12}, got 32000",
+        "violation: generators after the first 12 not checked: 31988"]
+
+
+def test_idempotent_gens_of_128_kib_exit_1_quickly_with_bounded_output():
+    """32,000 x +e1 and about 7,000 random braced blades, each about 128 KiB: every mode
+    exits 1 within 0.25 s over `python -c pass` (the fastest of up to 5 runs each, so that a
+    moment of load on a shared machine is not read as the program's), printing at most
+    2 + 12 squares + 66 pairs + 3 lines at n = 12."""
+    env = dict(os.environ, PYTHONPATH=PACKAGE_ROOT)
+
+    def fastest(*args, enough=0.0):
+        """The least wall time of up to 5 runs, stopping at one within enough, and the last run."""
+        best = float("inf")
+        for _ in range(5):
+            start = time.perf_counter()
+            proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                                  timeout=60)
+            best = min(best, time.perf_counter() - start)
+            if best < enough:
+                break
+        return best, proc
+
+    floor = fastest("-c", "pass")[0]
+    rng = random.Random(1616)
+    for gens in (",".join(["+e1"] * 32000), _random_braced_gens(rng, 128 * 1024)):
+        assert 127_000 < len(gens) <= 128 * 1024
+        for mode in ("--check", "--ideal", "--decompose"):
+            seconds, proc = fastest("-m", "cliffideal.cli", "idempotent", "--sig", "0,12",
+                                    "--gens", gens, mode, enough=floor + 0.25)
+            lines = (proc.stdout + proc.stderr).splitlines()
+            assert proc.returncode == 1 and len(lines) <= 83, (mode, len(lines))
+            assert lines[-1].startswith("violation: generators after the first 12 not checked: "), mode
+            assert seconds - floor < 0.25, (mode, seconds, floor)
 
 
 def test_eval_delimited_blade_for_n_ge_10(capsys):

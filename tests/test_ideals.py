@@ -14,20 +14,25 @@ from hypothesis import given, settings
 from cliffideal import (
     ExteriorForm,
     GeneratorError,
+    GeneratorReport,
     IdempotentSpec,
     Multivector,
     Signature,
     build_idempotent,
     classify,
+    clifford_hodge,
     coset_basis,
     decompose_algebra,
+    hodge_star,
     is_idempotent,
     is_orthogonal,
     is_primitive,
     left_ideal_basis,
     parse,
+    print_canonical,
     radon_hurwitz,
     run_claim,
+    to_json,
     validate_generators,
 )
 from cliffideal import algebra, ideals
@@ -188,10 +193,25 @@ def test_valid_generators_build_no_blade_names():
 VIOLATIONS = ("anticommute", "squares to -1", "product of earlier generators", "expected")
 
 
+def _bounded_reference(spec):
+    """validate_generators_reference, which checks every generator, with the package's bound:
+    a list longer than n gets the reference's checks of its first n generators, the count line
+    of the whole list and one line for the generators not checked."""
+    n, k = spec.sig.n, len(spec.generators)
+    if k <= n:
+        return validate_generators_reference(spec)
+    head = validate_generators_reference(IdempotentSpec(spec.sig, spec.generators[:n]))
+    violations = [v for v in head.violations if not v.startswith("expected ")]
+    violations += [f"expected {head.expected_k} generators for {spec.sig}, got {k}",
+                   f"generators after the first {n} not checked: {k - n}"]
+    return GeneratorReport(ok=False, k=k, expected_k=head.expected_k, violations=tuple(violations))
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_generator_checks_match_the_product_reference(n):
     """validate_generators against blade products, on sets that break each condition or none;
-    build_idempotent raises with the same violations, one per argument."""
+    build_idempotent raises with the same violations, one per argument.  A list of at most n
+    generators matches the reference exactly, a longer one its bounded form."""
     rng = random.Random(2300 + n)
     kinds = set()
     for p in range(n + 1):
@@ -209,7 +229,7 @@ def test_generator_checks_match_the_product_reference(n):
                     masks.insert(at, rng.randrange(1, 1 << n))
             spec = IdempotentSpec(sig, tuple((rng.choice((1, -1)), mask_indices(m)) for m in masks))
             report = validate_generators(spec)
-            assert report == validate_generators_reference(spec), spec
+            assert report == _bounded_reference(spec), spec
             kinds.update(kind for v in report.violations for kind in VIOLATIONS if kind in v)
             if report.ok:
                 assert is_idempotent(build_idempotent(spec))
@@ -219,6 +239,25 @@ def test_generator_checks_match_the_product_reference(n):
             assert err.value.args == report.violations
             assert str(err.value) == "; ".join(report.violations)
     assert kinds == set(VIOLATIONS[n == 1:])  # no two blades anticommute at n = 1
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_generator_checks_read_at_most_n_generators(n):
+    """A valid set has at most n generators, so a longer list is refused by its count: the
+    square, pair and dependence checks read the first n, which bounds the report at n squares,
+    n(n - 1)/2 pairs and 3 more lines, however long the list; every check path raises it."""
+    rng = random.Random(1600 + n)
+    for length in (n + 1, 2 * n + 3, 200):
+        p = rng.randint(0, n)
+        masks = [rng.randrange(1 << n) for _ in range(length)]
+        spec = IdempotentSpec(Signature(p, n - p), tuple((1, mask_indices(m)) for m in masks))
+        report = validate_generators(spec)
+        assert len(report.violations) <= n + n * (n - 1) // 2 + 3
+        assert report == _bounded_reference(spec)
+        for check in (build_idempotent, decompose_algebra):
+            with pytest.raises(GeneratorError) as err:
+                check(spec)
+            assert err.value.args == report.violations
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -684,6 +723,22 @@ def test_non_multivector_arguments_raise_type_error(f6):
         with pytest.raises(TypeError,
                            match=f"^IdealBasis.contains needs a Multivector, got {type(x).__name__}$"):
             ideal.contains(x)
+
+
+def test_wrong_argument_types_raise_type_error_naming_the_type(f6):
+    """A string where a HodgeConvention or an element belongs is refused by type, not met with
+    an AttributeError from inside."""
+    form = ExteriorForm.blade(6, (1,))
+    with pytest.raises(TypeError, match="^hodge_star needs a HodgeConvention, got str$"):
+        hodge_star(form, "ext-dual-first")
+    for c in ("cliff-left", "ext-dual-first", None):
+        with pytest.raises(TypeError,
+                           match=f"^clifford_hodge needs a HodgeConvention, got {type(c).__name__}$"):
+            clifford_hodge(f6, c)
+    for x in ("x", 3, None):
+        for write in (print_canonical, to_json):
+            with pytest.raises(TypeError, match=f"^cannot serialize {type(x).__name__}$"):
+                write(x)
 
 
 # -- membership coset by coset and idempotency from <f>_0 ------------------------
