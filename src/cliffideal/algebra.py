@@ -343,16 +343,16 @@ class _BladeMap:
         if self._space != other._space:
             raise ValueError(f"{self._space_name} mismatch: {self._space} vs {other._space}")
 
-    def __add__(self, other, sign: int = 1):
-        """self + sign * other, built by _combine from both operands' terms."""
+    def __add__(self, other):
+        """self + other, built by _combine from both operands' terms."""
         if not isinstance(other, type(self)):
             return NotImplemented
         self._check_space(other)
         return self._combine(self._space, [(c, self._den, m) for m, c in self._terms.items()]
-                             + [(sign * c, other._den, m) for m, c in other._terms.items()])
+                             + [(c, other._den, m) for m, c in other._terms.items()])
 
     def __sub__(self, other):
-        return self.__add__(other, -1)
+        return self + -other if isinstance(other, type(self)) else NotImplemented
 
     def __neg__(self):
         return self._from_canonical(self._space, self._den, {m: -c for m, c in self._terms.items()})

@@ -180,10 +180,9 @@ def _cmd_idempotent(args) -> int:
         return EXIT_SEMANTIC
 
     if args.mode == "ideal":
-        ideal = left_ideal_basis(built)
-        print(f"dimension: {ideal.dimension}")
         table = blade_table(sig.n)
         reps = coset_basis(built, table.index)  # the table's own tuples, in canonical order
+        print(f"dimension: {len(reps)}")
         print("coset basis: " + ", ".join(table.text[table.index[r]] for r in reps))
         return EXIT_OK
 
@@ -472,7 +471,9 @@ def main(argv: list[str] | None = None) -> int:
         return code
     except BrokenPipeError:
         # Nobody reads the rest; stdout goes to devnull so the flush at exit cannot fail again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return EXIT_PIPE
     except (_UsageError, ParseError, SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -269,10 +269,14 @@ def print_canonical(x: Multivector | ExteriorForm) -> str:
 
 # -- JSON ---------------------------------------------------------------
 
+# integer ['/' positive-integer], as for the text grammar: numerator, then denominator or None
+_JSON_RATIONAL = r"(-?[0-9]+)(?:/([0-9]+))?"
+
+
 @cache
 def _json_rational() -> re.Pattern:
-    """integer ['/' positive-integer], as for the text grammar; compiled on first use."""
-    return re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+    """_JSON_RATIONAL, compiled on first use."""
+    return re.compile(_JSON_RATIONAL)
 
 
 def _space(x: Multivector | ExteriorForm) -> tuple[int, int, str]:
@@ -304,35 +308,33 @@ def to_json(x: Multivector | ExteriorForm) -> str:
     return f'{{"signature": [{p}, {q}], "kind": "{kind}", "terms": [{terms}]}}'
 
 
-def _expect(cond: bool, message: str, path: str) -> None:
-    if not cond:
-        raise SchemaError(message, path)
-
-
-def _json_term(item, n: int, tpath: str) -> tuple[int, int, int]:
-    """(numerator, denominator, mask) of one term, checked field by field; a refusal
-    names the first fault and its path."""
-    _expect(isinstance(item, dict), "expected an object", tpath)
-    _expect("blade" in item, "missing field 'blade'", tpath)
-    _expect("coef" in item, "missing field 'coef'", tpath)
-    blade = item["blade"]
-    _expect(isinstance(blade, list)
-            and all(isinstance(v, int) and not isinstance(v, bool) for v in blade),
-            "expected a list of integers", f"{tpath}.blade")
+def _json_term(item, n: int, prefix: str, i: int) -> tuple[int, int, int]:
+    """(numerator, denominator, mask) of the term at {prefix}terms[i], checked field by
+    field; a refusal names the first fault and its path, which is formatted only then."""
+    field = ""
     try:
-        mask = blade_mask(blade, n)
-    except ValueError as exc:
-        raise SchemaError(str(exc), f"{tpath}.blade") from None
-    coef = item["coef"]
-    _expect(isinstance(coef, str), "expected a string rational", f"{tpath}.coef")
-    _expect(_json_rational().fullmatch(coef) is not None,
-            "expected integer ['/' positive-integer]", f"{tpath}.coef")
-    num, _, den = coef.partition("/")
-    try:
-        num, den = int(num), int(den or 1)
-    except ValueError:  # past the interpreter's limit on integer string length
-        raise SchemaError("integer literal too long", f"{tpath}.coef") from None
-    _expect(den != 0, "zero denominator", f"{tpath}.coef")
+        if not isinstance(item, dict):
+            raise ValueError("expected an object")
+        for name in ("blade", "coef"):
+            if name not in item:
+                raise ValueError(f"missing field '{name}'")
+        blade, coef, field = item["blade"], item["coef"], ".blade"
+        if not (isinstance(blade, list)
+                and all(isinstance(v, int) and not isinstance(v, bool) for v in blade)):
+            raise ValueError("expected a list of integers")
+        mask, field = blade_mask(blade, n), ".coef"
+        if not isinstance(coef, str):
+            raise ValueError("expected a string rational")
+        if not (m := _json_rational().fullmatch(coef)):
+            raise ValueError("expected integer ['/' positive-integer]")
+        try:
+            num, den = int(m[1]), int(m[2] or 1)
+        except ValueError:  # past the interpreter's limit on integer string length
+            raise ValueError("integer literal too long") from None
+        if not den:
+            raise ValueError("zero denominator")
+    except ValueError as exc:  # each refusal above, blade_mask's included
+        raise SchemaError(str(exc), f"{prefix}terms[{i}]{field}") from None
     return num, den, mask
 
 
@@ -356,8 +358,7 @@ def from_json_obj(obj, path: str = "") -> Multivector | ExteriorForm:
     if not isinstance(raw_terms, list):
         raise SchemaError("expected a list", prefix + "terms")
     cls, space = (Multivector, Signature(p, q)) if kind == "clifford" else (ExteriorForm, n)
-    return cls._combine(space, [_json_term(item, n, f"{prefix}terms[{i}]")
-                                for i, item in enumerate(raw_terms)])
+    return cls._combine(space, [_json_term(item, n, prefix, i) for i, item in enumerate(raw_terms)])
 
 
 def _decode(text: str):
@@ -374,7 +375,7 @@ def _decode(text: str):
 
 
 # one term of to_json's layout; the blade's text is checked by spelling its mask back
-_JSON_TERM = r'\{"blade": \[([0-9, ]*)\], "coef": "(-?[0-9]+)(?:/([0-9]+))?"\}'
+_JSON_TERM = rf'\{{"blade": \[([0-9, ]*)\], "coef": "{_JSON_RATIONAL}"\}}'
 
 
 @cache

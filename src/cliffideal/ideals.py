@@ -30,7 +30,7 @@ every signature e_a e_b = (-1)^{|a||b| - |a & b|} e_b e_a (Lounesto 2001).
 from __future__ import annotations
 
 from functools import cache
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Collection, Iterable, Iterator, Sequence
 from itertools import chain, product as _iterproduct
 
 from .algebra import (
@@ -226,19 +226,16 @@ class IdealBasis(_Record):
 
     def contains(self, x: Multivector) -> bool:
         _require_multivector(x, "IdealBasis.contains")
-        sig = self.idempotent._space  # the slot behind .sig, read without the property call
-        if x._space != sig:
-            raise ValueError(f"signature mismatch: {x.sig} vs {sig}")
+        x._check_space(self.idempotent)
         if isinstance(self._rows, RowBasis):  # the span holds x iff it holds x's numerators
             return self._rows.contains(x._terms)
-        return _in_cosets(sig, self._rows, x._terms)
+        return _in_cosets(x._space, self._rows, x._terms)
 
     def __getattr__(self, name: str):
         if name != "basis":  # only an unset slot gets here
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        n = self.idempotent.sig.n
-        order = blade_table(n).order
-        kept = map(order.__getitem__, _first_per_coset(order, self._rows, n))
+        order = blade_table(self.idempotent.sig.n).order
+        kept = map(order.__getitem__, _first_per_coset(order, self._rows, self.dimension))
         object.__setattr__(self, "basis", _products(self.idempotent, kept))
         return self.basis
 
@@ -332,10 +329,8 @@ def _in_cosets(sig: Signature, signs: dict[int, int], terms: dict[int, int]) -> 
     return True
 
 
-def _first_per_coset(masks: Iterable[int], span: Iterable[int], n: int) -> list[int]:
-    """Positions of the first mask met in each coset b xor span (a subspace), until all are met."""
-    span = list(span)
-    cosets = (1 << n) // len(span)
+def _first_per_coset(masks: Iterable[int], span: Collection[int], cosets: int) -> list[int]:
+    """Positions of the first mask met in each coset b xor span (a subspace), until all cosets are met."""
     seen: set[int] = set()
     kept = []
     for pos, b in enumerate(masks):
@@ -408,7 +403,7 @@ def coset_basis(f: Multivector, candidates: Iterable[Iterable[int]]) -> list[tup
     if None in masks:
         masks = [blade_mask(cand, n) for cand in cands]
         cands = list(map(mask_indices, masks))
-    kept = _first_per_coset(masks, f._terms, n) if certified else _eliminate(f, masks)[1]
+    kept = _first_per_coset(masks, f._terms, target) if certified else _eliminate(f, masks)[1]
     if len(kept) != target:
         raise ValueError(
             f"candidates insufficient to span the ideal (got rank {len(kept)} of {target})"
@@ -436,15 +431,11 @@ class AlgebraClass(_Record):
 _RING_DIM = {"R": 1, "C": 2, "H": 4}
 
 
+@cache  # one entry per valid signature: 90 at most
 def classify(sig: Signature) -> AlgebraClass:
     """Matrix-algebra type of R_{p,q} by (q - p) mod 8, built once per signature."""
-    return _classify(sig.p, sig.q)
-
-
-@cache  # one entry per valid (p, q): 90 at most
-def _classify(p: int, q: int) -> AlgebraClass:
-    ring, summands, j, _ = _PERIODICITY[(q - p) % 8]
-    m = 1 << ((p + q - j) >> 1)
+    ring, summands, j, _ = _PERIODICITY[(sig.q - sig.p) % 8]
+    m = 1 << ((sig.n - j) >> 1)
     return AlgebraClass(ring=ring, matrix_size=m, summands=summands,
                         minimal_ideal_dim=m * _RING_DIM[ring])
 

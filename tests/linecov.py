@@ -27,10 +27,6 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "cliffideal"
 
 ALLOWED = {  # (file, stripped source text): why no in-process test runs the line
-    ("cli.py", "os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())"):
-        "main's broken-pipe branch: test_closed_stdout_pipe_exits_141 runs it in a child",
-    ("cli.py", "return EXIT_PIPE"):
-        "main's broken-pipe branch: test_closed_stdout_pipe_exits_141 runs it in a child",
     ("cli.py", "raise SystemExit(main())"):
         "the __main__ entry: test_closed_stdout_pipe_exits_141 runs python -m cliffideal.cli",
 }

@@ -64,8 +64,8 @@ MUTANTS: list[tuple[str, str, str, list[str]]] = [
      "                    s = -s\n", "                    pass\n",
      [IDEALS + "test_coset_membership_matches_elimination_and_products"]),
     ("ideals.py",  # membership compares numerators without denominators: each term's own
-     "return _in_cosets(sig, self._rows, x._terms)",
-     "return _in_cosets(sig, self._rows, {m: c.numerator for m, c in x.term_map().items()})",
+     "return _in_cosets(x._space, self._rows, x._terms)",
+     "return _in_cosets(x._space, self._rows, {m: c.numerator for m, c in x.term_map().items()})",
      [IDEALS + "test_coset_membership_matches_elimination_and_products"]),
     ("ideals.py",  # >= 1 for idempotency
      "return len(x) * x._terms.get(0, 0) == x._den", "return len(x) * x._terms.get(0, 0) >= x._den",
@@ -86,6 +86,9 @@ MUTANTS: list[tuple[str, str, str, list[str]]] = [
     ("ideals.py",  # the early coset stop off by one
      "            if len(kept) == cosets:", "            if len(kept) == cosets - 1:",
      [IDEALS + "test_certified_path_runs_no_elimination_and_no_product"]),
+    ("ideals.py",  # coset_basis hands the early coset stop one coset fewer than it holds
+     "_first_per_coset(masks, f._terms, target)", "_first_per_coset(masks, f._terms, target - 1)",
+     [IDEALS + "test_coset_basis_stated_representatives"]),
     ("algebra.py",  # the one blade sign mask without the metric part
      "    return _suffix_parity(a) ^ (a >> sig.p << sig.p)", "    return _suffix_parity(a)",
      [IDEALS + "test_signed_permutation_rows_match_products",
@@ -118,8 +121,12 @@ MUTANTS: list[tuple[str, str, str, list[str]]] = [
      "        r = _sign_mask(sig, t) ^ t ^", "        r = _sign_mask(Signature(sig.n, 0), t) ^ t ^",
      [IDEALS + "test_build_idempotent_expands_the_signed_group"]),
     ("ideals.py",  # the classify memo keyed on n alone: (1, 5) gets (0, 6)'s class
-     "    return _classify(sig.p, sig.q)",
-     "    return classify.__dict__.setdefault(sig.n, _classify(sig.p, sig.q))",
+     "@cache  # one entry per valid signature: 90 at most\n",
+     "def _by_n(f):\n    memo = {}\n\n    def call(sig):\n"
+     "        if sig.n not in memo:\n            memo[sig.n] = f(sig)\n        return memo[sig.n]\n\n"
+     "    call.cache_clear, call.__wrapped__ = memo.clear, f\n"
+     "    call.cache_info = lambda: __import__('types').SimpleNamespace(currsize=len(memo))\n"
+     "    return call\n\n\n@_by_n\n",
      [IDEALS + "test_classify_is_built_once_per_signature"]),
     ("cli.py",  # idempotent --ideal and --decompose validate once for a report, then again
      "    try:  # each validates the generators once\n",
@@ -154,7 +161,7 @@ MUTANTS: list[tuple[str, str, str, list[str]]] = [
      "        mask |= 1 << i\n        prev = i\n        pos +=",
      [EXPRIO + "test_parse_terms_matches_character_scanner"]),
     ("exprio.py",  # no zero-denominator refusal in the general JSON reader
-     '    _expect(den != 0, "zero denominator", f"{tpath}.coef")\n', "",
+     '        if not den:\n            raise ValueError("zero denominator")\n', "",
      [EXPRIO + "test_json_schema_fuzz_loads_and_round_trips_or_rejects"]),
     # the direct readers of the writers' own layouts
     ("exprio.py",  # ' - ' read as '+'
@@ -355,10 +362,11 @@ MUTANTS: list[tuple[str, str, str, list[str]]] = [
      "(*_rational(coef), mask) for mask, coef in terms.items()]",
      ["tests/test_algebra.py::test_constructor_refuses_a_mask_that_is_not_an_int"]),
     ("algebra.py",  # - computed as +
-     "        return self.__add__(other, -1)\n", "        return self.__add__(other, 1)\n",
-     [SUMS]),
+     "return self + -other if", "return self + other if", [SUMS]),
+    ("algebra.py",  # - computed with its operands swapped: other - self
+     "return self + -other if", "return -self + other if", [SUMS]),
     ("algebra.py",  # the second operand's numerators read over the first one's denominator
-     "(sign * c, other._den, m)", "(sign * c, self._den, m)", [SUMS]),
+     "(c, other._den, m)", "(c, self._den, m)", [SUMS]),
     ("algebra.py",  # mask_indices stops one bit short: the highest index is lost
      "range(mask.bit_length()) if", "range(mask.bit_length() - 1) if",
      ["tests/test_algebra.py::test_mask_indices_lists_the_set_bits"]),
@@ -392,6 +400,9 @@ MUTANTS: list[tuple[str, str, str, list[str]]] = [
     ("cli.py",  # a closed stdout pipe exits 1, as a refusal does
      "        return EXIT_PIPE\n", "        return EXIT_SEMANTIC\n",
      ["tests/test_cli.py::test_closed_stdout_pipe_exits_141"]),
+    ("cli.py",  # the /dev/null descriptor of the broken-pipe branch left open
+     "        os.close(devnull)\n", "",
+     ["tests/test_cli.py::test_in_process_closed_stdout_pipe_exits_141_and_closes_devnull"]),
     # the golden file read without importlib.resources
     ("verifier.py",  # importlib.resources back at module level
      "from functools import cache\n", "from functools import cache\nfrom importlib import resources\n",

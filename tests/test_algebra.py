@@ -332,6 +332,19 @@ def test_a_multivector_and_a_form_neither_add_nor_equal():
         assert not left == right and left != right
 
 
+def test_add_takes_no_sign_and_sub_refuses_what_add_refuses():
+    """+ has no sign argument, for either element type, and - of a non-element raises the
+    TypeError Python gives for an unsupported operand."""
+    for x in (Multivector.blade(Signature(0, 6), (1, 2)), ExteriorForm.blade(6, (1, 2))):
+        with pytest.raises(TypeError):
+            x.__add__(x, -1)
+        assert x.__sub__("a") is NotImplemented
+        with pytest.raises(TypeError, match=rf"^unsupported operand type\(s\) for -: "
+                                            rf"'{type(x).__name__}' and 'str'$"):
+            x - "a"
+        assert x - x == type(x).zero(x._space) and x - -x == x + x
+
+
 class _Mask(int):
     """An int subclass, as a caller's mask type may be."""
 

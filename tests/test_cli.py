@@ -580,6 +580,18 @@ def test_idempotent_validates_the_generators_once(capsys, monkeypatch, gens, mod
     assert code == (0 if gens == "+e135,-e146,-e236" else 1) and len(calls) == 1
 
 
+def test_idempotent_ideal_asks_the_library_once(capsys, monkeypatch):
+    """--ideal prints the dimension as the length of its one coset_basis answer: one
+    coset_basis call and no left_ideal_basis over the same blades."""
+    calls = []
+    for name in ("coset_basis", "left_ideal_basis"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    code, out, _ = run(capsys, "idempotent", "--sig", "0,6", "--gens", "+e135,-e146,-e236", "--ideal")
+    assert code == 0 and calls == ["coset_basis"]
+    assert out == "dimension: 8\ncoset basis: 1, e1, e2, e3, e4, e5, e6, e12\n"
+
+
 # -- one validity test per structure kind -------------------------------------
 
 CLI_DATA = Path(__file__).resolve().parent / "data" / "cli"
@@ -853,6 +865,27 @@ def test_closed_stdout_pipe_exits_141(argv, unbuffered):
         os.close(write_end)
     assert proc.returncode == 141
     assert b"Traceback" not in proc.stderr and b"BrokenPipeError" not in proc.stderr
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts fds under /proc/self/fd")
+def test_in_process_closed_stdout_pipe_exits_141_and_closes_devnull(capsys, monkeypatch):
+    """main's broken-pipe branch, in this process: stdout is a writer on a dup of a pipe
+    whose read end is closed.  Each call exits 141, writes nothing to stderr and leaves
+    no descriptor open, /dev/null included."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(5):
+            with os.fdopen(os.dup(write_end), "w") as writer:
+                monkeypatch.setattr(sys, "stdout", writer)
+                code = main(["classify", "0", "6"])
+                monkeypatch.undo()
+            assert code == 141
+            assert capsys.readouterr().err == ""
+        assert len(os.listdir("/proc/self/fd")) == before
+    finally:
+        os.close(write_end)
 
 
 # -- the heap at exit --------------------------------------------------------

@@ -988,11 +988,11 @@ def test_classification_frozen_cases():
 def test_classify_is_built_once_per_signature():
     sigs = [Signature(p, n - p) for n in range(1, 13) for p in range(n + 1)]
     assert len(sigs) == 90
-    ideals._classify.cache_clear()
+    classify.cache_clear()
     for sig in sigs + sigs[::-1] + [Signature(sig.p, sig.q) for sig in sigs]:
-        assert classify(sig) == ideals._classify.__wrapped__(sig.p, sig.q), sig  # unmemoised
+        assert classify(sig) == classify.__wrapped__(sig), sig  # unmemoised
     assert classify(Signature(1, 5)) is classify(Signature(1, 5)) != classify(Signature(0, 6))
-    assert ideals._classify.cache_info().currsize == 90
+    assert classify.cache_info().currsize == 90
 
 
 def test_classification_total_dimension_law():
